@@ -68,7 +68,7 @@ class GradedBasis:
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise SchemaError(f"unknown generator {name!r}") from None
 
     def generator(self, i: int) -> "Vector":
@@ -86,77 +86,153 @@ def same_basis(a: GradedBasis, b: GradedBasis) -> bool:
     return a is b
 
 
-class Vector:
-    """A sparse element of the span of a GradedBasis; coefficients in Q."""
+class LinearCombination:
+    """A finite sparse linear combination over Q: `terms` maps keys to
+    nonzero `Fraction`s.
 
-    __slots__ = ("basis", "coeffs")
+    The one home of add, subtract, negate, scale, equality and zero-cleaning
+    for algebra elements, truncated coalgebra elements and coproduct pairs.
+    A subclass fixes what differs: its key type and the check on keys from
+    outside (`_check_key`), the space two operands must share (`_space`), and
+    the order of `items()`.  Its `__slots__` name the fields of that space,
+    which results copy.  The constructor coerces and cleans what callers
+    pass; arithmetic trusts the exact coefficients it computes itself.
+    """
+
+    __slots__ = ("terms",)
+    _mismatch = "operands over different spaces"
+
+    def __init__(self, terms=None):
+        clean = {}
+        for key, c in (terms or {}).items():
+            self._check_key(key)
+            c = Fraction(c)
+            if c != 0:
+                clean[key] = c
+        self.terms = clean
+
+    def _check_key(self, key):
+        """Raise when a key from outside does not belong to this space."""
+
+    def _space(self) -> tuple:
+        """What two operands must share to be added or to compare equal."""
+        return ()
+
+    def _check(self, other):
+        if type(other) is not type(self) or self._space() != other._space():
+            raise ValidationError(self._mismatch)
+
+    def _new(self, terms: dict):
+        """An element of this space holding `terms`: exact, with no zeros."""
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.terms = terms
+        return out
+
+    def add_term(self, key, coeff):
+        """Add `coeff` at `key` in place, dropping the key if it cancels."""
+        terms = self.terms
+        old = terms.get(key)
+        if old is None:
+            if coeff != 0:
+                terms[key] = coeff
+        else:
+            coeff = old + coeff
+            if coeff != 0:
+                terms[key] = coeff
+            else:
+                del terms[key]
+
+    def accumulate(self, other, scale=1):
+        """Add `scale * other` into this element in place; returns self.
+
+        Only for an element the calling routine has just created: a value
+        handed out elsewhere (a product table entry, a cached image, a
+        memoized coproduct) must never be the receiver.
+        """
+        items = other.terms.items()
+        if scale != 1:
+            items = [(key, scale * c) for key, c in items]
+        for key, c in items:
+            self.add_term(key, c)
+        return self
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __len__(self):
+        return len(self.terms)
+
+    def __add__(self, other):
+        self._check(other)
+        return self._new(dict(self.terms)).accumulate(other)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._new(dict(self.terms)).accumulate(other, -1)
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __rmul__(self, scale):
+        scale = Fraction(scale)
+        if scale == 0:
+            return self._new({})
+        return self._new({key: scale * c for key, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._space() == other._space()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.terms.items())))
+
+
+class Vector(LinearCombination):
+    """A sparse element of the span of a GradedBasis, keyed by generator index."""
+
+    __slots__ = ("basis",)
+    _mismatch = "vectors over different presentations"
 
     def __init__(self, basis: GradedBasis, coeffs: dict | None = None):
         self.basis = basis
-        clean = {}
-        for i, c in (coeffs or {}).items():
-            if not 0 <= i < len(basis):
-                raise ValidationError(f"generator index {i} out of range")
-            c = Fraction(c)
-            if c != 0:
-                clean[i] = c
-        self.coeffs = clean
+        super().__init__(coeffs)
+
+    def _check_key(self, i):
+        if not 0 <= i < len(self.basis):
+            raise ValidationError(f"generator index {i} out of range")
+
+    def _space(self):
+        return (self.basis,)
 
     @classmethod
     def zero(cls, basis):
-        return cls(basis, {})
+        return cls(basis)
 
     def items(self):
-        return sorted(self.coeffs.items())
+        return sorted(self.terms.items())
 
     def get(self, i) -> Fraction:
-        return self.coeffs.get(i, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.terms.get(i, Fraction(0))
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         """True when all terms share one degree (the given one, if stated)."""
-        degs = {self.basis.degrees[i] for i in self.coeffs}
+        degs = {self.basis.degrees[i] for i in self.terms}
         if degree is None:
             return len(degs) <= 1
         return degs <= {degree}
 
     def degree(self):
         """Degree of a homogeneous vector; None for 0 or mixed terms."""
-        degs = {self.basis.degrees[i] for i in self.coeffs}
+        degs = {self.basis.degrees[i] for i in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def __add__(self, other: "Vector") -> "Vector":
-        if not same_basis(self.basis, other.basis):
-            raise ValidationError("vectors over different presentations")
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return Vector(self.basis, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scale) -> "Vector":
-        scale = Fraction(scale)
-        return Vector(self.basis, {i: scale * c for i, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Vector)
-            and same_basis(self.basis, other.basis)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.basis.uid, tuple(self.items())))
-
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         return " + ".join(f"({c})*{self.basis.names[i]}" for i, c in self.items())
 
@@ -170,11 +246,12 @@ class Vector:
     def from_doc(cls, basis, doc):
         if not isinstance(doc, list):
             raise SchemaError("vector document must be a list")
-        coeffs = {}
+        out = cls(basis)
         for entry in doc:
-            i = basis.index(entry["gen"])
-            coeffs[i] = coeffs.get(i, Fraction(0)) + parse_scalar(entry["coeff"])
-        return cls(basis, coeffs)
+            if not isinstance(entry, dict) or "gen" not in entry or "coeff" not in entry:
+                raise SchemaError(f"bad vector entry: {entry!r}")
+            out.add_term(basis.index(entry["gen"]), parse_scalar(entry["coeff"]))
+        return out
 
 
 def parity_sign(p: int, q: int) -> int:
@@ -208,7 +285,7 @@ class AlgebraPresentation(GradedBasis):
                 entry = self.products[i][j]
                 want = self.degrees[i] + self.degrees[j]
                 if not entry.is_zero() and not all(
-                    self.degrees[k] == want for k in entry.coeffs
+                    self.degrees[k] == want for k in entry.terms
                 ):
                     raise ValidationError(
                         f"product {self.names[i]}*{self.names[j]} is not "
@@ -243,10 +320,10 @@ class AlgebraPresentation(GradedBasis):
         """Bilinear extension of the structure-constant table."""
         if not (same_basis(u.basis, self) and same_basis(v.basis, self)):
             raise ValidationError("operands do not belong to this presentation")
-        out = Vector.zero(self)
-        for i, cu in u.coeffs.items():
-            for j, cv in v.coeffs.items():
-                out = out + (cu * cv) * self.products[i][j]
+        out = Vector(self)
+        for i, cu in u.terms.items():
+            for j, cv in v.terms.items():
+                out.accumulate(self.products[i][j], cu * cv)
         return out
 
     def to_doc(self):
@@ -265,10 +342,6 @@ class AlgebraPresentation(GradedBasis):
         return {"generators": gens, "products": prods}
 
 
-def multiply(algebra: AlgebraPresentation, u: Vector, v: Vector) -> Vector:
-    return algebra.multiply(u, v)
-
-
 def parse_algebra(document) -> AlgebraPresentation:
     """Build a validated presentation from a JSON document (text or dict).
 
@@ -277,25 +350,15 @@ def parse_algebra(document) -> AlgebraPresentation:
     must agree (checked by the validator).
     """
     doc = json.loads(document) if isinstance(document, str) else document
-    if not isinstance(doc, dict):
-        raise SchemaError("algebra document must be an object")
-    try:
-        gen_docs = doc["generators"]
-    except KeyError:
-        raise SchemaError("algebra document lacks 'generators'") from None
+    generators = _parse_generators(doc, "algebra")
     if "modulus" in doc or "characteristic" in doc:
         raise SchemaError("only characteristic 0 (exact rationals) is supported")
-    generators = []
-    for g in gen_docs:
-        if not isinstance(g, dict) or "name" not in g or "degree" not in g:
-            raise SchemaError(f"bad generator entry: {g!r}")
-        if not isinstance(g["degree"], int):
-            raise SchemaError(f"generator degree must be an integer: {g!r}")
-        generators.append((g["name"], g["degree"]))
     basis = GradedBasis(generators)
 
     stated = {}
     for p in doc.get("products", []):
+        if not isinstance(p, dict) or "left" not in p or "right" not in p:
+            raise SchemaError(f"bad product entry: {p!r}")
         i = basis.index(p["left"])
         j = basis.index(p["right"])
         value = Vector.from_doc(basis, p.get("value", []))
@@ -307,13 +370,31 @@ def parse_algebra(document) -> AlgebraPresentation:
 
     products = {}
     for (i, j), value in stated.items():
-        products[(i, j)] = value.coeffs
+        products[(i, j)] = value.terms
         if (j, i) not in stated:
             sign = parity_sign(basis.degrees[i], basis.degrees[j])
-            products[(j, i)] = (sign * value).coeffs
+            products[(j, i)] = (sign * value).terms
 
     algebra = AlgebraPresentation(generators, products)
     return algebra
+
+
+def _parse_generators(doc, what: str) -> list:
+    """The (name, degree) pairs of a document's generator list."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} document must be an object")
+    if not isinstance(doc.get("generators"), list):
+        raise SchemaError(f"{what} document lacks 'generators'")
+    generators = []
+    for g in doc["generators"]:
+        if not isinstance(g, dict) or "name" not in g or "degree" not in g:
+            raise SchemaError(f"bad generator entry: {g!r}")
+        if not isinstance(g["name"], str):
+            raise SchemaError(f"generator name must be a string: {g!r}")
+        if not isinstance(g["degree"], int):
+            raise SchemaError(f"generator degree must be an integer: {g!r}")
+        generators.append((g["name"], g["degree"]))
+    return generators
 
 
 class LinearMap:
@@ -331,7 +412,7 @@ class LinearMap:
             if not same_basis(vec.basis, target):
                 raise ValidationError("column vector over wrong presentation")
             want = source.degrees[i] + self.degree
-            if any(target.degrees[k] != want for k in vec.coeffs):
+            if any(target.degrees[k] != want for k in vec.terms):
                 raise ValidationError(
                     f"column for {source.names[i]} is not homogeneous of "
                     f"degree {want}",
@@ -351,11 +432,11 @@ class LinearMap:
     def apply(self, v: Vector) -> Vector:
         if not same_basis(v.basis, self.source):
             raise ValidationError("vector is not over the map's source")
-        out = Vector.zero(self.target)
-        for i, c in v.coeffs.items():
+        out = Vector(self.target)
+        for i, c in v.terms.items():
             col = self.columns.get(i)
             if col is not None:
-                out = out + c * col
+                out.accumulate(col, c)
         return out
 
     def compose(self, other: "LinearMap") -> "LinearMap":
@@ -410,10 +491,6 @@ class LinearMap:
         }
 
 
-def apply_linear(m: LinearMap, v: Vector) -> Vector:
-    return m.apply(v)
-
-
 def linear_bracket(m1: LinearMap, m2: LinearMap) -> LinearMap:
     """Graded commutator m1∘m2 - (-1)^(|m1||m2|) m2∘m1 of endomorphism maps."""
     sign = parity_sign(m1.degree, m2.degree)
@@ -429,6 +506,8 @@ def parse_linear_map(document, source: GradedBasis, target: GradedBasis) -> Line
         raise SchemaError("map degree must be an integer")
     columns = {}
     for entry in doc["entries"]:
+        if not isinstance(entry, dict) or "gen" not in entry:
+            raise SchemaError(f"bad map entry: {entry!r}")
         i = source.index(entry["gen"])
         if i in columns:
             raise SchemaError(f"duplicate map entry for {entry['gen']!r}")
@@ -455,10 +534,7 @@ class ChainComplex(GradedBasis):
 
 def parse_chain_complex(document) -> ChainComplex:
     doc = json.loads(document) if isinstance(document, str) else document
-    if not isinstance(doc, dict) or "generators" not in doc:
-        raise SchemaError("complex document lacks 'generators'")
-    generators = [(g["name"], g["degree"]) for g in doc["generators"]]
-    cx = ChainComplex(generators)
+    cx = ChainComplex(_parse_generators(doc, "complex"))
     ddoc = doc.get("differential")
     if ddoc is not None:
         diff = parse_linear_map(ddoc, cx, cx)

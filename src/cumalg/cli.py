@@ -100,10 +100,6 @@ def _algebra_from_map_doc(doc):
     return source, target
 
 
-def _selement_rows(op):
-    return op.to_doc()
-
-
 def cmd_validate(args, inputs):
     results = {}
     ok = True
@@ -125,7 +121,7 @@ def cmd_lift(args, inputs, inverse=False):
     algebra = parse_algebra(_load_json(_require(inputs, "algebra")))
     ctx = cumulant_context(algebra, args.weight_cap)
     op = ctx.tau_tilde_inverse if inverse else ctx.tau_tilde
-    return {"table": _selement_rows(op)}, True
+    return {"table": op.to_doc()}, True
 
 
 def cmd_defects(args, inputs):

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import GradedBasis, ValidationError, Vector, format_scalar, parse_scalar, same_basis
+from .algebra import (
+    GradedBasis,
+    LinearCombination,
+    ValidationError,
+    Vector,
+    format_scalar,
+    parse_scalar,
+)
 
 DEFAULT_WEIGHT_CAP = 6
 
@@ -126,103 +133,67 @@ def monomials_up_to(basis: GradedBasis, cap: int):
         yield from canonical_monomials(basis, weight)
 
 
-class SElement:
+class SElement(LinearCombination):
     """A sparse linear combination of wedge monomials, truncated at a cap.
 
     `overflow` records that some operation dropped terms beyond the cap, so
     truncation is never silent.
     """
 
-    __slots__ = ("basis", "cap", "terms", "overflow")
+    __slots__ = ("basis", "cap", "overflow")
+    _mismatch = "elements over different presentations or caps"
 
     def __init__(self, basis, cap, terms=None, overflow=False):
         self.basis = basis
         self.cap = int(cap)
         if self.cap < 1:
             raise ValidationError("weight cap must be >= 1")
-        clean = {}
-        for w, c in (terms or {}).items():
-            if w.weight > self.cap:
-                raise ValidationError(f"monomial of weight {w.weight} exceeds cap {self.cap}")
-            c = Fraction(c)
-            if c != 0:
-                clean[w] = c
-        self.terms = clean
         self.overflow = bool(overflow)
+        super().__init__(terms)
+
+    def _check_key(self, w):
+        if w.weight > self.cap:
+            raise ValidationError(f"monomial of weight {w.weight} exceeds cap {self.cap}")
+
+    def _space(self):
+        return (self.basis, self.cap)
+
+    def accumulate(self, other, scale=1):
+        self.overflow = self.overflow or other.overflow
+        return super().accumulate(other, scale)
 
     @classmethod
     def zero(cls, basis, cap):
-        return cls(basis, cap, {})
+        return cls(basis, cap)
 
     @classmethod
     def from_monomial(cls, basis, cap, w, coeff=1):
-        return cls(basis, cap, {w: Fraction(coeff)})
+        return cls(basis, cap, {w: coeff})
 
     @classmethod
     def from_vector(cls, v: Vector, cap):
-        terms = {
-            WedgeMonomial((i,), (v.basis.degrees[i],)): c for i, c in v.coeffs.items()
+        out = cls(v.basis, cap)
+        out.terms = {
+            WedgeMonomial((i,), (v.basis.degrees[i],)): c for i, c in v.terms.items()
         }
-        return cls(v.basis, cap, terms)
+        return out
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def weight_project(self, n: int) -> "SElement":
         if n < 1:
             raise ValidationError("weight must be >= 1")
-        return SElement(
-            self.basis,
-            self.cap,
-            {w: c for w, c in self.terms.items() if w.weight == n},
-            self.overflow,
-        )
+        return self._new({w: c for w, c in self.terms.items() if w.weight == n})
 
     def max_weight(self) -> int:
         return max((w.weight for w in self.terms), default=0)
 
     def weight_one_vector(self) -> Vector:
         """The weight-1 component as an algebra element."""
-        return Vector(
-            self.basis,
-            {w.indices[0]: c for w, c in self.terms.items() if w.weight == 1},
-        )
-
-    def __add__(self, other: "SElement") -> "SElement":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return SElement(self.basis, self.cap, out, self.overflow or other.overflow)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scale) -> "SElement":
-        scale = Fraction(scale)
-        return SElement(
-            self.basis,
-            self.cap,
-            {w: scale * c for w, c in self.terms.items()},
-            self.overflow,
-        )
-
-    def __eq__(self, other):
-        # overflow is bookkeeping, not part of the value
-        return (
-            isinstance(other, SElement)
-            and same_basis(self.basis, other.basis)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.basis.uid, tuple(self.items())))
+        out = Vector(self.basis)
+        out.terms = {w.indices[0]: c for w, c in self.terms.items() if w.weight == 1}
+        return out
 
     def __repr__(self):
         if not self.terms:
@@ -233,10 +204,6 @@ class SElement:
             bits.append(f"({c})*{name}")
         return " + ".join(bits)
 
-    def _check(self, other):
-        if not same_basis(self.basis, other.basis) or self.cap != other.cap:
-            raise ValidationError("elements over different presentations or caps")
-
     def to_doc(self):
         return [
             {"monomial": w.names(self.basis), "coeff": format_scalar(c)}
@@ -245,15 +212,16 @@ class SElement:
 
     @classmethod
     def from_doc(cls, basis, cap, doc):
-        terms = {}
+        out = cls(basis, cap)
         for entry in doc:
             indices = [basis.index(n) for n in entry["monomial"]]
             norm = normalize_monomial(basis, indices)
             if norm is None:
                 continue
             w, sign = norm
-            terms[w] = terms.get(w, Fraction(0)) + sign * parse_scalar(entry["coeff"])
-        return cls(basis, cap, terms)
+            out._check_key(w)
+            out.add_term(w, sign * parse_scalar(entry["coeff"]))
+        return out
 
 
 def wedge(u: SElement, v: SElement) -> SElement:
@@ -262,12 +230,11 @@ def wedge(u: SElement, v: SElement) -> SElement:
     Terms whose combined weight exceeds the cap are dropped and flagged.
     """
     u._check(v)
-    out = {}
-    overflow = u.overflow or v.overflow
+    out = SElement(u.basis, u.cap, overflow=u.overflow or v.overflow)
     for wu, cu in u.terms.items():
         for wv, cv in v.terms.items():
             if wu.weight + wv.weight > u.cap:
-                overflow = True
+                out.overflow = True
                 continue
             norm = _normalize(
                 wu.indices + wv.indices, wu.factor_degrees + wv.factor_degrees
@@ -275,54 +242,26 @@ def wedge(u: SElement, v: SElement) -> SElement:
             if norm is None:
                 continue
             w, sign = norm
-            out[w] = out.get(w, Fraction(0)) + sign * cu * cv
-    return SElement(u.basis, u.cap, out, overflow)
+            out.add_term(w, sign * cu * cv)
+    return out
 
 
-def weight_project(v: SElement, n: int) -> SElement:
-    return v.weight_project(n)
-
-
-class TensorPairSum:
+class TensorPairSum(LinearCombination):
     """A normalized sum of signed (left, right) monomial pairs."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for (l, r), c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                self.terms[(l, r)] = c
-
-    def add_term(self, coeff, left: WedgeMonomial, right: WedgeMonomial):
-        key = (left, right)
-        value = self.terms.get(key, Fraction(0)) + coeff
-        if value == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = value
+    __slots__ = ()
 
     def items(self):
         return sorted(
             self.terms.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
         )
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, TensorPairSum) and self.terms == other.terms
-
-    def __len__(self):
-        return len(self.terms)
-
     def signed_flip(self) -> "TensorPairSum":
         """Apply the graded flip l⊗r -> (-1)^(|l||r|) r⊗l."""
         out = TensorPairSum()
         for (l, r), c in self.terms.items():
             sign = -1 if (l.degree % 2) and (r.degree % 2) else 1
-            out.add_term(sign * c, r, l)
+            out.add_term((r, l), sign * c)
         return out
 
     def __repr__(self):
@@ -343,7 +282,6 @@ def _extraction_sign(mono: WedgeMonomial, subset, complement) -> int:
     """Koszul sign of moving `subset` positions to the front, orders kept."""
     sign = 1
     degs = mono.factor_degrees
-    sub = set(subset)
     for j in complement:
         for i in subset:
             if i > j and (degs[i] % 2) and (degs[j] % 2):
@@ -365,7 +303,7 @@ def _coproduct_cached(mono: WedgeMonomial) -> TensorPairSum:
             tuple(mono.indices[p] for p in complement),
             tuple(mono.factor_degrees[p] for p in complement),
         )
-        out.add_term(Fraction(sign), left, right)
+        out.add_term((left, right), Fraction(sign))
     return out
 
 
@@ -387,8 +325,7 @@ def coproduct(w: WedgeMonomial) -> TensorPairSum:
 def coproduct_element(v: SElement) -> TensorPairSum:
     out = TensorPairSum()
     for w, c in v.terms.items():
-        for (l, r), s in coproduct(w).terms.items():
-            out.add_term(c * s, l, r)
+        out.accumulate(coproduct(w), c)
     return out
 
 
@@ -425,7 +362,7 @@ def iterated_coproduct(w: WedgeMonomial, k: int):
     """
     if not 1 <= k <= w.weight:
         raise ValidationError(f"iterate count {k} out of range for weight {w.weight}")
-    acc = {}
+    acc = LinearCombination()
     for blocks in _ordered_splits(tuple(range(w.weight)), k):
         sign = _rearrangement_sign(w, blocks)
         parts = tuple(
@@ -435,9 +372,9 @@ def iterated_coproduct(w: WedgeMonomial, k: int):
             )
             for block in blocks
         )
-        acc[parts] = acc.get(parts, Fraction(0)) + sign
+        acc.add_term(parts, Fraction(sign))
     return sorted(
-        ((c, parts) for parts, c in acc.items() if c != 0),
+        ((c, parts) for parts, c in acc.terms.items()),
         key=lambda item: tuple(p.sort_key() for p in item[1]),
     )
 

@@ -15,7 +15,6 @@ from .algebra import (
     LinearMap,
     ValidationError,
     Vector,
-    multiply,
     parity_sign,
 )
 from .coalgebra import (
@@ -32,7 +31,7 @@ from .morphisms import (
     extend_coalgebra_map,
     extend_coderivation,
     extract_family,
-    taylor_coefficient,
+    taylor_extract,
     triangular_inverse,
 )
 
@@ -49,13 +48,19 @@ def tau(algebra: AlgebraPresentation, w: WedgeMonomial) -> Vector:
 
 def tau_family(algebra: AlgebraPresentation, max_arity: int) -> TaylorFamily:
     """Taylor coefficients of tau_tilde: the n-fold products, one table per arity."""
+    return _product_family(algebra, max_arity, lambda arity: 1)
+
+
+def _product_family(algebra: AlgebraPresentation, max_arity: int, scale) -> TaylorFamily:
+    """The n-fold products times `scale(n)`, one table per arity."""
     tables: dict = {}
     for arity in range(1, max_arity + 1):
+        factor = scale(arity)
         table = {}
         for mono in canonical_monomials(algebra, arity):
             value = tau(algebra, mono)
             if not value.is_zero():
-                table[mono] = value
+                table[mono] = value if factor == 1 else factor * value
         if table:
             tables[arity] = table
     return TaylorFamily(algebra, algebra, 0, tables)
@@ -85,12 +90,6 @@ class CumulantContext:
             self._inverse = triangular_inverse(self.tau_tilde, "cumulant bijection")
         return self._inverse
 
-    def lift(self, v: SElement) -> SElement:
-        return self.tau_tilde(v)
-
-    def invert(self, v: SElement) -> SElement:
-        return self.tau_tilde_inverse(v)
-
 
 _contexts: dict = {}
 
@@ -106,11 +105,11 @@ def cumulant_context(algebra: AlgebraPresentation, cap: int = DEFAULT_WEIGHT_CAP
 
 
 def tau_tilde(algebra: AlgebraPresentation, v: SElement) -> SElement:
-    return cumulant_context(algebra, v.cap).lift(v)
+    return cumulant_context(algebra, v.cap).tau_tilde(v)
 
 
 def tau_tilde_inverse(algebra: AlgebraPresentation, v: SElement) -> SElement:
-    return cumulant_context(algebra, v.cap).invert(v)
+    return cumulant_context(algebra, v.cap).tau_tilde_inverse(v)
 
 
 def tau_tilde_series(algebra: AlgebraPresentation, cap: int) -> SMap:
@@ -136,7 +135,7 @@ def tau_tilde_series(algebra: AlgebraPresentation, cap: int) -> SMap:
                     head = SElement.from_vector(value, cap)
                     piece = head if piece is None else wedge(piece, head)
                 if piece is not None:
-                    out = out + (scale * coeff) * piece
+                    out.accumulate(piece, scale * coeff)
         return out
 
     return SMap(algebra, algebra, ctx.cap, 0, fn, "series")
@@ -156,17 +155,9 @@ def mobius_inverse_family(algebra: AlgebraPresentation, max_arity: int) -> Taylo
     extending it as a coalgebra map gives a second, recursion-free route to
     the inverse.
     """
-    tables: dict = {}
-    for arity in range(1, max_arity + 1):
-        scale = Fraction((-1) ** (arity - 1) * _factorial(arity - 1))
-        table = {}
-        for mono in canonical_monomials(algebra, arity):
-            value = scale * tau(algebra, mono)
-            if not value.is_zero():
-                table[mono] = value
-        if table:
-            tables[arity] = table
-    return TaylorFamily(algebra, algebra, 0, tables)
+    return _product_family(
+        algebra, max_arity, lambda arity: (-1) ** (arity - 1) * _factorial(arity - 1)
+    )
 
 
 def conjugate(op: SMap, direction: str = "pull") -> SMap:
@@ -210,27 +201,18 @@ def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP,
     return extract_family(op, cap if max_arity is None else max_arity)
 
 
-def _defect_table(op: SMap, n: int) -> dict:
-    out = {}
-    for w in canonical_monomials(op.source, n):
-        value = taylor_coefficient(op, w)
-        if not value.is_zero():
-            out[w] = value
-    return out
-
-
 def homomorphism_defect(f: LinearMap, n: int, cap: int = DEFAULT_WEIGHT_CAP) -> dict:
     """The arity-n table measuring failure of f to be an algebra map."""
     if n > cap:
         raise ValidationError(f"arity {n} exceeds the weight cap {cap}")
-    return _defect_table(defect_operator(f, "hom", cap), n)
+    return taylor_extract(defect_operator(f, "hom", cap), n)
 
 
 def derivation_defect(d: LinearMap, n: int, cap: int = DEFAULT_WEIGHT_CAP) -> dict:
     """The arity-n table measuring failure of d to be a derivation."""
     if n > cap:
         raise ValidationError(f"arity {n} exceeds the weight cap {cap}")
-    return _defect_table(defect_operator(d, "der", cap), n)
+    return taylor_extract(defect_operator(d, "der", cap), n)
 
 
 def vanishes_above_one(family: TaylorFamily) -> bool:
@@ -246,8 +228,7 @@ def _deg(v: Vector) -> int:
 
 def g2_closed_form(f: LinearMap, A: AlgebraPresentation, x: Vector, y: Vector) -> Vector:
     """f(xy) - f(x)f(y), the arity-2 homomorphism defect."""
-    B = f.target
-    return f.apply(multiply(A, x, y)) - multiply(B, f.apply(x), f.apply(y))
+    return f.apply(A.multiply(x, y)) - f.target.multiply(f.apply(x), f.apply(y))
 
 
 def g3_closed_form(f: LinearMap, A: AlgebraPresentation,
@@ -257,19 +238,16 @@ def g3_closed_form(f: LinearMap, A: AlgebraPresentation,
     f(xyz) - f(xy)f(z) - e1 f(xz)f(y) - e2 f(yz)f(x) + 2 f(x)f(y)f(z), with
     e1, e2 the Koszul signs of pulling z (resp. y and z) past y (resp. x).
     """
-    B = f.target
     e1 = parity_sign(_deg(y), _deg(z))
     e2 = parity_sign(_deg(x), _deg(y) + _deg(z))
+    m = f.target.multiply
 
-    def m(u, v, alg=B):
-        return multiply(alg, u, v)
-
-    xyz = multiply(A, multiply(A, x, y), z)
+    xyz = A.multiply(A.multiply(x, y), z)
     return (
         f.apply(xyz)
-        - m(f.apply(multiply(A, x, y)), f.apply(z))
-        - e1 * m(f.apply(multiply(A, x, z)), f.apply(y))
-        - e2 * m(f.apply(multiply(A, y, z)), f.apply(x))
+        - m(f.apply(A.multiply(x, y)), f.apply(z))
+        - e1 * m(f.apply(A.multiply(x, z)), f.apply(y))
+        - e2 * m(f.apply(A.multiply(y, z)), f.apply(x))
         + 2 * m(m(f.apply(x), f.apply(y)), f.apply(z))
     )
 
@@ -278,9 +256,9 @@ def h2_closed_form(d: LinearMap, A: AlgebraPresentation, x: Vector, y: Vector) -
     """d(xy) - d(x)y - (-1)^(|d||x|) x d(y), the arity-2 derivation defect."""
     sx = parity_sign(d.degree, _deg(x))
     return (
-        d.apply(multiply(A, x, y))
-        - multiply(A, d.apply(x), y)
-        - sx * multiply(A, x, d.apply(y))
+        d.apply(A.multiply(x, y))
+        - A.multiply(d.apply(x), y)
+        - sx * A.multiply(x, d.apply(y))
     )
 
 
@@ -288,9 +266,7 @@ def h3_closed_form(d: LinearMap, A: AlgebraPresentation,
                    x: Vector, y: Vector, z: Vector) -> Vector:
     """The arity-3 derivation defect in closed form (ten Koszul-signed terms)."""
 
-    def m(u, v):
-        return multiply(A, u, v)
-
+    m = A.multiply
     dx, dy, dz = d.apply(x), d.apply(y), d.apply(z)
     e1 = parity_sign(_deg(y), _deg(z))
     e2 = parity_sign(_deg(x), _deg(y) + _deg(z))
@@ -317,8 +293,7 @@ def h3_seven_term_variant(d: LinearMap, A: AlgebraPresentation,
     where it and the computed table part ways.
     """
 
-    def m(u, v):
-        return multiply(A, u, v)
+    m = A.multiply
 
     return (
         d.apply(m(m(x, y), z))

@@ -157,8 +157,8 @@ class TaylorFamily:
                 if norm is None:
                     continue
                 mono, sign = norm
-                value = Fraction(sign) * Vector.from_doc(target, row["value"])
-                table[mono] = table.get(mono, Vector.zero(target)) + value
+                value = Vector.from_doc(target, row["value"])
+                table.setdefault(mono, Vector(target)).accumulate(value, sign)
         return cls(source, target, degree, tables)
 
 
@@ -199,11 +199,9 @@ class SMap:
     def __call__(self, v: SElement) -> SElement:
         if not same_basis(v.basis, self.source) or v.cap != self.cap:
             raise ValidationError("element does not match the operator's source")
-        out = SElement.zero(self.target, self.cap)
+        out = SElement(self.target, self.cap, overflow=v.overflow)
         for w, c in v.terms.items():
-            out = out + c * self.on_monomial(w)
-        if v.overflow:
-            out = SElement(out.basis, out.cap, out.terms, True)
+            out.accumulate(self.on_monomial(w), c)
         return out
 
     def compose(self, inner: "SMap") -> "SMap":
@@ -291,7 +289,7 @@ def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
             value = family.evaluate(tuple(w.indices[p] for p in subset))
             if value.is_zero():
                 continue
-            head = Fraction(sign) * SElement.from_vector(value, cap)
+            head = SElement.from_vector(value, cap)
             if complement:
                 tail = SElement.from_monomial(
                     basis,
@@ -301,9 +299,8 @@ def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
                         tuple(w.factor_degrees[p] for p in complement),
                     ),
                 )
-                out = out + _wedge_noflag(head, tail)
-            else:
-                out = out + head
+                head = _wedge_noflag(head, tail)
+            out.accumulate(head, sign)
         return out
 
     return SMap(basis, basis, cap, family.degree, fn)
@@ -352,7 +349,7 @@ def extend_coalgebra_map(family: TaylorFamily, cap: int) -> SMap:
                 head = SElement.from_vector(value, cap)
                 piece = head if piece is None else _wedge_noflag(piece, head)
             if piece is not None:
-                out = out + Fraction(sign) * piece
+                out.accumulate(piece, sign)
         return out
 
     return SMap(source, target, cap, 0, fn)
@@ -392,7 +389,7 @@ def _apply_left(op: SMap, pairs: TensorPairSum) -> TensorPairSum:
     out = TensorPairSum()
     for (l, r), c in pairs.terms.items():
         for wl, cl in op.on_monomial(l).terms.items():
-            out.add_term(c * cl, wl, r)
+            out.add_term((wl, r), c * cl)
     return out
 
 
@@ -402,7 +399,7 @@ def _apply_right(op: SMap, pairs: TensorPairSum) -> TensorPairSum:
     for (l, r), c in pairs.terms.items():
         sign = -1 if odd and (l.degree % 2) else 1
         for wr, cr in op.on_monomial(r).terms.items():
-            out.add_term(sign * c * cr, l, wr)
+            out.add_term((l, wr), sign * c * cr)
     return out
 
 
@@ -413,7 +410,7 @@ def _apply_both(op: SMap, pairs: TensorPairSum) -> TensorPairSum:
         right = op.on_monomial(r)
         for wl, cl in left.terms.items():
             for wr, cr in right.terms.items():
-                out.add_term(c * cl * cr, wl, wr)
+                out.add_term((wl, wr), c * cl * cr)
     return out
 
 
@@ -454,14 +451,7 @@ def check_coderivation(op: SMap, max_weight: Optional[int] = None) -> CheckRepor
         checked += 1
         pairs = coproduct(w)
         lhs = coproduct_element(op.on_monomial(w))
-        rhs_terms = dict(_apply_left(op, pairs).terms)
-        for key, c in _apply_right(op, pairs).terms.items():
-            value = rhs_terms.get(key, Fraction(0)) + c
-            if value == 0:
-                rhs_terms.pop(key, None)
-            else:
-                rhs_terms[key] = value
-        rhs = TensorPairSum(rhs_terms)
+        rhs = _apply_left(op, pairs).accumulate(_apply_right(op, pairs))
         if lhs != rhs:
             witness = {
                 "monomial": w.names(op.source),

@@ -139,6 +139,9 @@ class TransferReport:
     ok: bool
     retract: RetractReport
     checks: list
+    # the extensions the checks ran on, reused by the pipeline with their caches
+    iota_hat: SMap | None = field(default=None, repr=False, compare=False)
+    d_inf: SMap | None = field(default=None, repr=False, compare=False)
 
     def to_doc(self):
         return {
@@ -223,7 +226,7 @@ def validate_transfer_input(t: TransferInput, cap: int) -> TransferReport:
     checks.append(_injectivity_check(iota_hat))
 
     ok = retract_report.ok and all(c.ok for c in checks)
-    return TransferReport(ok, retract_report, checks)
+    return TransferReport(ok, retract_report, checks, iota_hat, d_inf)
 
 
 @dataclass
@@ -261,7 +264,7 @@ def induced_cumulant_bijection(t: TransferInput, cap: int) -> TransferResult:
         raise TransferError("transfer hypotheses failed", hypotheses)
 
     A, C = t.retract.algebra, t.retract.complex
-    iota_hat = extend_coalgebra_map(t.iota, cap)
+    iota_hat, d_inf = hypotheses.iota_hat, hypotheses.d_inf
     proj_hat = extend_coalgebra_map(
         TaylorFamily.from_linear_map(t.retract.projection), cap
     )
@@ -276,7 +279,6 @@ def induced_cumulant_bijection(t: TransferInput, cap: int) -> TransferResult:
     d_c_hat = extend_coderivation(
         TaylorFamily.from_linear_map(C.differential), cap
     )
-    d_inf = extend_coderivation(t.d_infinity, cap)
     certifications.append(
         _difference_check(
             "intertwines the transferred coderivation with the complex differential",
@@ -300,14 +302,18 @@ def induced_cumulant_bijection(t: TransferInput, cap: int) -> TransferResult:
 
 
 def _triangular_and_invertible(op: SMap):
+    inverse = triangular_inverse(op, "induced cumulant bijection")
     checked = 0
     for w in monomials_up_to(op.source, op.cap):
         checked += 1
-        diff = op.on_monomial(w) - SElement.from_monomial(op.source, op.cap, w)
-        if not diff.is_zero() and diff.max_weight() >= w.weight:
-            witness = {"monomial": w.names(op.source), "lhs": op.on_monomial(w).to_doc()}
+        image = op.on_monomial(w)
+        # lower monomials are already inverted and cached, so the only
+        # failure left here is op not being triangular at w itself
+        try:
+            inverse.on_monomial(w)
+        except ValidationError:
+            witness = {"monomial": w.names(op.source), "lhs": image.to_doc()}
             return CheckReport("triangular and invertible", False, checked, witness), None
-    inverse = triangular_inverse(op, "induced cumulant bijection")
     ident = SMap.identity(op.source, op.cap)
     for composite in (inverse.compose(op), op.compose(inverse)):
         w = composite.first_difference(ident)

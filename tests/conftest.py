@@ -18,6 +18,19 @@ E2_DOC = {
 }
 
 
+# a degree-zero endomorphism of e2 that is neither a homomorphism nor a
+# derivation, so both kinds of defect table have rows above arity one
+E2_MAP_DOC = {
+    "source": E2_DOC,
+    "degree": 0,
+    "entries": [
+        {"gen": "a", "value": [{"gen": "a", "coeff": "2"}, {"gen": "b", "coeff": "1"}]},
+        {"gen": "b", "value": [{"gen": "b", "coeff": "3"}]},
+        {"gen": "g", "value": [{"gen": "g", "coeff": "1"}]},
+    ],
+}
+
+
 def p_algebra(n):
     """Truncated polynomial algebra: x1..xn, all even, products cut past xn."""
     return cm.truncated_polynomial_algebra(n)

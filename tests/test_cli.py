@@ -1,11 +1,12 @@
 """End-to-end command-line runs: exit codes, reports, determinism."""
+import hashlib
 import json
 
 import pytest
 
 import cumalg.cli as cli
 
-from conftest import E2_DOC, k2_doc
+from conftest import E2_DOC, E2_MAP_DOC, k2_doc
 
 
 def p4_doc():
@@ -261,3 +262,66 @@ def test_text_format_renders_and_stays_deterministic(tmp_path, capsys):
     assert first == second
     assert "table" in first
     assert "ok: true" in first
+
+
+# SHA-256 of known-good reports of small jobs; any change to what one of
+# these reports says, down to a byte, fails here
+PINNED_REPORTS = {
+    "lift-e2": (["lift", "--weight-cap", "4"], "algebra", E2_DOC,
+                "7c3af827e814f602d79ffaff71bc9c943dba41568d9d1ddcc120df4ce4018011"),
+    "invert-e2": (["invert", "--weight-cap", "4"], "algebra", E2_DOC,
+                  "7b4f9fe1393342ae8fb485352d8f536a7c7f744eac5ee8eec3369f6b59811e65"),
+    "defects-hom": (["defects", "--kind", "hom", "--weight-cap", "3"], "map", E2_MAP_DOC,
+                    "571a72eb79832e93f7c9d6eb23c79741fae2e10f86f1ad5ae4e35444bab0f567"),
+    "defects-der": (["defects", "--kind", "der", "--weight-cap", "3"], "map", E2_MAP_DOC,
+                    "64ffbfda528906a06bec7c8fbb27b0bc1c768d05161eb8758ec93de6a5d0aabd"),
+    "transfer-k2": (["transfer", "--weight-cap", "5"], "transfer", k2_doc(),
+                    "782103a6744265429e9e8a24a71ea771e776bf83ebdbe6d3e562c2b2441e814b"),
+    "cumulants-6": (["cumulants"], "moments",
+                    {"moments": ["1/2", "1/3", "1/4", "1/5", "1/6", "1/7"]},
+                    "b2b76f02ec6fe68249acdd3e5c5304d351700463435866337c248809c54d2aa9"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, role, doc, digest", PINNED_REPORTS.values(), ids=PINNED_REPORTS.keys()
+)
+def test_report_bytes_are_pinned(tmp_path, argv, role, doc, digest):
+    path = write(tmp_path, "input.json", doc)
+    out = tmp_path / "report.json"
+    assert cli.run(argv + ["--input", f"{role}={path}", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _complex_generator_without_degree():
+    doc = k2_doc()["retract"]
+    doc["complex"] = {"generators": [{"name": "c"}]}
+    return doc
+
+
+MALFORMED = {
+    "product-without-right": (
+        ["validate"], "algebra",
+        {"generators": [{"name": "a", "degree": 0}], "products": [{"left": "a"}]}),
+    "product-entry-without-coeff": (
+        ["validate"], "algebra",
+        {"generators": [{"name": "a", "degree": 0}],
+         "products": [{"left": "a", "right": "a", "value": [{"gen": "a"}]}]}),
+    "map-entry-without-coeff": (
+        ["defects", "--kind", "hom"], "map",
+        {**E2_MAP_DOC, "entries": [{"gen": "a", "value": [{"gen": "a"}]}]}),
+    "list-as-generator-name": (
+        ["validate"], "algebra", {"generators": [{"name": ["a"], "degree": 0}]}),
+    "complex-generator-without-degree": (
+        ["validate"], "retract", _complex_generator_without_degree()),
+}
+
+
+@pytest.mark.parametrize("argv, role, doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_documents_get_an_error_report(tmp_path, capsys, argv, role, doc):
+    path = write(tmp_path, "input.json", doc)
+    code = cli.run(argv + ["--input", f"{role}={path}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["ok"] is False
+    assert "Traceback" not in captured.err

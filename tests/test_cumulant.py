@@ -1,12 +1,14 @@
 """The moment/cumulant bijection, its inverses, and defect tables."""
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
 import cumalg as cm
+from cumalg import cumulant, transfer
 
-from conftest import random_commutative_algebra, random_family
+from conftest import E2_DOC, E2_MAP_DOC, k2_doc, random_commutative_algebra, random_family
 
 CAP = 4
 
@@ -107,8 +109,8 @@ def test_factorial_coefficient_route_agrees_with_the_inverse(e2, p8, random_alge
 def test_free_functions_share_the_context_cache(p8):
     v = se(p8, CAP, (0, 1))
     ctx = cm.cumulant_context(p8, CAP)
-    assert cm.tau_tilde(p8, v) == ctx.lift(v)
-    assert cm.tau_tilde_inverse(p8, v) == ctx.invert(v)
+    assert cm.tau_tilde(p8, v) == ctx.tau_tilde(v)
+    assert cm.tau_tilde_inverse(p8, v) == ctx.tau_tilde_inverse(v)
     assert cm.cumulant_context(p8, CAP) is ctx
 
 
@@ -274,3 +276,51 @@ def test_defect_family_respects_the_arity_bound(p8):
     f = cm.LinearMap(p8, p8, 0, {i: {i: Fraction(1)} for i in range(8)})
     fam = cm.defect_family(f, "hom", CAP, max_arity=2)
     assert fam.max_arity() <= 2
+
+
+def test_accumulation_never_writes_into_shared_values(monkeypatch):
+    """Sums accumulate in place, but only into fresh objects: product tables,
+    family tables and cached operator images stay as they were handed out."""
+    A = cm.parse_algebra(E2_DOC)
+    f = cm.parse_linear_map(E2_MAP_DOC, A, A)
+    t = cm.parse_transfer_input(k2_doc())
+    bases = (A, t.retract.algebra, t.retract.complex)
+    handed_out = []
+
+    def keep(value):
+        # bases compare by identity, so the copy must share them
+        handed_out.append((value, copy.deepcopy(value, {id(b): b for b in bases})))
+
+    def recording(extend):
+        def record(family, cap):
+            keep(family.tables)
+            return extend(family, cap)
+        return record
+
+    for name in ("extend_coalgebra_map", "extend_coderivation"):
+        record = recording(getattr(cm, name))
+        for module in (cumulant, transfer):
+            monkeypatch.setattr(module, name, record)
+    on_monomial = cm.SMap.on_monomial
+
+    def caching(op, w):
+        miss = w not in op._cache
+        image = on_monomial(op, w)
+        if miss:
+            keep(image)
+        return image
+
+    monkeypatch.setattr(cm.SMap, "on_monomial", caching)
+    keep(A.products)
+    keep(t.retract.algebra.products)
+
+    ctx = cm.cumulant_context(A, CAP)
+    ctx.tau_tilde.to_doc()
+    ctx.tau_tilde_inverse.to_doc()
+    cm.defect_family(f, "hom", cap=3)
+    cm.defect_family(f, "der", cap=3)
+    assert cm.induced_cumulant_bijection(t, 5).ok
+
+    assert len(handed_out) > 100
+    for value, copied in handed_out:
+        assert value == copied

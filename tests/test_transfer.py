@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import cumalg as cm
+from cumalg import transfer
 
 from conftest import k2_doc
 
@@ -141,10 +142,10 @@ def test_weight_two_correction_can_be_solved_for(k2):
     degree_zero = [i for i, d in enumerate(A.degrees) if d == 0]
     rhs_vec = cm.taylor_coefficient(d_tilde, cm.monomial(A, (0, 0)))
     rows = sorted({k for i in degree_zero
-                   for k in cm.apply_linear(k2.d, A.generator(i)).coeffs}
-                  | set(rhs_vec.coeffs))
+                   for k in k2.d.apply(A.generator(i)).terms}
+                  | set(rhs_vec.terms))
     matrix = [
-        [cm.apply_linear(k2.d, A.generator(i)).get(k) for i in degree_zero]
+        [k2.d.apply(A.generator(i)).get(k) for i in degree_zero]
         for k in rows
     ]
     solution = cm.solve(matrix, [-rhs_vec.get(k) for k in rows])
@@ -170,7 +171,7 @@ def test_trivial_retract_reproduces_the_bijection(k2):
     A = k2.algebra
     C = cm.ChainComplex(
         list(zip(A.names, A.degrees)),
-        {i: col.coeffs for i, col in k2.d.columns.items()},
+        {i: col.terms for i, col in k2.d.columns.items()},
     )
     ident_cols = {i: {i: Fraction(1)} for i in range(len(A))}
     retract = cm.RetractData(
@@ -187,7 +188,7 @@ def test_trivial_retract_reproduces_the_bijection(k2):
         C, C, -1,
         {
             arity: {
-                cm.monomial(C, mono.indices): cm.Vector(C, value.coeffs)
+                cm.monomial(C, mono.indices): cm.Vector(C, value.terms)
                 for mono, value in table.items()
             }
             for arity, table in moved.tables.items()
@@ -234,3 +235,19 @@ def test_parse_rejects_wrong_degrees():
     doc["retract"]["d"]["degree"] = 0
     with pytest.raises(cm.AlgebraError):
         cm.parse_transfer_input(doc)
+
+
+def test_non_triangular_operator_is_refused_at_its_first_witness(k2):
+    C = k2.complex
+
+    def doubles_above_weight_one(w):
+        return cm.SElement.from_monomial(C, 3, w, 1 if w.weight == 1 else 2)
+
+    op = cm.SMap(C, C, 3, 0, doubles_above_weight_one)
+    report, inverse = transfer._triangular_and_invertible(op)
+    assert inverse is None
+    assert (report.ok, report.checked) == (False, 2)
+    assert report.witness == {
+        "monomial": ["c", "c"],
+        "lhs": [{"monomial": ["c", "c"], "coeff": "2"}],
+    }
