@@ -243,13 +243,14 @@ def run(argv) -> int:
             raise UsageError("--weight-cap must be at least 1")
         if args.weight_cap > WEIGHT_CAP_CEILING:
             raise UsageError(
-                f"--weight-cap above {WEIGHT_CAP_CEILING} is refused: partition "
-                "counts grow like Bell numbers"
+                f"--weight-cap above {WEIGHT_CAP_CEILING} is refused: a word of "
+                "distinct factors sums over Bell-number many set partitions"
             )
         if args.weight_cap >= 8:
             print(
-                f"warning: weight cap {args.weight_cap} is large; partition "
-                "counts grow like Bell numbers",
+                f"warning: weight cap {args.weight_cap} is large; a word of distinct "
+                "factors sums over Bell-number many set partitions (repeated "
+                "factors are summed by orbit)",
                 file=sys.stderr,
             )
         inputs = _parse_inputs(args.input)

@@ -10,6 +10,7 @@ which the cumulant bijection fixes the leading term with coefficient 1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -377,6 +378,72 @@ def iterated_coproduct(w: WedgeMonomial, k: int):
         ((c, parts) for parts, c in acc.terms.items()),
         key=lambda item: tuple(p.sort_key() for p in item[1]),
     )
+
+
+def repetition_pattern(indices) -> tuple:
+    """Run lengths of equal entries in a sorted index tuple: (0,0,1,2,2,2)
+    has pattern (2,1,3)."""
+    return tuple(len(list(run)) for _, run in itertools.groupby(indices))
+
+
+@lru_cache(maxsize=None)
+def partition_orbits(pattern: tuple):
+    """Set partitions of the factor positions of a monomial with repetition
+    pattern `pattern`, up to permuting equal factors.
+
+    Returns one (blocks, count) pair per orbit: a representative partition
+    (sorted position blocks) and the number of set partitions in the orbit.
+    Run k of the pattern holds pattern[k] equal factors at consecutive
+    positions.  An orbit is a multiset partition of the runs, where a block
+    says how many factors it takes from each run; the representative takes
+    them from each run's next free positions.  Blocks are listed in
+    non-increasing lexicographic order of these count vectors, so each orbit
+    comes out once; the first block holds the first run with factors left,
+    and a singleton always fits, so no branch dead-ends.  The orbit size is
+    the Faà di Bruno count prod_k m_k! / (prod_B prod_k c_Bk! * prod_t r_t!),
+    with c_Bk the factors block B takes from run k and r_t the number of
+    blocks of type t.  An all-distinct pattern gives every set partition,
+    each once.
+    """
+    runs = len(pattern)
+    starts = [sum(pattern[:k]) for k in range(runs)]
+    top = math.prod(map(math.factorial, pattern))
+    rest = list(pattern)
+    blocks: list = []
+    out = []
+
+    def next_block(bound, overcount, repeats):
+        first = next((k for k, c in enumerate(rest) if c), runs)
+        if first == runs:
+            out.append((tuple(blocks), top // overcount))
+            return
+        counts = [0] * runs
+        block: list = []
+
+        def fill(k, tight, weight):
+            if k == runs:
+                kind = tuple(counts)
+                again = repeats + 1 if kind == bound else 1
+                blocks.append(tuple(block))
+                next_block(kind, overcount * weight * again, again)
+                blocks.pop()
+                return
+            left = rest[k]
+            free = starts[k] + pattern[k] - left
+            hi = min(left, bound[k]) if tight else left
+            for c in range(hi, (k == first) - 1, -1):
+                counts[k] = c
+                rest[k] = left - c
+                block.extend(range(free, free + c))
+                fill(k + 1, tight and c == bound[k], weight * math.factorial(c))
+                del block[len(block) - c:]
+            counts[k] = 0
+            rest[k] = left
+
+        fill(first, not any(bound[:first]), 1)
+
+    next_block(tuple(pattern), 1, 0)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

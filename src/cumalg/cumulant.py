@@ -66,6 +66,32 @@ def _product_family(algebra: AlgebraPresentation, max_arity: int, scale) -> Tayl
     return TaylorFamily(algebra, algebra, 0, tables)
 
 
+class _LazyProducts(TaylorFamily):
+    """tau's Taylor family up to a cap, each n-fold product computed the
+    first time it is looked up and memoized.
+
+    `tables` stays empty; `tau_family` is the tabulated route.
+    """
+
+    def __init__(self, algebra: AlgebraPresentation, cap: int):
+        super().__init__(algebra, algebra, 0, {})
+        self._cap = cap
+        self._zero = Vector.zero(algebra)
+        self._products: dict = {}
+
+    def arities(self):
+        return list(range(1, self._cap + 1))
+
+    def coefficient(self, mono: WedgeMonomial) -> Vector:
+        value = self._products.get(mono)
+        if value is None:
+            value = tau(self.source, mono)
+            if value.is_zero():
+                value = self._zero  # one shared zero, not one per product
+            self._products[mono] = value
+        return value
+
+
 class CumulantContext:
     """Shared, lazily built tau_tilde machinery for one algebra at one cap."""
 
@@ -80,7 +106,7 @@ class CumulantContext:
     @property
     def tau_tilde(self) -> SMap:
         if self._tau_tilde is None:
-            family = tau_family(self.algebra, self.cap)
+            family = _LazyProducts(self.algebra, self.cap)
             self._tau_tilde = extend_coalgebra_map(family, self.cap)
         return self._tau_tilde
 

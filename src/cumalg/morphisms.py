@@ -15,6 +15,7 @@ from typing import Callable, Optional
 from .algebra import (
     GradedBasis,
     LinearMap,
+    SchemaError,
     ValidationError,
     Vector,
     format_scalar,
@@ -30,7 +31,8 @@ from .coalgebra import (
     coproduct_element,
     monomials_up_to,
     normalize_monomial,
-    set_partitions,
+    partition_orbits,
+    repetition_pattern,
     _extraction_sign,
     _proper_subsets,
     _rearrangement_sign,
@@ -92,7 +94,8 @@ class TaylorFamily:
         return max(self.tables, default=0)
 
     def coefficient(self, mono: WedgeMonomial) -> Vector:
-        return self.tables.get(mono.weight, {}).get(mono, Vector.zero(self.target))
+        value = self.tables.get(mono.weight, {}).get(mono)
+        return Vector.zero(self.target) if value is None else value
 
     def evaluate(self, factors) -> Vector:
         """Value at an arbitrary (possibly unsorted) factor index tuple."""
@@ -142,12 +145,29 @@ class TaylorFamily:
 
     @classmethod
     def from_doc(cls, doc, source: GradedBasis, target: GradedBasis) -> "TaylorFamily":
-        degree = int(doc.get("degree", 0))
+        if not isinstance(doc, dict):
+            raise SchemaError("coefficient family document must be an object")
+        degree = doc.get("degree", 0)
+        if not isinstance(degree, int):
+            raise SchemaError("family degree must be an integer")
+        arities = doc.get("arities", {})
+        if not isinstance(arities, dict):
+            raise SchemaError("'arities' must be an object keyed by arity")
         tables: dict = {}
-        for arity_key, rows in doc.get("arities", {}).items():
+        for arity_key, rows in arities.items():
+            if not str(arity_key).isdecimal():
+                raise SchemaError(f"arity key must be a decimal integer: {arity_key!r}")
+            if not isinstance(rows, list):
+                raise SchemaError(f"rows of arity {arity_key} must be a list")
             arity = int(arity_key)
             table = tables.setdefault(arity, {})
             for row in rows:
+                if (
+                    not isinstance(row, dict)
+                    or not isinstance(row.get("monomial"), list)
+                    or "value" not in row
+                ):
+                    raise SchemaError(f"bad coefficient row: {row!r}")
                 indices = [source.index(n) for n in row["monomial"]]
                 if len(indices) != arity:
                     raise ValidationError(
@@ -328,28 +348,48 @@ def extend_coalgebra_map(family: TaylorFamily, cap: int) -> SMap:
     block order with the rearrangement Koszul sign.  Missing arities make the
     whole partition vanish.  Only degree-zero families compose consistently
     here, so other degrees are rejected.
+
+    Partitions that differ by permuting equal factors give equal terms:
+    equal factors are even (an odd one never repeats), so moving them
+    changes neither a block's value nor the sign.  So one representative per
+    orbit is evaluated and counted with the orbit's size.
     """
     if family.degree != 0:
         raise ValidationError("coalgebra-map extension needs a degree-zero family")
     source, target = family.source, family.target
+    arities = set(family.arities())
+    usable: dict = {}
+
+    def orbits(w: WedgeMonomial):
+        pattern = repetition_pattern(w.indices)
+        found = usable.get(pattern)
+        if found is None:
+            found = usable[pattern] = [
+                (blocks, count)
+                for blocks, count in partition_orbits(pattern)
+                if all(len(b) in arities for b in blocks)
+            ]
+        return found
 
     def fn(w: WedgeMonomial) -> SElement:
-        n = w.weight
         out = SElement.zero(target, cap)
-        for blocks in set_partitions(n):
-            if any(len(b) not in family.tables for b in blocks):
-                continue
-            sign = _rearrangement_sign(w, blocks)
+        for blocks, count in orbits(w):
             piece = None
             for block in blocks:
-                value = family.evaluate(tuple(w.indices[p] for p in block))
+                # sorted positions of a canonical monomial: already canonical
+                value = family.coefficient(
+                    WedgeMonomial(
+                        tuple(w.indices[p] for p in block),
+                        tuple(w.factor_degrees[p] for p in block),
+                    )
+                )
                 if value.is_zero():
                     piece = None
                     break
                 head = SElement.from_vector(value, cap)
                 piece = head if piece is None else _wedge_noflag(piece, head)
             if piece is not None:
-                out.accumulate(piece, sign)
+                out.accumulate(piece, count * _rearrangement_sign(w, blocks))
         return out
 
     return SMap(source, target, cap, 0, fn)

@@ -29,6 +29,8 @@ def parse_moments(document) -> list:
     doc = json.loads(document) if isinstance(document, str) else document
     if not isinstance(doc, dict) or "moments" not in doc:
         raise SchemaError("moments document lacks 'moments'")
+    if not isinstance(doc["moments"], list):
+        raise SchemaError("'moments' must be a list of exact rationals")
     moments = [parse_scalar(m) for m in doc["moments"]]
     if not moments:
         raise SchemaError("moments list is empty")

@@ -9,19 +9,20 @@ import cumalg.cli as cli
 from conftest import E2_DOC, E2_MAP_DOC, k2_doc
 
 
-def p4_doc():
-    gens = [{"name": f"x{k}", "degree": 0} for k in range(1, 5)]
+def p_doc(n):
+    """Truncated polynomial algebra x1..xn as a document: xa*xb = x(a+b)."""
+    gens = [{"name": f"x{k}", "degree": 0} for k in range(1, n + 1)]
     prods = []
-    for a in range(1, 5):
-        for b in range(a, 5):
-            if a + b <= 4:
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            if a + b <= n:
                 prods.append({"left": f"x{a}", "right": f"x{b}",
                               "value": [{"gen": f"x{a + b}", "coeff": "1"}]})
     return {"generators": gens, "products": prods}
 
 
 def doubling_map_doc():
-    alg = p4_doc()
+    alg = p_doc(4)
     return {
         "source": alg,
         "target": alg,
@@ -34,7 +35,7 @@ def doubling_map_doc():
 
 
 def euler_map_doc():
-    alg = p4_doc()
+    alg = p_doc(4)
     return {
         "source": alg,
         "target": alg,
@@ -280,6 +281,14 @@ PINNED_REPORTS = {
     "cumulants-6": (["cumulants"], "moments",
                     {"moments": ["1/2", "1/3", "1/4", "1/5", "1/6", "1/7"]},
                     "b2b76f02ec6fe68249acdd3e5c5304d351700463435866337c248809c54d2aa9"),
+    # repeated even factors: powers of one generator, and every product in p5
+    "cumulants-8": (["cumulants", "--weight-cap", "8"], "moments",
+                    {"moments": ["1/2", "-1/3", "2", "3/4", "-5/6", "1", "7/8", "-2/9"]},
+                    "ae687176d4e55f3d600f707197169b7704b8ad80b80b20e62937819d4a337763"),
+    "lift-p5": (["lift", "--weight-cap", "5"], "algebra", p_doc(5),
+                "71d3df64996d52bac537af66dcf327578de1d45554a4c92dbb891a5b8ea51c20"),
+    "invert-p5": (["invert", "--weight-cap", "5"], "algebra", p_doc(5),
+                  "1fe71a0591053d8b08f9f7a0d301a9236362bcb1795ad308ba0816ec4b6e5175"),
 }
 
 
@@ -299,6 +308,12 @@ def _complex_generator_without_degree():
     return doc
 
 
+def _transfer_doc_with(change):
+    doc = k2_doc()
+    change(doc["iota"])
+    return doc
+
+
 MALFORMED = {
     "product-without-right": (
         ["validate"], "algebra",
@@ -314,6 +329,19 @@ MALFORMED = {
         ["validate"], "algebra", {"generators": [{"name": ["a"], "degree": 0}]}),
     "complex-generator-without-degree": (
         ["validate"], "retract", _complex_generator_without_degree()),
+    "moments-as-a-string": (["cumulants"], "moments", {"moments": "12"}),
+    "iota-row-without-monomial": (
+        ["transfer"], "transfer",
+        _transfer_doc_with(lambda iota: iota["arities"]["1"][0].pop("monomial"))),
+    "iota-row-without-value": (
+        ["transfer"], "transfer",
+        _transfer_doc_with(lambda iota: iota["arities"]["1"][0].pop("value"))),
+    "arities-not-an-object": (
+        ["transfer"], "transfer",
+        _transfer_doc_with(lambda iota: iota.update(arities=[]))),
+    "arity-key-not-a-number": (
+        ["transfer"], "transfer",
+        _transfer_doc_with(lambda iota: iota["arities"].update(two=iota["arities"].pop("2")))),
 }
 
 

@@ -1,10 +1,12 @@
 """Wedge monomials, Koszul signs, and the reduced coproduct."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import cumalg as cm
+from cumalg.coalgebra import partition_orbits, repetition_pattern
 
 from conftest import random_selement
 
@@ -226,3 +228,31 @@ def test_set_partition_counts():
         assert seen == [0, 1, 2, 3]
         assert list(part) == sorted(part, key=min)
         assert all(list(b) == sorted(b) for b in part)
+
+
+def test_repetition_pattern_counts_runs_of_equal_indices():
+    assert repetition_pattern((0, 0, 1, 2, 2, 2)) == (2, 1, 3)
+    assert repetition_pattern((4,)) == (1,)
+
+
+@pytest.mark.parametrize(
+    "pattern", [(1,), (4,), (2, 1), (1, 2, 1), (2, 2), (1, 1, 1, 1), (3, 2), (6,)]
+)
+def test_partition_orbits_group_set_partitions_by_equal_factors(pattern):
+    run_of = [k for k, m in enumerate(pattern) for _ in range(m)]
+
+    def shape(blocks):
+        return tuple(sorted(tuple(run_of[p] for p in block) for block in blocks))
+
+    expected = Counter(shape(blocks) for blocks in cm.set_partitions(len(run_of)))
+    orbits = partition_orbits(pattern)
+    assert {shape(blocks): count for blocks, count in orbits} == expected
+    assert len(orbits) == len(expected)
+    for blocks, _ in orbits:
+        assert all(list(b) == sorted(b) for b in blocks)
+
+
+def test_repeated_factors_need_partitions_of_n_not_bell_n():
+    # p(10) block-size multisets, against Bell(10) = 115975 set partitions
+    assert len(partition_orbits((10,))) == 42
+    assert sum(count for _, count in partition_orbits((10,))) == 115975

@@ -301,6 +301,15 @@ def test_accumulation_never_writes_into_shared_values(monkeypatch):
         record = recording(getattr(cm, name))
         for module in (cumulant, transfer):
             monkeypatch.setattr(module, name, record)
+    tau = cumulant.tau
+
+    def computing(algebra, w):
+        # tau_tilde's products are computed on first lookup, not tabulated
+        value = tau(algebra, w)
+        keep(value)
+        return value
+
+    monkeypatch.setattr(cumulant, "tau", computing)
     on_monomial = cm.SMap.on_monomial
 
     def caching(op, w):
