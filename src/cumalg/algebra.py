@@ -355,8 +355,11 @@ def parse_algebra(document) -> AlgebraPresentation:
         raise SchemaError("only characteristic 0 (exact rationals) is supported")
     basis = GradedBasis(generators)
 
+    entries = doc.get("products", [])
+    if not isinstance(entries, list):
+        raise SchemaError("'products' must be a list")
     stated = {}
-    for p in doc.get("products", []):
+    for p in entries:
         if not isinstance(p, dict) or "left" not in p or "right" not in p:
             raise SchemaError(f"bad product entry: {p!r}")
         i = basis.index(p["left"])
@@ -499,7 +502,7 @@ def linear_bracket(m1: LinearMap, m2: LinearMap) -> LinearMap:
 
 def parse_linear_map(document, source: GradedBasis, target: GradedBasis) -> LinearMap:
     doc = json.loads(document) if isinstance(document, str) else document
-    if not isinstance(doc, dict) or "entries" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise SchemaError("linear-map document lacks 'entries'")
     degree = doc.get("degree", 0)
     if not isinstance(degree, int):

@@ -258,6 +258,7 @@ def run(argv) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
 
+    # true by construction: `wedge` refuses any product past the weight cap
     base = {"command": args.command, "weight_cap": args.weight_cap, "overflow": False}
     try:
         payload, ok = HANDLERS[args.command](args, inputs)

@@ -80,6 +80,13 @@ class WedgeMonomial:
     def names(self, basis: GradedBasis):
         return [basis.names[i] for i in self.indices]
 
+    def part(self, positions) -> "WedgeMonomial":
+        """The factors at the given sorted positions, as a monomial."""
+        return WedgeMonomial(
+            tuple(self.indices[p] for p in positions),
+            tuple(self.factor_degrees[p] for p in positions),
+        )
+
     def __repr__(self):
         return "w(" + ",".join(map(str, self.indices)) + ")"
 
@@ -137,19 +144,17 @@ def monomials_up_to(basis: GradedBasis, cap: int):
 class SElement(LinearCombination):
     """A sparse linear combination of wedge monomials, truncated at a cap.
 
-    `overflow` records that some operation dropped terms beyond the cap, so
-    truncation is never silent.
+    No operation drops terms beyond the cap: `wedge` refuses such a product.
     """
 
-    __slots__ = ("basis", "cap", "overflow")
+    __slots__ = ("basis", "cap")
     _mismatch = "elements over different presentations or caps"
 
-    def __init__(self, basis, cap, terms=None, overflow=False):
+    def __init__(self, basis, cap, terms=None):
         self.basis = basis
         self.cap = int(cap)
         if self.cap < 1:
             raise ValidationError("weight cap must be >= 1")
-        self.overflow = bool(overflow)
         super().__init__(terms)
 
     def _check_key(self, w):
@@ -158,10 +163,6 @@ class SElement(LinearCombination):
 
     def _space(self):
         return (self.basis, self.cap)
-
-    def accumulate(self, other, scale=1):
-        self.overflow = self.overflow or other.overflow
-        return super().accumulate(other, scale)
 
     @classmethod
     def zero(cls, basis, cap):
@@ -228,15 +229,14 @@ class SElement(LinearCombination):
 def wedge(u: SElement, v: SElement) -> SElement:
     """Graded-commutative product on the symmetric coalgebra carrier.
 
-    Terms whose combined weight exceeds the cap are dropped and flagged.
+    A product with a term past the cap is refused rather than truncated.
     """
     u._check(v)
-    out = SElement(u.basis, u.cap, overflow=u.overflow or v.overflow)
+    if u.max_weight() + v.max_weight() > u.cap:
+        raise ValidationError(f"wedge product exceeds weight cap {u.cap}")
+    out = SElement(u.basis, u.cap)
     for wu, cu in u.terms.items():
         for wv, cv in v.terms.items():
-            if wu.weight + wv.weight > u.cap:
-                out.overflow = True
-                continue
             norm = _normalize(
                 wu.indices + wv.indices, wu.factor_degrees + wv.factor_degrees
             )
@@ -269,42 +269,15 @@ class TensorPairSum(LinearCombination):
         return " + ".join(f"({c})*{l}⊗{r}" for (l, r), c in self.items()) or "0"
 
 
-@lru_cache(maxsize=None)
-def _proper_subsets(n: int):
-    """Nonempty proper position subsets of range(n), lexicographic."""
-    positions = range(n)
-    out = []
-    for size in range(1, n):
-        out.extend(itertools.combinations(positions, size))
-    return tuple(out)
-
-
-def _extraction_sign(mono: WedgeMonomial, subset, complement) -> int:
-    """Koszul sign of moving `subset` positions to the front, orders kept."""
-    sign = 1
-    degs = mono.factor_degrees
-    for j in complement:
-        for i in subset:
-            if i > j and (degs[i] % 2) and (degs[j] % 2):
-                sign = -sign
-    return sign
-
-
 def _coproduct_cached(mono: WedgeMonomial) -> TensorPairSum:
+    """The one place that splits a monomial into signed position blocks."""
     out = TensorPairSum()
     n = mono.weight
-    for subset in _proper_subsets(n):
-        complement = tuple(p for p in range(n) if p not in set(subset))
-        sign = _extraction_sign(mono, subset, complement)
-        left = WedgeMonomial(
-            tuple(mono.indices[p] for p in subset),
-            tuple(mono.factor_degrees[p] for p in subset),
-        )
-        right = WedgeMonomial(
-            tuple(mono.indices[p] for p in complement),
-            tuple(mono.factor_degrees[p] for p in complement),
-        )
-        out.add_term((left, right), Fraction(sign))
+    for size in range(1, n):
+        for subset in itertools.combinations(range(n), size):
+            complement = tuple(p for p in range(n) if p not in subset)
+            sign = _rearrangement_sign(mono, (subset, complement))
+            out.add_term((mono.part(subset), mono.part(complement)), Fraction(sign))
     return out
 
 
@@ -365,15 +338,8 @@ def iterated_coproduct(w: WedgeMonomial, k: int):
         raise ValidationError(f"iterate count {k} out of range for weight {w.weight}")
     acc = LinearCombination()
     for blocks in _ordered_splits(tuple(range(w.weight)), k):
-        sign = _rearrangement_sign(w, blocks)
-        parts = tuple(
-            WedgeMonomial(
-                tuple(w.indices[p] for p in block),
-                tuple(w.factor_degrees[p] for p in block),
-            )
-            for block in blocks
-        )
-        acc.add_term(parts, Fraction(sign))
+        parts = tuple(w.part(block) for block in blocks)
+        acc.add_term(parts, Fraction(_rearrangement_sign(w, blocks)))
     return sorted(
         ((c, parts) for parts, c in acc.terms.items()),
         key=lambda item: tuple(p.sort_key() for p in item[1]),
@@ -405,6 +371,8 @@ def partition_orbits(pattern: tuple):
     blocks of type t.  An all-distinct pattern gives every set partition,
     each once.
     """
+    if max(pattern, default=1) == 1:
+        return tuple((blocks, 1) for blocks in set_partitions(len(pattern)))
     runs = len(pattern)
     starts = [sum(pattern[:k]) for k in range(runs)]
     top = math.prod(map(math.factorial, pattern))

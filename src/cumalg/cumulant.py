@@ -8,6 +8,7 @@ derivation (h tables).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .algebra import (
@@ -150,7 +151,7 @@ def tau_tilde_series(algebra: AlgebraPresentation, cap: int) -> SMap:
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.zero(algebra, cap)
         for k in range(1, w.weight + 1):
-            scale = Fraction(1, _factorial(k))
+            scale = Fraction(1, math.factorial(k))
             for coeff, parts in iterated_coproduct(w, k):
                 piece = None
                 for part in parts:
@@ -167,13 +168,6 @@ def tau_tilde_series(algebra: AlgebraPresentation, cap: int) -> SMap:
     return SMap(algebra, algebra, ctx.cap, 0, fn, "series")
 
 
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def mobius_inverse_family(algebra: AlgebraPresentation, max_arity: int) -> TaylorFamily:
     """Taylor coefficients of the inverse bijection in closed form.
 
@@ -182,7 +176,7 @@ def mobius_inverse_family(algebra: AlgebraPresentation, max_arity: int) -> Taylo
     the inverse.
     """
     return _product_family(
-        algebra, max_arity, lambda arity: (-1) ** (arity - 1) * _factorial(arity - 1)
+        algebra, max_arity, lambda arity: (-1) ** (arity - 1) * math.factorial(arity - 1)
     )
 
 

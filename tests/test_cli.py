@@ -325,6 +325,11 @@ MALFORMED = {
     "map-entry-without-coeff": (
         ["defects", "--kind", "hom"], "map",
         {**E2_MAP_DOC, "entries": [{"gen": "a", "value": [{"gen": "a"}]}]}),
+    "products-not-a-list": (
+        ["validate"], "algebra",
+        {"generators": [{"name": "a", "degree": 0}], "products": 5}),
+    "map-entries-not-a-list": (
+        ["defects", "--kind", "hom"], "map", {**E2_MAP_DOC, "entries": 5}),
     "list-as-generator-name": (
         ["validate"], "algebra", {"generators": [{"name": ["a"], "degree": 0}]}),
     "complex-generator-without-degree": (

@@ -119,13 +119,12 @@ def test_wedge_of_odd_generator_with_itself_vanishes(e2):
     assert cm.wedge(a, a).is_zero()
 
 
-def test_wedge_past_the_cap_flags_overflow(e2):
+def test_wedge_past_the_cap_is_refused(e2):
     g = cm.SElement.from_vector(e2.generator(2), 2)
     gg = cm.wedge(g, g)
     assert not gg.is_zero()
-    top = cm.wedge(gg, g)
-    assert top.is_zero()
-    assert top.overflow
+    with pytest.raises(cm.ValidationError):
+        cm.wedge(gg, g)
 
 
 def test_coproduct_of_weight_one_vanishes(e2):
@@ -256,3 +255,9 @@ def test_repeated_factors_need_partitions_of_n_not_bell_n():
     # p(10) block-size multisets, against Bell(10) = 115975 set partitions
     assert len(partition_orbits((10,))) == 42
     assert sum(count for _, count in partition_orbits((10,))) == 115975
+
+
+def test_all_distinct_orbits_are_the_set_partitions():
+    for n in range(1, 7):
+        expected = tuple((blocks, 1) for blocks in cm.set_partitions(n))
+        assert partition_orbits((1,) * n) == expected

@@ -47,7 +47,6 @@ def test_coderivation_weight_never_increases(p8):
     for w in cm.monomials_up_to(p8, CAP):
         img = D.on_monomial(w)
         assert img.max_weight() <= w.weight
-        assert not img.overflow
 
 
 @pytest.mark.parametrize("degree", [-1, 0, 1])

@@ -7,6 +7,7 @@ odd generator, which never repeats), with mixed degrees.
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,23 +50,36 @@ def tensor_algebra(factors):
     return cm.AlgebraPresentation(list(zip(names, degrees)), products)
 
 
-algebras = st.lists(factor, min_size=1, max_size=3).filter(
+factor_lists = st.lists(factor, min_size=1, max_size=3).filter(
     lambda fs: 2 <= len(exponents(fs)) <= 7
-).map(tensor_algebra)
+)
+algebras = factor_lists.map(tensor_algebra)
+# at least one odd generator, so that Koszul signs are exercised
+odd_algebras = factor_lists.filter(lambda fs: any(d % 2 for d, _ in fs)).map(
+    tensor_algebra
+)
 
 
-def random_degree_zero_family(seed, basis, arities):
-    """Random homogeneous coefficients on the given arities only."""
+def random_family(seed, basis, degree, arities):
+    """Random homogeneous coefficients of the given degree on the given
+    arities only."""
     rng = random.Random(seed)
     tables = {}
     for arity in arities:
         table = {}
         for mono in cm.canonical_monomials(basis, arity):
-            value = random_vector(rng, basis, mono.degree)
+            value = random_vector(rng, basis, mono.degree + degree)
             if not value.is_zero():
                 table[mono] = value
         tables[arity] = table
-    return cm.TaylorFamily(basis, basis, 0, tables)
+    return cm.TaylorFamily(basis, basis, degree, tables)
+
+
+def block_sign(w, blocks):
+    """Koszul sign of listing the factors of w block by block."""
+    order = [p for block in blocks for p in block]
+    moved = [order.index(p) for p in range(w.weight)]
+    return cm.koszul_sign(w.factor_degrees, moved)
 
 
 def partition_sum(family, w, cap):
@@ -83,9 +97,28 @@ def partition_sum(family, w, cap):
             piece = head if piece is None else cm.wedge(piece, head)
         if piece is None:
             continue
-        order = [p for block in blocks for p in block]
-        moved = [order.index(p) for p in range(w.weight)]
-        out = out + cm.koszul_sign(w.factor_degrees, moved) * piece
+        out = out + block_sign(w, blocks) * piece
+    return out
+
+
+def subset_sum(family, w, cap):
+    """The coderivation extension at w as a plain signed sum over every
+    nonempty subset of its factor positions: the subset is moved to the
+    front and evaluated, and the complement is wedged back on."""
+    basis = family.source
+    out = cm.SElement.zero(basis, cap)
+    positions = range(w.weight)
+    for size in range(1, w.weight + 1):
+        for subset in itertools.combinations(positions, size):
+            value = family.evaluate(tuple(w.indices[p] for p in subset))
+            if value.is_zero():
+                continue
+            piece = cm.SElement.from_vector(value, cap)
+            complement = tuple(p for p in positions if p not in subset)
+            if complement:
+                tail = cm.monomial(basis, tuple(w.indices[p] for p in complement))
+                piece = cm.wedge(piece, cm.SElement.from_monomial(basis, cap, tail))
+            out = out + block_sign(w, (subset, complement)) * piece
     return out
 
 
@@ -99,10 +132,24 @@ CAP = 4
     st.sets(st.integers(1, CAP), min_size=1),
 )
 def test_orbit_sums_equal_the_plain_partition_sum(A, seed, arities):
-    family = random_degree_zero_family(seed, A, sorted(arities))
+    family = random_family(seed, A, 0, sorted(arities))
     op = cm.extend_coalgebra_map(family, CAP)
     for w in cm.monomials_up_to(A, CAP):
         assert op.on_monomial(w) == partition_sum(family, w, CAP), w
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1])
+@settings(max_examples=25, deadline=None)
+@given(
+    odd_algebras,
+    st.integers(0, 2**32),
+    st.sets(st.integers(1, CAP), min_size=1),
+)
+def test_coderivation_extension_equals_the_plain_subset_sum(degree, A, seed, arities):
+    family = random_family(seed, A, degree, sorted(arities))
+    op = cm.extend_coderivation(family, CAP)
+    for w in cm.monomials_up_to(A, CAP):
+        assert op.on_monomial(w) == subset_sum(family, w, CAP), w
 
 
 @settings(max_examples=40, deadline=None)
