@@ -1,7 +1,9 @@
 """Graded commutative algebras over Q, presented by exact structure constants.
 
-Everything here is immutable after construction and all arithmetic is done
-with `fractions.Fraction`, so identities can be asserted exactly.
+Everything here is immutable after construction and all arithmetic is exact:
+a coefficient is an `int` until a division or a rational input makes it a
+`fractions.Fraction`, so identities can be asserted exactly and integer
+structure constants never pay for rational arithmetic.
 """
 from __future__ import annotations
 
@@ -35,17 +37,33 @@ class ValidationError(AlgebraError):
         self.witness = witness or {}
 
 
-def parse_scalar(text) -> Fraction:
+def exact(value):
+    """An exact scalar: an `int` stays an `int`; anything else becomes a
+    `Fraction`, and an integral `Fraction` becomes its `int`.
+
+    `Fraction(2) == 2` with equal hashes and equal `str`, so which type a
+    value has never shows in a comparison or a report.
+    """
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def is_integer(value) -> bool:
+    """A JSON integer: `true` and `false` are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def parse_scalar(text):
     """Parse an exact rational written as "p" or "p/q" (q > 0)."""
-    if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-        raise SchemaError(f"not an exact rational: {text!r}")
-    return Fraction(text)
+    if is_integer(text) or isinstance(text, str) and _RATIONAL_RE.match(text):
+        return exact(text)
+    raise SchemaError(f"not an exact rational: {text!r}")
 
 
-def format_scalar(value: Fraction) -> str:
-    return str(Fraction(value))
+def format_scalar(value) -> str:
+    return str(value)
 
 
 class GradedBasis:
@@ -72,7 +90,7 @@ class GradedBasis:
             raise SchemaError(f"unknown generator {name!r}") from None
 
     def generator(self, i: int) -> "Vector":
-        return Vector(self, {i: Fraction(1)})
+        return Vector(self, {i: 1})
 
     def generators(self):
         return [self.generator(i) for i in range(len(self))]
@@ -88,7 +106,7 @@ def same_basis(a: GradedBasis, b: GradedBasis) -> bool:
 
 class LinearCombination:
     """A finite sparse linear combination over Q: `terms` maps keys to
-    nonzero `Fraction`s.
+    nonzero exact scalars (`int`s, or `Fraction`s once something divides).
 
     The one home of add, subtract, negate, scale, equality and zero-cleaning
     for algebra elements, truncated coalgebra elements and coproduct pairs.
@@ -106,7 +124,7 @@ class LinearCombination:
         clean = {}
         for key, c in (terms or {}).items():
             self._check_key(key)
-            c = Fraction(c)
+            c = exact(c)
             if c != 0:
                 clean[key] = c
         self.terms = clean
@@ -176,7 +194,7 @@ class LinearCombination:
         return (-1) * self
 
     def __rmul__(self, scale):
-        scale = Fraction(scale)
+        scale = exact(scale)
         if scale == 0:
             return self._new({})
         return self._new({key: scale * c for key, c in self.terms.items()})
@@ -216,8 +234,8 @@ class Vector(LinearCombination):
     def items(self):
         return sorted(self.terms.items())
 
-    def get(self, i) -> Fraction:
-        return self.terms.get(i, Fraction(0))
+    def get(self, i):
+        return self.terms.get(i, 0)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         """True when all terms share one degree (the given one, if stated)."""
@@ -277,6 +295,9 @@ class AlgebraPresentation(GradedBasis):
             table[i][j] = value if isinstance(value, Vector) else Vector(self, value)
         self.products = tuple(tuple(row) for row in table)
         self._validate()
+        # the cumulant contexts of this presentation by weight cap (filled by
+        # `cumulant.cumulant_context`), so they live exactly as long as it does
+        self.contexts: dict = {}
 
     def _validate(self):
         n = len(self)
@@ -301,12 +322,23 @@ class AlgebraPresentation(GradedBasis):
                         f"({self.names[i]}, {self.names[j]})",
                         witness={"kind": "commutativity", "pair": [self.names[i], self.names[j]]},
                     )
+        # (e_i e_j) e_k and e_i (e_j e_k) straight from the table; both
+        # vanish when e_i e_j and e_j e_k do
+        P = self.products
         for i in range(n):
             for j in range(n):
+                ij = P[i][j].terms
                 for k in range(n):
-                    left = self.multiply(self.products[i][j], self.generator(k))
-                    right = self.multiply(self.generator(i), self.products[j][k])
-                    if left != right:
+                    jk = P[j][k].terms
+                    if not ij and not jk:
+                        continue
+                    left = Vector(self)
+                    for m, c in ij.items():
+                        left.accumulate(P[m][k], c)
+                    right = Vector(self)
+                    for m, c in jk.items():
+                        right.accumulate(P[i][m], c)
+                    if left.terms != right.terms:
                         raise ValidationError(
                             f"associativity fails on triple "
                             f"({self.names[i]}, {self.names[j]}, {self.names[k]})",
@@ -394,7 +426,7 @@ def _parse_generators(doc, what: str) -> list:
             raise SchemaError(f"bad generator entry: {g!r}")
         if not isinstance(g["name"], str):
             raise SchemaError(f"generator name must be a string: {g!r}")
-        if not isinstance(g["degree"], int):
+        if not is_integer(g["degree"]):
             raise SchemaError(f"generator degree must be an integer: {g!r}")
         generators.append((g["name"], g["degree"]))
     return generators
@@ -505,7 +537,7 @@ def parse_linear_map(document, source: GradedBasis, target: GradedBasis) -> Line
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise SchemaError("linear-map document lacks 'entries'")
     degree = doc.get("degree", 0)
-    if not isinstance(degree, int):
+    if not is_integer(degree):
         raise SchemaError("map degree must be an integer")
     columns = {}
     for entry in doc["entries"]:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .algebra import (
     GradedBasis,
@@ -59,36 +58,49 @@ def _sort_sign(indices, degrees):
     return sign
 
 
-@dataclass(frozen=True)
-class WedgeMonomial:
-    """A canonical wedge monomial: sorted generator indices plus their degrees."""
+class WedgeMonomial(tuple):
+    """A canonical wedge monomial: sorted generator indices plus their degrees.
 
-    indices: tuple
-    factor_degrees: tuple
+    A plain `(indices, factor_degrees)` tuple underneath, so hashing and
+    equality run in C; monomials key every sparse element and cache.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, indices: tuple, factor_degrees: tuple):
+        return tuple.__new__(cls, (indices, factor_degrees))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a monomial through __new__
+        return tuple(self)
+
+    indices = property(itemgetter(0))
+    factor_degrees = property(itemgetter(1))
 
     @property
     def weight(self) -> int:
-        return len(self.indices)
+        return len(self[0])
 
     @property
     def degree(self) -> int:
-        return sum(self.factor_degrees)
+        return sum(self[1])
 
     def sort_key(self):
-        return (self.weight, self.indices)
+        return (len(self[0]), self[0])
 
     def names(self, basis: GradedBasis):
-        return [basis.names[i] for i in self.indices]
+        return [basis.names[i] for i in self[0]]
 
     def part(self, positions) -> "WedgeMonomial":
         """The factors at the given sorted positions, as a monomial."""
+        indices, degrees = self
         return WedgeMonomial(
-            tuple(self.indices[p] for p in positions),
-            tuple(self.factor_degrees[p] for p in positions),
+            tuple(indices[p] for p in positions),
+            tuple(degrees[p] for p in positions),
         )
 
     def __repr__(self):
-        return "w(" + ",".join(map(str, self.indices)) + ")"
+        return "w(" + ",".join(map(str, self[0])) + ")"
 
 
 def monomial(basis: GradedBasis, indices) -> WedgeMonomial:
@@ -277,7 +289,7 @@ def _coproduct_cached(mono: WedgeMonomial) -> TensorPairSum:
         for subset in itertools.combinations(range(n), size):
             complement = tuple(p for p in range(n) if p not in subset)
             sign = _rearrangement_sign(mono, (subset, complement))
-            out.add_term((mono.part(subset), mono.part(complement)), Fraction(sign))
+            out.add_term((mono.part(subset), mono.part(complement)), sign)
     return out
 
 
@@ -339,7 +351,7 @@ def iterated_coproduct(w: WedgeMonomial, k: int):
     acc = LinearCombination()
     for blocks in _ordered_splits(tuple(range(w.weight)), k):
         parts = tuple(w.part(block) for block in blocks)
-        acc.add_term(parts, Fraction(_rearrangement_sign(w, blocks)))
+        acc.add_term(parts, _rearrangement_sign(w, blocks))
     return sorted(
         ((c, parts) for parts, c in acc.terms.items()),
         key=lambda item: tuple(p.sort_key() for p in item[1]),

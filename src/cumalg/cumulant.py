@@ -9,6 +9,7 @@ derivation (h tables).
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 
 from .algebra import (
@@ -118,15 +119,21 @@ class CumulantContext:
         return self._inverse
 
 
-_contexts: dict = {}
+# every live context by (presentation uid, cap); the presentation owns them
+_contexts = weakref.WeakValueDictionary()
 
 
 def cumulant_context(algebra: AlgebraPresentation, cap: int = DEFAULT_WEIGHT_CAP) -> CumulantContext:
-    """Context registry; one shared cache per (presentation, cap)."""
+    """The one shared cache per (presentation, cap).
+
+    The presentation holds its contexts, so a context and its tau_tilde
+    caches are freed together with the presentation they belong to.
+    """
     key = (algebra.uid, int(cap))
     ctx = _contexts.get(key)
     if ctx is None:
         ctx = CumulantContext(algebra, cap)
+        algebra.contexts[key[1]] = ctx
         _contexts[key] = ctx
     return ctx
 

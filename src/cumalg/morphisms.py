@@ -9,7 +9,6 @@ Everything is lazy and memoized per monomial; all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import (
@@ -19,7 +18,7 @@ from .algebra import (
     ValidationError,
     Vector,
     format_scalar,
-    parse_scalar,
+    is_integer,
     same_basis,
 )
 from .coalgebra import (
@@ -147,7 +146,7 @@ class TaylorFamily:
         if not isinstance(doc, dict):
             raise SchemaError("coefficient family document must be an object")
         degree = doc.get("degree", 0)
-        if not isinstance(degree, int):
+        if not is_integer(degree):
             raise SchemaError("family degree must be an integer")
         arities = doc.get("arities", {})
         if not isinstance(arities, dict):
@@ -256,8 +255,6 @@ class SMap:
         return self + (-1) * other
 
     def __rmul__(self, scale) -> "SMap":
-        scale = Fraction(scale)
-
         def fn(w):
             return scale * self.on_monomial(w)
 
@@ -391,7 +388,7 @@ def extract_family(op: SMap, max_arity: int) -> TaylorFamily:
 def bracket(d1: SMap, d2: SMap) -> SMap:
     """Graded commutator d1∘d2 - (-1)^(|d1||d2|) d2∘d1."""
     sign = -1 if (d1.degree % 2) and (d2.degree % 2) else 1
-    return d1.compose(d2) - Fraction(sign) * d2.compose(d1)
+    return d1.compose(d2) - sign * d2.compose(d1)
 
 
 def _apply_left(op: SMap, pairs: TensorPairSum) -> TensorPairSum:

@@ -47,14 +47,14 @@ def truncated_polynomial_algebra(n: int) -> AlgebraPresentation:
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             if a + b <= n:
-                products[(a - 1, b - 1)] = {a + b - 1: Fraction(1)}
+                products[(a - 1, b - 1)] = {a + b - 1: 1}
     return AlgebraPresentation(generators, products)
 
 
 @lru_cache(maxsize=None)
 def ground_field_algebra() -> AlgebraPresentation:
     """The one-dimensional algebra spanned by an idempotent unit."""
-    return AlgebraPresentation([("u", 0)], {(0, 0): {0: Fraction(1)}})
+    return AlgebraPresentation([("u", 0)], {(0, 0): {0: 1}})
 
 
 def expectation_map(moments) -> LinearMap:
@@ -63,7 +63,7 @@ def expectation_map(moments) -> LinearMap:
     source = truncated_polynomial_algebra(n)
     target = ground_field_algebra()
     columns = {
-        k: {0: Fraction(moments[k])} for k in range(n) if moments[k] != 0
+        k: {0: moments[k]} for k in range(n) if moments[k] != 0
     }
     return LinearMap(source, target, 0, columns)
 
@@ -74,7 +74,7 @@ def cumulants_from_moments(moments, n: int | None = None) -> list:
     The j-th cumulant is the coefficient of the defect table at the j-fold
     wedge power of the variable.
     """
-    moments = [Fraction(m) for m in moments]
+    moments = list(moments)
     top = len(moments) if n is None else int(n)
     if not 1 <= top <= len(moments):
         raise ValidationError(f"order {top} out of range for {len(moments)} moments")

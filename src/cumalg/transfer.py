@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import (
     AlgebraPresentation,
@@ -178,7 +177,7 @@ def _injectivity_check(op: SMap) -> CheckReport:
     images = [op.on_monomial(w) for w in columns]
     row_keys = sorted({m for img in images for m in img.terms}, key=lambda m: m.sort_key())
     matrix = [
-        [img.terms.get(key, Fraction(0)) for img in images] for key in row_keys
+        [img.terms.get(key, 0) for img in images] for key in row_keys
     ]
     got = rank(matrix)
     ok = got == len(columns)

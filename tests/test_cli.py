@@ -347,6 +347,14 @@ MALFORMED = {
     "arity-key-not-a-number": (
         ["transfer"], "transfer",
         _transfer_doc_with(lambda iota: iota["arities"].update(two=iota["arities"].pop("2")))),
+    # JSON booleans are not numbers
+    "moment-true": (["cumulants"], "moments", {"moments": [True, 2]}),
+    "generator-degree-true": (
+        ["validate"], "algebra", {"generators": [{"name": "a", "degree": True}]}),
+    "map-degree-false": (
+        ["defects", "--kind", "hom"], "map", {**E2_MAP_DOC, "degree": False}),
+    "iota-degree-false": (
+        ["transfer"], "transfer", _transfer_doc_with(lambda iota: iota.update(degree=False))),
 }
 
 

@@ -1,4 +1,6 @@
 """Wedge monomials, Koszul signs, and the reduced coproduct."""
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -102,6 +104,20 @@ def test_monomial_degree_and_weight(e2):
     m = cm.monomial(e2, (0, 1, 2))
     assert m.weight == 3
     assert m.degree == 4
+
+
+def test_wedge_monomials_survive_copies_and_pickles(e2):
+    m = cm.monomial(e2, (0, 1, 2, 2))
+    for copied in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(copied) is cm.WedgeMonomial
+        assert copied == m and hash(copied) == hash(m)
+        assert (copied.indices, copied.factor_degrees) == ((0, 1, 2, 2), (1, 1, 2, 2))
+        assert (copied.weight, copied.degree) == (4, 6)
+        assert copied.part((1, 3)) == cm.monomial(e2, (1, 2))
+        assert repr(copied) == "w(0,1,2,2)"
+    again = cm.normalize_monomial(e2, (2, 1, 0, 2))[0]
+    assert again == m and hash(again) == hash(m)
+    assert len({m, again, cm.monomial(e2, (0, 1, 2))}) == 2
 
 
 def test_wedge_is_graded_commutative(e2):

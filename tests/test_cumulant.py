@@ -1,6 +1,8 @@
 """The moment/cumulant bijection, its inverses, and defect tables."""
 import copy
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -333,3 +335,31 @@ def test_accumulation_never_writes_into_shared_values(monkeypatch):
     assert len(handed_out) > 100
     for value, copied in handed_out:
         assert value == copied
+
+
+def test_repeated_jobs_keep_live_memory_flat():
+    """A context and its tau_tilde caches live as long as their presentation:
+    re-parsing the same documents job after job holds no more memory."""
+
+    def job():
+        A = cm.parse_algebra(E2_DOC)
+        f = cm.parse_linear_map(E2_MAP_DOC, A, A)
+        ctx = cm.cumulant_context(A, CAP)
+        ctx.tau_tilde.to_doc()
+        ctx.tau_tilde_inverse.to_doc()
+        cm.defect_family(f, "hom", cap=CAP)
+        cm.defect_family(f, "der", cap=CAP)
+
+    def live_after(rounds):
+        for _ in range(rounds):
+            job()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        first = live_after(1)  # fills the process-wide coproduct and orbit tables
+        later = live_after(10)
+    finally:
+        tracemalloc.stop()
+    assert later - first < 16 * 1024, (first, later)

@@ -6,6 +6,7 @@ odd generator, which never repeats), with mixed degrees.
 """
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,46 @@ def subset_sum(family, w, cap):
     return out
 
 
+def integer_map(seed, basis):
+    """A random degree-zero endomorphism with integer entries."""
+    rng = random.Random(seed)
+    columns = {
+        i: {j: rng.randint(-3, 3) for j, e in enumerate(basis.degrees) if e == d}
+        for i, d in enumerate(basis.degrees)
+    }
+    return cm.LinearMap(basis, basis, 0, columns)
+
+
+def rational_change_of_basis(A, seed):
+    """A in the basis f_i = sum_r M[r][i] e_r, for a random upper triangular
+    rational M with nonzero diagonal that mixes only equal degrees."""
+    rng = random.Random(seed)
+    n = len(A)
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        for r in range(i):
+            if A.degrees[r] == A.degrees[i]:
+                M[r][i] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    products = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        value = cm.Vector(A)
+        for r, s in itertools.product(range(n), repeat=2):
+            if M[r][i] and M[s][j]:
+                value.accumulate(A.products[r][s], M[r][i] * M[s][j])
+        coords = cm.solve(M, [value.get(k) for k in range(n)])
+        products[(i, j)] = {k: c for k, c in enumerate(coords) if c}
+    return cm.AlgebraPresentation(
+        [(f"f{i}", d) for i, d in enumerate(A.degrees)], products
+    )
+
+
+def coefficients(op, cap):
+    """Every coefficient of an operator's images up to the cap."""
+    for w in cm.monomials_up_to(op.source, cap):
+        yield from op.on_monomial(w).terms.values()
+
+
 CAP = 4
 
 
@@ -158,3 +199,28 @@ def test_lazy_tau_tilde_equals_the_tabulated_extension(A, cap):
     lazy = cm.cumulant_context(A, cap).tau_tilde
     tabulated = cm.extend_coalgebra_map(cm.tau_family(A, cap), cap)
     assert lazy.first_difference(tabulated) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(algebras, st.integers(0, 2**32))
+def test_integer_structure_constants_never_leave_int(A, seed):
+    # tau_tilde, its inverse, the Moebius closed form and the defects of an
+    # integer map never divide, so every coefficient stays an exact int
+    ctx = cm.cumulant_context(A, CAP)
+    mobius = cm.extend_coalgebra_map(cm.mobius_inverse_family(A, CAP), CAP)
+    for op in (ctx.tau_tilde, ctx.tau_tilde_inverse, mobius):
+        for c in coefficients(op, CAP):
+            assert type(c) is int, c
+    defects = cm.defect_family(integer_map(seed, A), "hom", CAP)
+    for table in defects.tables.values():
+        for value in table.values():
+            for c in value.terms.values():
+                assert type(c) is int, c
+
+
+@settings(max_examples=25, deadline=None)
+@given(algebras, st.integers(0, 2**32), st.integers(1, CAP))
+def test_tau_tilde_after_a_rational_change_of_basis_equals_the_series(A, seed, cap):
+    B = rational_change_of_basis(A, seed)
+    lazy = cm.cumulant_context(B, cap).tau_tilde
+    assert lazy.first_difference(cm.tau_tilde_series(B, cap)) is None
