@@ -243,14 +243,15 @@ def run(argv) -> int:
             raise UsageError("--weight-cap must be at least 1")
         if args.weight_cap > WEIGHT_CAP_CEILING:
             raise UsageError(
-                f"--weight-cap above {WEIGHT_CAP_CEILING} is refused: a word of "
-                "distinct factors sums over Bell-number many set partitions"
+                f"--weight-cap above {WEIGHT_CAP_CEILING} is refused: tables hold "
+                "every canonical monomial up to the cap, and a word of n distinct "
+                "factors sums over the 2^(n-1) blocks that hold its first factor"
             )
         if args.weight_cap >= 8:
             print(
-                f"warning: weight cap {args.weight_cap} is large; a word of distinct "
-                "factors sums over Bell-number many set partitions (repeated "
-                "factors are summed by orbit)",
+                f"warning: weight cap {args.weight_cap} is large; tables hold every "
+                "canonical monomial up to the cap, and a word of n distinct factors "
+                "sums over the 2^(n-1) blocks that hold its first factor",
                 file=sys.stderr,
             )
         inputs = _parse_inputs(args.input)
@@ -258,7 +259,7 @@ def run(argv) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
 
-    # true by construction: `wedge` refuses any product past the weight cap
+    # true by construction: every wedge refuses a product past the weight cap
     base = {"command": args.command, "weight_cap": args.weight_cap, "overflow": False}
     try:
         payload, ok = HANDLERS[args.command](args, inputs)

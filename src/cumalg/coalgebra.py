@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from operator import itemgetter
 
@@ -259,6 +260,28 @@ def wedge(u: SElement, v: SElement) -> SElement:
     return out
 
 
+def _wedge_in(out: SElement, value: Vector, tail, scale=1) -> None:
+    """Add scale * (value ∧ t) into `out` for the (monomial t, coefficient)
+    pairs of `tail`, `value` being of weight one: each generator is bisected
+    into t's sorted indices, an odd one changes sign per odd factor it passes
+    and gives zero if t holds it already.  Refuses a product past the cap."""
+    degrees, cap, add = out.basis.degrees, out.cap, out.add_term
+    heads = [(i, degrees[i], a) for i, a in value.terms.items()]
+    for (indices, degs), c in tail:
+        if len(indices) >= cap:
+            raise ValidationError(f"wedge product exceeds weight cap {cap}")
+        c = scale * c
+        for i, d, a in heads:
+            p = bisect_left(indices, i)
+            if d % 2:
+                if p < len(indices) and indices[p] == i:
+                    continue
+                if sum(e % 2 for e in degs[:p]) % 2:
+                    a = -a
+            mono = WedgeMonomial(indices[:p] + (i,) + indices[p:], degs[:p] + (d,) + degs[p:])
+            add(mono, a * c)
+
+
 class TensorPairSum(LinearCombination):
     """A normalized sum of signed (left, right) monomial pairs."""
 
@@ -293,6 +316,8 @@ def _coproduct_cached(mono: WedgeMonomial) -> TensorPairSum:
     return out
 
 
+# shared by every job in a process; past the bound the oldest entry goes
+COPRODUCT_MEMO_ENTRIES = 2048
 _coproduct_memo: dict = {}
 
 
@@ -304,6 +329,8 @@ def coproduct(w: WedgeMonomial) -> TensorPairSum:
     cached = _coproduct_memo.get(w)
     if cached is None:
         cached = _coproduct_cached(w)
+        if len(_coproduct_memo) >= COPRODUCT_MEMO_ENTRIES:
+            del _coproduct_memo[next(iter(_coproduct_memo))]
         _coproduct_memo[w] = cached
     return cached
 
@@ -364,66 +391,31 @@ def repetition_pattern(indices) -> tuple:
     return tuple(len(list(run)) for _, run in itertools.groupby(indices))
 
 
-@lru_cache(maxsize=None)
-def partition_orbits(pattern: tuple):
-    """Set partitions of the factor positions of a monomial with repetition
-    pattern `pattern`, up to permuting equal factors.
+def first_blocks(pattern: tuple):
+    """The blocks other than the whole word that hold the first factor of a
+    word with repetition pattern `pattern`, up to permuting equal factors.
 
-    Returns one (blocks, count) pair per orbit: a representative partition
-    (sorted position blocks) and the number of set partitions in the orbit.
-    Run k of the pattern holds pattern[k] equal factors at consecutive
-    positions.  An orbit is a multiset partition of the runs, where a block
-    says how many factors it takes from each run; the representative takes
-    them from each run's next free positions.  Blocks are listed in
-    non-increasing lexicographic order of these count vectors, so each orbit
-    comes out once; the first block holds the first run with factors left,
-    and a singleton always fits, so no branch dead-ends.  The orbit size is
-    the Faà di Bruno count prod_k m_k! / (prod_B prod_k c_Bk! * prod_t r_t!),
-    with c_Bk the factors block B takes from run k and r_t the number of
-    blocks of type t.  An all-distinct pattern gives every set partition,
-    each once.
+    Returns (block, rest, count) triples of sorted positions.  A block takes
+    the first c_k positions of run k, c_0 >= 1, standing for all
+    count = C(m_0 - 1, c_0 - 1) * prod_{k>=1} C(m_k, c_k) choices: equal
+    factors are even, so the choice changes neither value nor sign.  With
+    the whole word the counts sum to 2^(n-1); for (n,) they are the
+    C(n-1, k-1) of the moment recursion m_n = sum_k C(n-1, k-1) kappa_k m_(n-k).
     """
-    if max(pattern, default=1) == 1:
-        return tuple((blocks, 1) for blocks in set_partitions(len(pattern)))
-    runs = len(pattern)
-    starts = [sum(pattern[:k]) for k in range(runs)]
-    top = math.prod(map(math.factorial, pattern))
-    rest = list(pattern)
-    blocks: list = []
+    starts = tuple(itertools.accumulate(pattern, initial=0))
+    choices = [range(1, pattern[0] + 1)] + [range(m + 1) for m in pattern[1:]]
     out = []
-
-    def next_block(bound, overcount, repeats):
-        first = next((k for k, c in enumerate(rest) if c), runs)
-        if first == runs:
-            out.append((tuple(blocks), top // overcount))
-            return
-        counts = [0] * runs
-        block: list = []
-
-        def fill(k, tight, weight):
-            if k == runs:
-                kind = tuple(counts)
-                again = repeats + 1 if kind == bound else 1
-                blocks.append(tuple(block))
-                next_block(kind, overcount * weight * again, again)
-                blocks.pop()
-                return
-            left = rest[k]
-            free = starts[k] + pattern[k] - left
-            hi = min(left, bound[k]) if tight else left
-            for c in range(hi, (k == first) - 1, -1):
-                counts[k] = c
-                rest[k] = left - c
-                block.extend(range(free, free + c))
-                fill(k + 1, tight and c == bound[k], weight * math.factorial(c))
-                del block[len(block) - c:]
-            counts[k] = 0
-            rest[k] = left
-
-        fill(first, not any(bound[:first]), 1)
-
-    next_block(tuple(pattern), 1, 0)
-    return tuple(out)
+    for counts in itertools.product(*choices):
+        if counts == pattern:
+            continue
+        runs = tuple(zip(starts, pattern, counts))
+        block = tuple(p for s, _, c in runs for p in range(s, s + c))
+        rest = tuple(p for s, m, c in runs for p in range(s + c, s + m))
+        count = math.comb(pattern[0] - 1, counts[0] - 1) * math.prod(
+            math.comb(m, c) for m, c in zip(pattern[1:], counts[1:])
+        )
+        out.append((block, rest, count))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,7 @@ Everything is lazy and memoized per monomial; all arithmetic is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .algebra import (
     GradedBasis,
@@ -29,11 +28,11 @@ from .coalgebra import (
     coproduct,
     coproduct_element,
     monomials_up_to,
+    first_blocks,
     normalize_monomial,
-    partition_orbits,
     repetition_pattern,
-    wedge,
     _rearrangement_sign,
+    _wedge_in,
 )
 
 
@@ -260,7 +259,7 @@ class SMap:
 
         return SMap(self.source, self.target, self.cap, self.degree, fn, self.label)
 
-    def first_difference(self, other: "SMap", max_weight: Optional[int] = None):
+    def first_difference(self, other: "SMap", max_weight: int | None = None):
         """Earliest canonical monomial where the two operators disagree."""
         self._check_peer(other)
         top = self.cap if max_weight is None else max_weight
@@ -269,14 +268,14 @@ class SMap:
                 return w
         return None
 
-    def equal_up_to(self, other: "SMap", max_weight: Optional[int] = None) -> bool:
+    def equal_up_to(self, other: "SMap", max_weight: int | None = None) -> bool:
         return self.first_difference(other, max_weight) is None
 
-    def table(self, max_weight: Optional[int] = None):
+    def table(self, max_weight: int | None = None):
         top = self.cap if max_weight is None else max_weight
         return {w: self.on_monomial(w) for w in monomials_up_to(self.source, top)}
 
-    def to_doc(self, max_weight: Optional[int] = None):
+    def to_doc(self, max_weight: int | None = None):
         rows = []
         for w, image in self.table(max_weight).items():
             rows.append({"monomial": w.names(self.source), "value": image.to_doc()})
@@ -299,13 +298,8 @@ def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.from_vector(family.coefficient(w), cap)
         for (left, right), c in coproduct(w).terms.items():
-            if left.weight not in arities:
-                continue
-            value = family.coefficient(left)
-            if not value.is_zero():
-                head = SElement.from_vector(value, cap)
-                tail = SElement.from_monomial(basis, cap, right)
-                out.accumulate(wedge(head, tail), c)
+            if left.weight in arities:
+                _wedge_in(out, family.coefficient(left), ((right, c),))
         return out
 
     return SMap(basis, basis, cap, family.degree, fn)
@@ -314,51 +308,49 @@ def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
 def extend_coalgebra_map(family: TaylorFamily, cap: int) -> SMap:
     """The unique coalgebra map whose Taylor coefficients are `family`.
 
-    Sums over unordered partitions of the factor positions; each block is fed
-    to the coefficient of its size, and the weight-one outputs are wedged in
-    block order with the rearrangement Koszul sign.  Missing arities make the
-    whole partition vanish.  Only degree-zero families compose consistently
-    here, so other degrees are rejected.
+    Its value at w sums, over the unordered partitions of the factor
+    positions, the coefficients of the blocks wedged in block order with the
+    rearrangement Koszul sign; missing arities make a partition vanish.  The
+    block B that holds the first factor splits that sum:
 
-    Partitions that differ by permuting equal factors give equal terms:
-    equal factors are even (an odd one never repeats), so moving them
-    changes neither a block's value nor the sign.  So one representative per
-    orbit is evaluated and counted with the orbit's size.
+        F(w) = f(w) + sum over B != all of sign(B, Bᶜ) f(w_B) ∧ F(w_Bᶜ),
+
+    where F(w_Bᶜ) is this operator's own memoized value on a shorter word
+    (sorted positions of a canonical monomial are canonical).  Blocks that
+    differ only by which equal factors they take are counted once with
+    their multiplicity (`first_blocks`).  Only degree-zero families compose
+    consistently here, so other degrees are rejected.
     """
     if family.degree != 0:
         raise ValidationError("coalgebra-map extension needs a degree-zero family")
     source, target = family.source, family.target
     arities = set(family.arities())
+    # (pattern, factor degrees) -> [(block, rest, signed multiplicity)]
     usable: dict = {}
 
-    def orbits(w: WedgeMonomial):
+    def blocks(w: WedgeMonomial):
         pattern = repetition_pattern(w.indices)
-        found = usable.get(pattern)
+        key = (pattern, w.factor_degrees)
+        found = usable.get(key)
         if found is None:
-            found = usable[pattern] = [
-                (blocks, count)
-                for blocks, count in partition_orbits(pattern)
-                if all(len(b) in arities for b in blocks)
+            found = usable[key] = [
+                (block, rest, count * _rearrangement_sign(w, (block, rest)))
+                for block, rest, count in first_blocks(pattern)
+                if len(block) in arities
             ]
         return found
 
     def fn(w: WedgeMonomial) -> SElement:
-        out = SElement.zero(target, cap)
-        for blocks, count in orbits(w):
-            piece = None
-            for block in blocks:
-                # sorted positions of a canonical monomial: already canonical
-                value = family.coefficient(w.part(block))
-                if value.is_zero():
-                    piece = None
-                    break
-                head = SElement.from_vector(value, cap)
-                piece = head if piece is None else wedge(piece, head)
-            if piece is not None:
-                out.accumulate(piece, count * _rearrangement_sign(w, blocks))
+        out = SElement.from_vector(family.coefficient(w), cap)
+        for block, rest, scale in blocks(w):
+            value = family.coefficient(w.part(block))
+            if value.terms:
+                tail = extension.on_monomial(w.part(rest))
+                _wedge_in(out, value, tail.terms.items(), scale)
         return out
 
-    return SMap(source, target, cap, 0, fn)
+    extension = SMap(source, target, cap, 0, fn)
+    return extension
 
 
 def taylor_coefficient(op: SMap, mono: WedgeMonomial) -> Vector:
@@ -435,14 +427,16 @@ def _tensor_doc(pairs: TensorPairSum, basis_l: GradedBasis, basis_r: GradedBasis
     ]
 
 
-@dataclass
 class CheckReport:
     """Outcome of a coalgebra-law check, with the first counterexample."""
 
-    law: str
-    ok: bool
-    checked: int
-    witness: Optional[dict] = None
+    __slots__ = ("law", "ok", "checked", "witness")
+
+    def __init__(self, law: str, ok: bool, checked: int, witness: dict | None = None):
+        self.law = law
+        self.ok = ok
+        self.checked = checked
+        self.witness = witness
 
     def to_doc(self):
         doc = {"law": self.law, "ok": self.ok, "checked": self.checked}
@@ -451,7 +445,7 @@ class CheckReport:
         return doc
 
 
-def _coproduct_law(law: str, op: SMap, rhs, max_weight: Optional[int]) -> CheckReport:
+def _coproduct_law(law: str, op: SMap, rhs, max_weight: int | None) -> CheckReport:
     """Compare Δ̄∘op with rhs(op, Δ̄) monomial by monomial up to max_weight."""
     top = op.cap if max_weight is None else max_weight
     checked = 0
@@ -470,14 +464,14 @@ def _coproduct_law(law: str, op: SMap, rhs, max_weight: Optional[int]) -> CheckR
     return CheckReport(law, True, checked)
 
 
-def check_coderivation(op: SMap, max_weight: Optional[int] = None) -> CheckReport:
+def check_coderivation(op: SMap, max_weight: int | None = None) -> CheckReport:
     """Verify the co-Leibniz law against the reduced coproduct."""
     if not same_basis(op.source, op.target):
         raise ValidationError("co-Leibniz needs an endo-operator")
     return _coproduct_law("co-Leibniz", op, _apply_either, max_weight)
 
 
-def check_comorphism(op: SMap, max_weight: Optional[int] = None) -> CheckReport:
+def check_comorphism(op: SMap, max_weight: int | None = None) -> CheckReport:
     """Verify compatibility with the reduced coproduct on both sides."""
     if op.degree != 0:
         raise ValidationError("comorphism check needs a degree-zero operator")

@@ -10,7 +10,6 @@ reported with witnesses; nothing is assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .algebra import (
     AlgebraPresentation,
@@ -49,36 +48,39 @@ class TransferError(AlgebraError):
         self.report = report
 
 
-@dataclass
 class RetractData:
     """A deformation retract of an algebra-with-differential onto a complex."""
 
-    algebra: AlgebraPresentation
-    d: LinearMap
-    complex: ChainComplex
-    inclusion: LinearMap
-    projection: LinearMap
-    homotopy: LinearMap
+    __slots__ = ("algebra", "d", "complex", "inclusion", "projection", "homotopy")
 
-    def __post_init__(self):
-        A, C = self.algebra, self.complex
+    def __init__(self, algebra: AlgebraPresentation, d: LinearMap, complex: ChainComplex,
+                 inclusion: LinearMap, projection: LinearMap, homotopy: LinearMap):
+        A, C = algebra, complex
         shapes = [
-            (self.d, A, A, -1, "d"),
-            (self.inclusion, C, A, 0, "i"),
-            (self.projection, A, C, 0, "I"),
-            (self.homotopy, A, A, 1, "s"),
+            (d, A, A, -1, "d"),
+            (inclusion, C, A, 0, "i"),
+            (projection, A, C, 0, "I"),
+            (homotopy, A, A, 1, "s"),
         ]
         for m, src, tgt, deg, name in shapes:
             if not same_basis(m.source, src) or not same_basis(m.target, tgt):
                 raise ValidationError(f"map {name} has the wrong source or target")
             if m.degree != deg:
                 raise ValidationError(f"map {name} must have degree {deg}")
+        self.algebra = algebra
+        self.d = d
+        self.complex = complex
+        self.inclusion = inclusion
+        self.projection = projection
+        self.homotopy = homotopy
 
 
-@dataclass
 class RetractReport:
-    ok: bool
-    checks: list
+    __slots__ = ("ok", "checks")
+
+    def __init__(self, ok: bool, checks: list):
+        self.ok = ok
+        self.checks = checks
 
     def to_doc(self):
         return {"ok": self.ok, "checks": [c.to_doc() for c in self.checks]}
@@ -115,32 +117,35 @@ def validate_retract(r: RetractData) -> RetractReport:
     return RetractReport(all(c.ok for c in checks), checks)
 
 
-@dataclass
 class TransferInput:
-    retract: RetractData
-    d_infinity: TaylorFamily
-    iota: TaylorFamily
+    __slots__ = ("retract", "d_infinity", "iota")
 
-    def __post_init__(self):
-        C, A = self.retract.complex, self.retract.algebra
-        if not (same_basis(self.d_infinity.source, C) and same_basis(self.d_infinity.target, C)):
+    def __init__(self, retract: RetractData, d_infinity: TaylorFamily, iota: TaylorFamily):
+        C, A = retract.complex, retract.algebra
+        if not (same_basis(d_infinity.source, C) and same_basis(d_infinity.target, C)):
             raise ValidationError("d-infinity coefficients must live on the complex")
-        if self.d_infinity.degree != -1:
+        if d_infinity.degree != -1:
             raise ValidationError("d-infinity must have degree -1")
-        if not (same_basis(self.iota.source, C) and same_basis(self.iota.target, A)):
+        if not (same_basis(iota.source, C) and same_basis(iota.target, A)):
             raise ValidationError("iota coefficients must map the complex into the algebra")
-        if self.iota.degree != 0:
+        if iota.degree != 0:
             raise ValidationError("iota must have degree 0")
+        self.retract = retract
+        self.d_infinity = d_infinity
+        self.iota = iota
 
 
-@dataclass
 class TransferReport:
-    ok: bool
-    retract: RetractReport
-    checks: list
-    # the extensions the checks ran on, reused by the pipeline with their caches
-    iota_hat: SMap | None = field(default=None, repr=False, compare=False)
-    d_inf: SMap | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("ok", "retract", "checks", "iota_hat", "d_inf")
+
+    def __init__(self, ok: bool, retract: RetractReport, checks: list,
+                 iota_hat: SMap | None = None, d_inf: SMap | None = None):
+        self.ok = ok
+        self.retract = retract
+        self.checks = checks
+        # the extensions the checks ran on, reused by the pipeline with their caches
+        self.iota_hat = iota_hat
+        self.d_inf = d_inf
 
     def to_doc(self):
         return {
@@ -228,14 +233,17 @@ def validate_transfer_input(t: TransferInput, cap: int) -> TransferReport:
     return TransferReport(ok, retract_report, checks, iota_hat, d_inf)
 
 
-@dataclass
 class TransferResult:
-    cap: int
-    tau_tilde_c: SMap
-    inverse: SMap | None
-    family: TaylorFamily
-    hypotheses: TransferReport
-    certifications: list = field(default_factory=list)
+    __slots__ = ("cap", "tau_tilde_c", "inverse", "family", "hypotheses", "certifications")
+
+    def __init__(self, cap: int, tau_tilde_c: SMap, inverse: SMap | None, family: TaylorFamily,
+                 hypotheses: TransferReport, certifications: list | None = None):
+        self.cap = cap
+        self.tau_tilde_c = tau_tilde_c
+        self.inverse = inverse
+        self.family = family
+        self.hypotheses = hypotheses
+        self.certifications = [] if certifications is None else certifications
 
     @property
     def ok(self) -> bool:

@@ -1,14 +1,14 @@
 """Wedge monomials, Koszul signs, and the reduced coproduct."""
 import copy
+import math
 import pickle
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import cumalg as cm
-from cumalg.coalgebra import partition_orbits, repetition_pattern
+from cumalg.coalgebra import first_blocks, repetition_pattern
 
 from conftest import random_selement
 
@@ -253,27 +253,22 @@ def test_repetition_pattern_counts_runs_of_equal_indices():
 @pytest.mark.parametrize(
     "pattern", [(1,), (4,), (2, 1), (1, 2, 1), (2, 2), (1, 1, 1, 1), (3, 2), (6,)]
 )
-def test_partition_orbits_group_set_partitions_by_equal_factors(pattern):
-    run_of = [k for k, m in enumerate(pattern) for _ in range(m)]
-
-    def shape(blocks):
-        return tuple(sorted(tuple(run_of[p] for p in block) for block in blocks))
-
-    expected = Counter(shape(blocks) for blocks in cm.set_partitions(len(run_of)))
-    orbits = partition_orbits(pattern)
-    assert {shape(blocks): count for blocks, count in orbits} == expected
-    assert len(orbits) == len(expected)
-    for blocks, _ in orbits:
-        assert all(list(b) == sorted(b) for b in blocks)
-
-
-def test_repeated_factors_need_partitions_of_n_not_bell_n():
-    # p(10) block-size multisets, against Bell(10) = 115975 set partitions
-    assert len(partition_orbits((10,))) == 42
-    assert sum(count for _, count in partition_orbits((10,))) == 115975
+def test_first_blocks_count_every_block_that_holds_the_first_factor(pattern):
+    n = sum(pattern)
+    starts = [sum(pattern[:k]) for k in range(len(pattern))]
+    blocks = first_blocks(pattern)
+    # with the whole word, 2^(n-1) subsets hold position 0
+    assert sum(count for _, _, count in blocks) + 1 == 2 ** (n - 1)
+    for block, rest, _ in blocks:
+        assert block[0] == 0 and rest
+        assert sorted(block + rest) == list(range(n))
+        # each run contributes a prefix of its positions
+        for start, m in zip(starts, pattern):
+            taken = [p for p in block if start <= p < start + m]
+            assert taken == list(range(start, start + len(taken)))
 
 
-def test_all_distinct_orbits_are_the_set_partitions():
-    for n in range(1, 7):
-        expected = tuple((blocks, 1) for blocks in cm.set_partitions(n))
-        assert partition_orbits((1,) * n) == expected
+def test_first_blocks_of_one_repeated_factor_are_binomial():
+    for n in range(1, 9):
+        counts = {len(block): count for block, _, count in first_blocks((n,))}
+        assert counts == {k: math.comb(n - 1, k - 1) for k in range(1, n)}

@@ -1,6 +1,7 @@
 """The moment/cumulant bijection, its inverses, and defect tables."""
 import copy
 import gc
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import cumalg as cm
-from cumalg import cumulant, transfer
+from cumalg import coalgebra, cumulant, transfer
 
 from conftest import E2_DOC, E2_MAP_DOC, k2_doc, random_commutative_algebra, random_family
 
@@ -358,8 +359,24 @@ def test_repeated_jobs_keep_live_memory_flat():
 
     tracemalloc.start()
     try:
-        first = live_after(1)  # fills the process-wide coproduct and orbit tables
+        first = live_after(1)  # fills the process-wide coproduct memo
         later = live_after(10)
     finally:
         tracemalloc.stop()
     assert later - first < 16 * 1024, (first, later)
+
+
+def test_coproduct_memo_stays_within_its_bound():
+    """The memo is shared by every job in a process: however many distinct
+    words a process splits, it keeps at most its bound, and the latest words
+    still hit."""
+    bound = coalgebra.COPRODUCT_MEMO_ENTRIES
+    words = [
+        cm.WedgeMonomial(pair, (0, 0))
+        for pair in itertools.combinations_with_replacement(range(100), 2)
+    ]
+    assert len(words) > bound
+    for w in words:
+        cm.coproduct(w)
+        assert len(coalgebra._coproduct_memo) <= bound
+    assert cm.coproduct(words[-1]) is cm.coproduct(words[-1])

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cumalg as cm
+from cumalg.coalgebra import _wedge_in
 
-from conftest import random_vector
+from conftest import random_selement, random_vector
 
 # (degree, top power): an even degree gives a truncated polynomial factor,
 # an odd degree an exterior factor (top power 1)
@@ -177,6 +178,24 @@ def test_orbit_sums_equal_the_plain_partition_sum(A, seed, arities):
     op = cm.extend_coalgebra_map(family, CAP)
     for w in cm.monomials_up_to(A, CAP):
         assert op.on_monomial(w) == partition_sum(family, w, CAP), w
+
+
+@settings(max_examples=40, deadline=None)
+@given(odd_algebras, st.integers(0, 2**32))
+def test_weight_one_insertion_equals_wedge(A, seed):
+    rng = random.Random(seed)
+    odd = next(i for i, d in enumerate(A.degrees) if d % 2)
+    # the odd generator on both sides: those terms must vanish
+    lead = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+    value = cm.Vector(A, {**random_vector(rng, A).terms, odd: lead})
+    below = random_selement(rng, A, CAP - 1, density=0.5)
+    tail = cm.SElement(A, CAP, below.terms) + cm.SElement.from_monomial(
+        A, CAP, cm.monomial(A, (odd,))
+    )
+    scale = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    got = cm.SElement.zero(A, CAP)
+    _wedge_in(got, value, tail.terms.items(), scale)
+    assert got == scale * cm.wedge(cm.SElement.from_vector(value, CAP), tail)
 
 
 @pytest.mark.parametrize("degree", [-1, 0, 1])
