@@ -7,6 +7,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,7 +36,10 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and `--input` appends to a fresh copy of its default."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--weight-cap", type=int, default=DEFAULT_WEIGHT_CAP, metavar="N",

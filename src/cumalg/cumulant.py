@@ -30,10 +30,10 @@ from .coalgebra import (
 from .morphisms import (
     SMap,
     TaylorFamily,
+    coefficient_family,
+    coefficient_table,
     extend_coalgebra_map,
     extend_coderivation,
-    extract_family,
-    taylor_extract,
     triangular_inverse,
 )
 
@@ -102,14 +102,15 @@ class CumulantContext:
             raise ValidationError("cumulant machinery needs a product table")
         self.algebra = algebra
         self.cap = int(cap)
+        # tau's Taylor family, one memo for tau_tilde and the defect tables
+        self.products = _LazyProducts(algebra, self.cap)
         self._tau_tilde: SMap | None = None
         self._inverse: SMap | None = None
 
     @property
     def tau_tilde(self) -> SMap:
         if self._tau_tilde is None:
-            family = _LazyProducts(self.algebra, self.cap)
-            self._tau_tilde = extend_coalgebra_map(family, self.cap)
+            self._tau_tilde = extend_coalgebra_map(self.products, self.cap)
         return self._tau_tilde
 
     @property
@@ -203,43 +204,75 @@ def conjugate(op: SMap, direction: str = "pull") -> SMap:
     raise ValidationError(f"unknown conjugation direction {direction!r}")
 
 
-def defect_operator(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> SMap:
-    """Pull-conjugate of the bare extension of a linear map.
-
-    kind "hom" extends the map as a coalgebra morphism (degree 0 required);
-    kind "der" extends it as a coderivation (endomorphisms only).
-    """
+def _bare_extension(m: LinearMap, kind: str, cap: int) -> SMap:
+    """The bare extension of a linear map, of the kind `defect_operator` names."""
     family = TaylorFamily.from_linear_map(m)
     if kind == "hom":
         if m.degree != 0:
             raise ValidationError("homomorphism defects need a degree-zero map")
-        bare = extend_coalgebra_map(family, cap)
-    elif kind == "der":
-        bare = extend_coderivation(family, cap)
-    else:
-        raise ValidationError(f"unknown defect kind {kind!r}")
-    return conjugate(bare, "pull")
+        return extend_coalgebra_map(family, cap)
+    if kind == "der":
+        return extend_coderivation(family, cap)
+    raise ValidationError(f"unknown defect kind {kind!r}")
+
+
+def defect_operator(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> SMap:
+    """Pull-conjugate of the bare extension of a linear map.
+
+    kind "hom" extends the map as a coalgebra morphism (degree 0 required);
+    kind "der" extends it as a coderivation (endomorphisms only).  The Taylor
+    coefficients are the defect tables, which `defect_coefficients` computes
+    without building this conjugate; it stays as their reference route.
+    """
+    return conjugate(_bare_extension(m, kind, cap), "pull")
+
+
+def defect_coefficients(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP):
+    """The defect coefficient at a word, as a function of the word.
+
+    Only the corestriction of inverse∘bare∘tau_tilde is read, and the
+    corestriction of the inverse is the Möbius family: a word u of weight n
+    goes to (-1)^(n-1) (n-1)! tau(u).  So the coefficient at w sums
+    c·(-1)^(n-1) (n-1)!·tau(u) over the terms c·u of (bare∘tau_tilde)(w),
+    with the products taken from the memo that the target's tau_tilde uses.
+    """
+    bare = _bare_extension(m, kind, cap)
+    lift = cumulant_context(m.source, cap).tau_tilde
+    products = cumulant_context(m.target, cap).products
+    mobius = [0] + [(-1) ** (n - 1) * math.factorial(n - 1) for n in range(1, cap + 1)]
+
+    def coefficient(w: WedgeMonomial) -> Vector:
+        out = Vector(m.target)
+        for u, c in bare(lift.on_monomial(w)).terms.items():
+            value = products.coefficient(u)
+            if value.terms:
+                out.accumulate(value, mobius[u.weight] * c)
+        return out
+
+    return coefficient
 
 
 def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP,
                   max_arity: int | None = None) -> TaylorFamily:
     """All defect tables of a map up to an arity bound (default: the cap)."""
-    op = defect_operator(m, kind, cap)
-    return extract_family(op, cap if max_arity is None else max_arity)
+    return coefficient_family(
+        m.source, m.target, m.degree, cap if max_arity is None else max_arity,
+        defect_coefficients(m, kind, cap),
+    )
 
 
 def homomorphism_defect(f: LinearMap, n: int, cap: int = DEFAULT_WEIGHT_CAP) -> dict:
     """The arity-n table measuring failure of f to be an algebra map."""
     if n > cap:
         raise ValidationError(f"arity {n} exceeds the weight cap {cap}")
-    return taylor_extract(defect_operator(f, "hom", cap), n)
+    return coefficient_table(f.source, n, defect_coefficients(f, "hom", cap))
 
 
 def derivation_defect(d: LinearMap, n: int, cap: int = DEFAULT_WEIGHT_CAP) -> dict:
     """The arity-n table measuring failure of d to be a derivation."""
     if n > cap:
         raise ValidationError(f"arity {n} exceeds the weight cap {cap}")
-    return taylor_extract(defect_operator(d, "der", cap), n)
+    return coefficient_table(d.source, n, defect_coefficients(d, "der", cap))
 
 
 def vanishes_above_one(family: TaylorFamily) -> bool:

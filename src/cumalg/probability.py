@@ -21,8 +21,7 @@ from .algebra import (
     parse_scalar,
 )
 from .coalgebra import WedgeMonomial
-from .cumulant import defect_operator
-from .morphisms import taylor_coefficient
+from .cumulant import defect_coefficients
 
 
 def parse_moments(document) -> list:
@@ -78,14 +77,8 @@ def cumulants_from_moments(moments, n: int | None = None) -> list:
     top = len(moments) if n is None else int(n)
     if not 1 <= top <= len(moments):
         raise ValidationError(f"order {top} out of range for {len(moments)} moments")
-    f = expectation_map(moments)
-    op = defect_operator(f, "hom", cap=len(moments))
-    out = []
-    for j in range(1, top + 1):
-        mono = WedgeMonomial((0,) * j, (0,) * j)
-        value = taylor_coefficient(op, mono)
-        out.append(value.get(0))
-    return out
+    coefficient = defect_coefficients(expectation_map(moments), "hom", cap=len(moments))
+    return [coefficient(WedgeMonomial((0,) * j, (0,) * j)).get(0) for j in range(1, top + 1)]
 
 
 def oracle_cumulants(moments, n: int | None = None) -> list:

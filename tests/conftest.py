@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 import cumalg as cm
+from cumalg.coalgebra import coproduct, coproduct_element
+from cumalg.morphisms import _apply_both, _apply_either, _tensor_doc
 
 E2_DOC = {
     "generators": [
@@ -200,3 +202,25 @@ def random_family(rng, basis, degree, max_arity):
         if table:
             tables[arity] = table
     return cm.TaylorFamily(basis, basis, degree, tables)
+
+
+def tensor_law_report(op, kind, max_weight=None):
+    """The coproduct law checked the plain way, as the checkers' oracle: at
+    every monomial w up to max_weight, Δ̄(op(w)) against (op⊗op)Δ̄(w) for
+    kind "comorphism" or (op⊗1 + 1⊗op)Δ̄(w) for kind "co-Leibniz", as
+    tensor-pair sums.  Same report as `check_comorphism`/`check_coderivation`."""
+    rhs = {"comorphism": _apply_both, "co-Leibniz": _apply_either}[kind]
+    top = op.cap if max_weight is None else max_weight
+    checked = 0
+    for w in cm.monomials_up_to(op.source, top):
+        checked += 1
+        lhs = coproduct_element(op.on_monomial(w))
+        expected = rhs(op, coproduct(w))
+        if lhs != expected:
+            witness = {
+                "monomial": w.names(op.source),
+                "lhs": _tensor_doc(lhs, op.target, op.target),
+                "rhs": _tensor_doc(expected, op.target, op.target),
+            }
+            return cm.CheckReport(kind, False, checked, witness)
+    return cm.CheckReport(kind, True, checked)

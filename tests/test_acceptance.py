@@ -8,7 +8,7 @@ import pytest
 import cumalg as cm
 import cumalg.cli as cli
 
-from conftest import k2_doc, random_commutative_algebra, random_family
+from conftest import k2_doc, random_commutative_algebra, random_family, tensor_law_report
 
 CAP = 5
 RETRACT_CAP = 3
@@ -24,9 +24,10 @@ def test_criterion_01_bijection_satisfies_the_comorphism_law(fixture_algebras):
     """Reduced coproduct commutes with the bijection on all of F_5."""
     for alg in fixture_algebras:
         ctx = cm.cumulant_context(alg, CAP)
-        report = cm.check_comorphism(ctx.tau_tilde)
+        report = tensor_law_report(ctx.tau_tilde, "comorphism")
         assert report.ok, report.witness
         assert report.checked == sum(1 for _ in cm.monomials_up_to(alg, CAP))
+        assert cm.check_comorphism(ctx.tau_tilde).to_doc() == report.to_doc()
     print("criterion 01: PASS (comorphism law on five algebras up to weight 5)")
 
 

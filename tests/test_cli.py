@@ -1,6 +1,9 @@
 """End-to-end command-line runs: exit codes, reports, determinism."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -250,6 +253,34 @@ def test_invalid_json_is_a_validation_failure(tmp_path, capsys):
 def test_unknown_command_is_a_usage_error(capsys):
     assert cli.run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_consecutive_runs_share_one_parser_and_match_fresh_processes(tmp_path, capfd):
+    """Runs in one process, after a usage error and across roles, write the
+    same bytes as the same runs in fresh processes."""
+    algebra = write(tmp_path, "e2.json", E2_DOC)
+    moments = write(tmp_path, "m.json", {"moments": ["1/2", "1/3", "1/4"]})
+    the_map = write(tmp_path, "map.json", E2_MAP_DOC)
+    runs = [
+        ["lift", "--weight-cap", "0", "--input", f"algebra={algebra}"],
+        ["lift", "--weight-cap", "3", "--input", f"algebra={algebra}"],
+        ["cumulants", "--input", f"moments={moments}"],
+        ["defects", "--kind", "hom", "--weight-cap", "3", "--input", f"map={the_map}"],
+        # no --input: a role left over from an earlier run would be found
+        ["lift", "--weight-cap", "3"],
+        ["validate", "--input", f"algebra={algebra}"],
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in runs:
+        code = cli.run(argv)
+        got = capfd.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cumalg.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_text_format_renders_and_stays_deterministic(tmp_path, capsys):

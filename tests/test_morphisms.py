@@ -6,7 +6,7 @@ import pytest
 
 import cumalg as cm
 
-from conftest import random_family, random_selement
+from conftest import random_family, random_selement, tensor_law_report
 
 CAP = 4
 
@@ -55,7 +55,7 @@ def test_coderivation_extension_satisfies_co_leibniz(e2, p8, degree, seed):
     rng = random.Random(seed)
     for basis in (e2, p8):
         fam = random_family(rng, basis, degree, 3)
-        report = cm.check_coderivation(cm.extend_coderivation(fam, CAP))
+        report = tensor_law_report(cm.extend_coderivation(fam, CAP), "co-Leibniz")
         assert report.ok, report.witness
 
 
@@ -64,7 +64,7 @@ def test_comorphism_extension_satisfies_the_coalgebra_law(e2, p8, seed):
     rng = random.Random(seed)
     for basis in (e2, p8):
         fam = random_family(rng, basis, 0, 3)
-        report = cm.check_comorphism(cm.extend_coalgebra_map(fam, CAP))
+        report = tensor_law_report(cm.extend_coalgebra_map(fam, CAP), "comorphism")
         assert report.ok, report.witness
 
 

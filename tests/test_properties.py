@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import cumalg as cm
 from cumalg.coalgebra import _wedge_in
 
-from conftest import random_selement, random_vector
+from conftest import random_selement, random_vector, tensor_law_report
 
 # (degree, top power): an even degree gives a truncated polynomial factor,
 # an odd degree an exterior factor (top power 1)
@@ -243,3 +243,81 @@ def test_tau_tilde_after_a_rational_change_of_basis_equals_the_series(A, seed, c
     B = rational_change_of_basis(A, seed)
     lazy = cm.cumulant_context(B, cap).tau_tilde
     assert lazy.first_difference(cm.tau_tilde_series(B, cap)) is None
+
+
+def perturbed(op, rng):
+    """op plus one random term at one random word: a monomial whose degree is
+    the word's shifted by op's degree, with a nonzero coefficient.  Returns
+    op itself when no monomial has that degree."""
+    words = list(cm.monomials_up_to(op.source, op.cap))
+    w = rng.choice(words)
+    fits = [u for u in words if u.degree == w.degree + op.degree]
+    if not fits:
+        return op
+    coeff = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+    term = cm.SElement.from_monomial(op.target, op.cap, rng.choice(fits), coeff)
+
+    def fn(v):
+        return op.on_monomial(v) + term if v == w else op.on_monomial(v)
+
+    return cm.SMap(op.source, op.target, op.cap, op.degree, fn)
+
+
+LAWS = {
+    "comorphism": (cm.extend_coalgebra_map, cm.check_comorphism),
+    "co-Leibniz": (cm.extend_coderivation, cm.check_coderivation),
+}
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@settings(max_examples=30, deadline=None)
+@given(
+    odd_algebras,
+    st.integers(0, 2**32),
+    st.sets(st.integers(1, 3), min_size=1),
+    st.sampled_from([-1, 0, 1]),
+    st.booleans(),
+)
+def test_law_checks_agree_with_the_tensor_oracle(law, A, seed, arities, degree, perturb):
+    extend, check = LAWS[law]
+    if law == "comorphism":
+        degree = 0
+    op = extend(random_family(seed, A, degree, sorted(arities)), 3)
+    if perturb:
+        op = perturbed(op, random.Random(seed))
+    got, want = check(op), tensor_law_report(op, law)
+    assert (got.ok, got.checked, got.witness) == (want.ok, want.checked, want.witness)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_law_checks_refuse_weight_one_values_off_the_stated_degree(law):
+    # a degree-one value at a weight-one word of an operator stated to have
+    # degree 0: no law is checked, and the error names the stated degree
+    A = tensor_algebra([(1, 1), (0, 2)])
+    odd = A.degrees.index(1)
+    off = cm.SElement.from_vector(A.generator(odd), 3)
+    op = cm.SMap(A, A, 3, 0, lambda w: off if w.weight == 1 else cm.SElement.zero(A, 3))
+    with pytest.raises(cm.ValidationError, match=f"{law} check of an operator of degree 0"):
+        LAWS[law][1](op)
+
+
+def random_map(seed, basis, degree):
+    """A random linear endomorphism of the given degree, rational entries."""
+    rng = random.Random(seed)
+    columns = {
+        i: random_vector(rng, basis, d + degree).terms for i, d in enumerate(basis.degrees)
+    }
+    return cm.LinearMap(basis, basis, degree, columns)
+
+
+@pytest.mark.parametrize("kind, degree", [("hom", 0), ("der", -1), ("der", 0), ("der", 1)])
+@settings(max_examples=25, deadline=None)
+@given(odd_algebras, st.integers(0, 2**32), st.integers(2, CAP))
+def test_defect_tables_equal_the_corestricted_conjugate(kind, degree, A, seed, cap):
+    B = rational_change_of_basis(A, seed)
+    m = random_map(seed, B, degree)
+    family = cm.defect_family(m, kind, cap)
+    assert family == cm.extract_family(cm.defect_operator(m, kind, cap), cap)
+    table = cm.homomorphism_defect if kind == "hom" else cm.derivation_defect
+    for n in range(1, cap + 1):
+        assert table(m, n, cap) == family.tables.get(n, {})
