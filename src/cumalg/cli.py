@@ -107,7 +107,10 @@ def _algebra_from_map_doc(doc):
 def cmd_validate(args, inputs):
     results = {}
     ok = True
-    if "algebra" not in inputs and "retract" not in inputs:
+    unread = [role for role in inputs if role not in ("algebra", "retract")]
+    if unread:
+        raise UsageError(f"validate reads only algebra and retract, not {', '.join(unread)}")
+    if not inputs:
         raise UsageError("validate needs --input algebra=... and/or retract=...")
     if "algebra" in inputs:
         doc = _load_json(inputs["algebra"])

@@ -21,6 +21,7 @@ from .algebra import (
     ValidationError,
     Vector,
     format_scalar,
+    parity_sign,
     parse_scalar,
 )
 
@@ -36,17 +37,13 @@ def koszul_sign(degrees, permutation) -> int:
     n = len(permutation)
     if sorted(permutation) != list(range(n)) or len(degrees) != n:
         raise ValidationError("malformed permutation")
-    sign = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if permutation[i] > permutation[j]:
-                sign *= -1 if (degrees[i] % 2) and (degrees[j] % 2) else 1
-    return sign
+    return _sort_sign(permutation, degrees)
 
 
 def _sort_sign(indices, degrees):
     """Koszul sign of stably sorting `indices` ascending; None if an odd
-    degree repeats (the monomial is zero)."""
+    degree repeats (the monomial is zero).  The one loop that counts odd
+    inversions."""
     sign = 1
     n = len(indices)
     for i in range(n):
@@ -296,8 +293,7 @@ class TensorPairSum(LinearCombination):
         """Apply the graded flip l⊗r -> (-1)^(|l||r|) r⊗l."""
         out = TensorPairSum()
         for (l, r), c in self.terms.items():
-            sign = -1 if (l.degree % 2) and (r.degree % 2) else 1
-            out.add_term((r, l), sign * c)
+            out.add_term((r, l), parity_sign(l.degree, r.degree) * c)
         return out
 
     def __repr__(self):
@@ -357,13 +353,10 @@ def _ordered_splits(positions, k):
 
 
 def _rearrangement_sign(mono: WedgeMonomial, blocks) -> int:
-    """Koszul sign of listing the factors block by block."""
-    degs = mono.factor_degrees
+    """Koszul sign of listing the factors block by block: the sign of sorting
+    the listed positions back into order."""
     order = [p for block in blocks for p in block]
-    perm = [0] * len(order)
-    for new_pos, old_pos in enumerate(order):
-        perm[old_pos] = new_pos
-    return koszul_sign(degs, perm)
+    return _sort_sign(order, [mono.factor_degrees[p] for p in order])
 
 
 def iterated_coproduct(w: WedgeMonomial, k: int):

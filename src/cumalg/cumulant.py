@@ -23,7 +23,6 @@ from .coalgebra import (
     DEFAULT_WEIGHT_CAP,
     SElement,
     WedgeMonomial,
-    canonical_monomials,
     iterated_coproduct,
     wedge,
 )
@@ -50,22 +49,12 @@ def tau(algebra: AlgebraPresentation, w: WedgeMonomial) -> Vector:
 
 def tau_family(algebra: AlgebraPresentation, max_arity: int) -> TaylorFamily:
     """Taylor coefficients of tau_tilde: the n-fold products, one table per arity."""
-    return _product_family(algebra, max_arity, lambda arity: 1)
+    return coefficient_family(algebra, algebra, 0, max_arity, lambda mono: tau(algebra, mono))
 
 
-def _product_family(algebra: AlgebraPresentation, max_arity: int, scale) -> TaylorFamily:
-    """The n-fold products times `scale(n)`, one table per arity."""
-    tables: dict = {}
-    for arity in range(1, max_arity + 1):
-        factor = scale(arity)
-        table = {}
-        for mono in canonical_monomials(algebra, arity):
-            value = tau(algebra, mono)
-            if not value.is_zero():
-                table[mono] = value if factor == 1 else factor * value
-        if table:
-            tables[arity] = table
-    return TaylorFamily(algebra, algebra, 0, tables)
+def _mobius(n: int) -> int:
+    """(-1)^(n-1) (n-1)!, the arity-n scale of the inverse's Taylor family."""
+    return (-1) ** (n - 1) * math.factorial(n - 1)
 
 
 class _LazyProducts(TaylorFamily):
@@ -78,7 +67,6 @@ class _LazyProducts(TaylorFamily):
     def __init__(self, algebra: AlgebraPresentation, cap: int):
         super().__init__(algebra, algebra, 0, {})
         self._cap = cap
-        self._zero = Vector.zero(algebra)
         self._products: dict = {}
 
     def arities(self):
@@ -89,7 +77,7 @@ class _LazyProducts(TaylorFamily):
         if value is None:
             value = tau(self.source, mono)
             if value.is_zero():
-                value = self._zero  # one shared zero, not one per product
+                value = self._zero  # the family's shared zero, not one per product
             self._products[mono] = value
         return value
 
@@ -183,8 +171,8 @@ def mobius_inverse_family(algebra: AlgebraPresentation, max_arity: int) -> Taylo
     extending it as a coalgebra map gives a second, recursion-free route to
     the inverse.
     """
-    return _product_family(
-        algebra, max_arity, lambda arity: (-1) ** (arity - 1) * math.factorial(arity - 1)
+    return coefficient_family(
+        algebra, algebra, 0, max_arity, lambda mono: _mobius(mono.weight) * tau(algebra, mono)
     )
 
 
@@ -232,14 +220,14 @@ def defect_coefficients(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP):
 
     Only the corestriction of inverse∘bare∘tau_tilde is read, and the
     corestriction of the inverse is the Möbius family: a word u of weight n
-    goes to (-1)^(n-1) (n-1)! tau(u).  So the coefficient at w sums
-    c·(-1)^(n-1) (n-1)!·tau(u) over the terms c·u of (bare∘tau_tilde)(w),
+    goes to _mobius(n) tau(u) = (-1)^(n-1) (n-1)! tau(u).  So the coefficient
+    at w sums c·_mobius(n)·tau(u) over the terms c·u of (bare∘tau_tilde)(w),
     with the products taken from the memo that the target's tau_tilde uses.
     """
     bare = _bare_extension(m, kind, cap)
     lift = cumulant_context(m.source, cap).tau_tilde
     products = cumulant_context(m.target, cap).products
-    mobius = [0] + [(-1) ** (n - 1) * math.factorial(n - 1) for n in range(1, cap + 1)]
+    mobius = [0] + [_mobius(n) for n in range(1, cap + 1)]
 
     def coefficient(w: WedgeMonomial) -> Vector:
         out = Vector(m.target)
@@ -261,18 +249,20 @@ def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP,
     )
 
 
-def homomorphism_defect(f: LinearMap, n: int, cap: int = DEFAULT_WEIGHT_CAP) -> dict:
-    """The arity-n table measuring failure of f to be an algebra map."""
+def _defect_table(m: LinearMap, kind: str, n: int, cap: int) -> dict:
     if n > cap:
         raise ValidationError(f"arity {n} exceeds the weight cap {cap}")
-    return coefficient_table(f.source, n, defect_coefficients(f, "hom", cap))
+    return coefficient_table(m.source, n, defect_coefficients(m, kind, cap))
+
+
+def homomorphism_defect(f: LinearMap, n: int, cap: int = DEFAULT_WEIGHT_CAP) -> dict:
+    """The arity-n table measuring failure of f to be an algebra map."""
+    return _defect_table(f, "hom", n, cap)
 
 
 def derivation_defect(d: LinearMap, n: int, cap: int = DEFAULT_WEIGHT_CAP) -> dict:
     """The arity-n table measuring failure of d to be a derivation."""
-    if n > cap:
-        raise ValidationError(f"arity {n} exceeds the weight cap {cap}")
-    return coefficient_table(d.source, n, defect_coefficients(d, "der", cap))
+    return _defect_table(d, "der", n, cap)
 
 
 def vanishes_above_one(family: TaylorFamily) -> bool:

@@ -18,6 +18,7 @@ from .algebra import (
     Vector,
     format_scalar,
     is_integer,
+    parity_sign,
     same_basis,
 )
 from .coalgebra import (
@@ -73,6 +74,7 @@ class TaylorFamily:
             if kept:
                 clean[arity] = kept
         self.tables = clean
+        self._zero = Vector.zero(target)  # the one value of every missing entry
 
     @classmethod
     def from_linear_map(cls, m: LinearMap) -> "TaylorFamily":
@@ -91,8 +93,7 @@ class TaylorFamily:
         return max(self.tables, default=0)
 
     def coefficient(self, mono: WedgeMonomial) -> Vector:
-        value = self.tables.get(mono.weight, {}).get(mono)
-        return Vector.zero(self.target) if value is None else value
+        return self.tables.get(mono.weight, {}).get(mono, self._zero)
 
     def evaluate(self, factors) -> Vector:
         """Value at an arbitrary (possibly unsorted) factor index tuple."""
@@ -271,15 +272,11 @@ class SMap:
     def equal_up_to(self, other: "SMap", max_weight: int | None = None) -> bool:
         return self.first_difference(other, max_weight) is None
 
-    def table(self, max_weight: int | None = None):
-        top = self.cap if max_weight is None else max_weight
-        return {w: self.on_monomial(w) for w in monomials_up_to(self.source, top)}
-
-    def to_doc(self, max_weight: int | None = None):
-        rows = []
-        for w, image in self.table(max_weight).items():
-            rows.append({"monomial": w.names(self.source), "value": image.to_doc()})
-        return rows
+    def to_doc(self):
+        return [
+            {"monomial": w.names(self.source), "value": self.on_monomial(w).to_doc()}
+            for w in monomials_up_to(self.source, self.cap)
+        ]
 
 
 def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
@@ -393,41 +390,7 @@ def extract_family(op: SMap, max_arity: int) -> TaylorFamily:
 
 def bracket(d1: SMap, d2: SMap) -> SMap:
     """Graded commutator d1∘d2 - (-1)^(|d1||d2|) d2∘d1."""
-    sign = -1 if (d1.degree % 2) and (d2.degree % 2) else 1
-    return d1.compose(d2) - sign * d2.compose(d1)
-
-
-def _apply_left(op: SMap, pairs: TensorPairSum) -> TensorPairSum:
-    out = TensorPairSum()
-    for (l, r), c in pairs.terms.items():
-        for wl, cl in op.on_monomial(l).terms.items():
-            out.add_term((wl, r), c * cl)
-    return out
-
-
-def _apply_right(op: SMap, pairs: TensorPairSum) -> TensorPairSum:
-    out = TensorPairSum()
-    odd = op.degree % 2
-    for (l, r), c in pairs.terms.items():
-        sign = -1 if odd and (l.degree % 2) else 1
-        for wr, cr in op.on_monomial(r).terms.items():
-            out.add_term((l, wr), sign * c * cr)
-    return out
-
-
-def _apply_either(op: SMap, pairs: TensorPairSum) -> TensorPairSum:
-    return _apply_left(op, pairs).accumulate(_apply_right(op, pairs))
-
-
-def _apply_both(op: SMap, pairs: TensorPairSum) -> TensorPairSum:
-    out = TensorPairSum()
-    for (l, r), c in pairs.terms.items():
-        left = op.on_monomial(l)
-        right = op.on_monomial(r)
-        for wl, cl in left.terms.items():
-            for wr, cr in right.terms.items():
-                out.add_term((wl, wr), c * cl * cr)
-    return out
+    return d1.compose(d2) - parity_sign(d1.degree, d2.degree) * d2.compose(d1)
 
 
 def _tensor_doc(pairs: TensorPairSum, basis_l: GradedBasis, basis_r: GradedBasis):
@@ -459,27 +422,27 @@ class CheckReport:
         return doc
 
 
-def _coproduct_law(law: str, op: SMap, extend, rhs, max_weight: int | None) -> CheckReport:
-    """Compare op with `extend` of its corestriction, monomial by monomial up
-    to max_weight; build Δ̄∘op and rhs(op, Δ̄) as tensor sums only at the
-    first monomial where the two differ, for the witness.
+def _coproduct_law(law: str, op: SMap, extend) -> CheckReport:
+    """Compare op with `extend` of its corestriction E, monomial by monomial
+    up to the cap; at the first monomial w where the two differ, report
+    Δ̄(op(w)) against Δ̄(E(w)), the law's expected side, as tensor sums.
 
     The extension of a corestriction is the one operator of its kind with
     those weight-one values.  Say op and that extension E agree below weight
-    n.  At a weight-n word w every split of Δ̄(w) is shorter, so
-    rhs(op, Δ̄w) = rhs(E, Δ̄w) = Δ̄(E(w)), and the law holds at w iff
-    op(w) - E(w) is primitive.  Both have the same weight-one part, and over
-    ℚ Δ̄ is injective on weight >= 2 (μ∘Δ̄ = (2ⁿ - 2)·id on weight n), so the
-    law holds at w iff op(w) = E(w).  The first difference is thus the first
+    n.  At a weight-n word w every split of Δ̄(w) is shorter, so the law's
+    right side, (op⊗op)Δ̄w or (op⊗1 + 1⊗op)Δ̄w, is the same with E in place
+    of op, which is Δ̄(E(w)); the law holds at w iff op(w) - E(w) is
+    primitive.  Both have the same weight-one part, and over ℚ Δ̄ is
+    injective on weight >= 2 (μ∘Δ̄ = (2ⁿ - 2)·id on weight n), so the law
+    holds at w iff op(w) = E(w).  The first difference is thus the first
     broken law, and `checked` counts what the plain tensor walk would.
 
     The corestriction must be of op's stated degree, which the law's Koszul
     signs use: a weight-one value off that degree raises ValidationError
     before any law is checked.
     """
-    top = op.cap if max_weight is None else max_weight
     try:
-        family = extract_family(op, top)
+        family = extract_family(op, op.cap)
     except ValidationError as err:
         raise ValidationError(
             f"{law} check of an operator of degree {op.degree}: {err}"
@@ -487,11 +450,11 @@ def _coproduct_law(law: str, op: SMap, extend, rhs, max_weight: int | None) -> C
     again = extend(family, op.cap)
     try:
         checked = 0
-        for w in monomials_up_to(op.source, top):
+        for w in monomials_up_to(op.source, op.cap):
             checked += 1
             if op.on_monomial(w) != again.on_monomial(w):
                 lhs = coproduct_element(op.on_monomial(w))
-                expected = rhs(op, coproduct(w))
+                expected = coproduct_element(again.on_monomial(w))
                 witness = {
                     "monomial": w.names(op.source),
                     "lhs": _tensor_doc(lhs, op.target, op.target),
@@ -503,20 +466,20 @@ def _coproduct_law(law: str, op: SMap, extend, rhs, max_weight: int | None) -> C
         again._cache.clear()  # a coalgebra-map extension's memo refers to itself
 
 
-def check_coderivation(op: SMap, max_weight: int | None = None) -> CheckReport:
+def check_coderivation(op: SMap) -> CheckReport:
     """Verify the co-Leibniz law Δ̄∘op = (op⊗1 + 1⊗op)∘Δ̄, by comparing op
     with the coderivation extension of its corestriction (`_coproduct_law`)."""
     if not same_basis(op.source, op.target):
         raise ValidationError("co-Leibniz needs an endo-operator")
-    return _coproduct_law("co-Leibniz", op, extend_coderivation, _apply_either, max_weight)
+    return _coproduct_law("co-Leibniz", op, extend_coderivation)
 
 
-def check_comorphism(op: SMap, max_weight: int | None = None) -> CheckReport:
+def check_comorphism(op: SMap) -> CheckReport:
     """Verify the coalgebra-map law Δ̄∘op = (op⊗op)∘Δ̄, by comparing op with
     the coalgebra-map extension of its corestriction (`_coproduct_law`)."""
     if op.degree != 0:
         raise ValidationError("comorphism check needs a degree-zero operator")
-    return _coproduct_law("comorphism", op, extend_coalgebra_map, _apply_both, max_weight)
+    return _coproduct_law("comorphism", op, extend_coalgebra_map)
 
 
 def check_filtration_one_identity(op: SMap) -> CheckReport:
@@ -547,16 +510,13 @@ def triangular_inverse(op: SMap, law: str = "triangular inverse") -> SMap:
         raise ValidationError("triangular inversion needs an endo-operator")
     basis, cap = op.source, op.cap
 
-    inverse_ref: list = []
-
     def fn(w: WedgeMonomial) -> SElement:
         remainder = op.on_monomial(w) - SElement.from_monomial(basis, cap, w)
         if remainder.max_weight() >= w.weight and not remainder.is_zero():
             raise ValidationError(
                 f"{law}: operator is not triangular at {w.names(basis)}"
             )
-        return SElement.from_monomial(basis, cap, w) - inverse_ref[0](remainder)
+        return SElement.from_monomial(basis, cap, w) - inverse(remainder)
 
     inverse = SMap(basis, basis, cap, 0, fn, "inv")
-    inverse_ref.append(inverse)
     return inverse

@@ -94,6 +94,21 @@ def test_validate_needs_some_input(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_validate_refuses_roles_it_does_not_read(tmp_path, capsys):
+    """validate opens only algebra and retract documents; a malformed map
+    next to a good algebra is a usage error naming the role, not a pass."""
+    algebra = write(tmp_path, "e2.json", E2_DOC)
+    bad_map = write(tmp_path, "bad.json", {"source": "not an algebra", "entries": 3})
+    argv = ["validate", "--input", f"algebra={algebra}", "--input", f"map={bad_map}"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and "map" in captured.err
+    moments = write(tmp_path, "m.json", {"moments": ["1/2"]})
+    assert cli.run(["validate", "--input", f"moments={moments}"]) == 2
+    assert "moments" in capsys.readouterr().err
+
+
 def test_lift_tabulates_the_bijection(tmp_path, capsys):
     path = write(tmp_path, "e2.json", E2_DOC)
     code, report = run_json(

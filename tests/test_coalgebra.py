@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import cumalg as cm
-from cumalg.coalgebra import first_blocks, repetition_pattern
+from cumalg.coalgebra import _rearrangement_sign, first_blocks, repetition_pattern
 
 from conftest import random_selement
 
@@ -45,6 +45,24 @@ def test_koszul_sign_matches_transposition_count(seed):
         perm = list(range(n))
         rng.shuffle(perm)
         assert cm.koszul_sign(degrees, tuple(perm)) == bubble_sign(degrees, perm)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rearrangement_sign_matches_transposition_count(seed):
+    """Listing a word's factors block by block, for 2 or 3 blocks of sorted
+    positions, picks up the sign of the adjacent swaps that do it."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        degrees = tuple(rng.choice((-1, 0, 1, 2, 3)) for _ in range(n))
+        k = rng.randint(2, min(3, n))
+        labels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        rng.shuffle(labels)
+        blocks = [tuple(p for p in range(n) if labels[p] == b) for b in range(k)]
+        order = [p for block in blocks for p in block]
+        perm = [order.index(p) for p in range(n)]
+        w = cm.WedgeMonomial(tuple(range(n)), degrees)
+        assert _rearrangement_sign(w, blocks) == bubble_sign(degrees, perm)
 
 
 def test_koszul_sign_is_multiplicative():

@@ -290,7 +290,8 @@ def test_defect_family_respects_the_arity_bound(p8):
 
 def test_accumulation_never_writes_into_shared_values(monkeypatch):
     """Sums accumulate in place, but only into fresh objects: product tables,
-    family tables and cached operator images stay as they were handed out."""
+    family tables, each family's shared zero and cached operator images stay
+    as they were handed out."""
     A = cm.parse_algebra(E2_DOC)
     f = cm.parse_linear_map(E2_MAP_DOC, A, A)
     t = cm.parse_transfer_input(k2_doc())
@@ -304,6 +305,7 @@ def test_accumulation_never_writes_into_shared_values(monkeypatch):
     def recording(extend):
         def record(family, cap):
             keep(family.tables)
+            keep(family._zero)
             return extend(family, cap)
         return record
 
@@ -334,6 +336,7 @@ def test_accumulation_never_writes_into_shared_values(monkeypatch):
     keep(t.retract.algebra.products)
 
     ctx = cm.cumulant_context(A, CAP)
+    keep(ctx.products._zero)
     ctx.tau_tilde.to_doc()
     ctx.tau_tilde_inverse.to_doc()
     cm.defect_family(f, "hom", cap=3)

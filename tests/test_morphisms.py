@@ -1,4 +1,6 @@
 """Extensions from Taylor coefficients and the coefficient calculus."""
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -221,6 +223,36 @@ def test_coderivation_check_reports_the_first_witness(e2):
     report = cm.check_coderivation(bad)
     assert not report.ok
     assert report.witness["monomial"] == ["a", "b"]
+
+
+# one term off a seeded extension at the weight-3 word a∧b∧g of e2: the law,
+# the degree, the term, and the SHA-256 of the failing report's JSON
+BROKEN_LAWS = {
+    "comorphism": (cm.extend_coalgebra_map, cm.check_comorphism, 0, (2, 2),
+                   "c399b476d8181c9b1b9562db7b3c559c1fd72dcecc37b82f1f776687d6b9cb5f"),
+    "co-Leibniz": (cm.extend_coderivation, cm.check_coderivation, -1, (0, 2),
+                   "99776cf6662751db306e35ec0e8989defbb322f7ce1704aceb857889c6d1ba4a"),
+}
+
+
+@pytest.mark.parametrize("law", sorted(BROKEN_LAWS))
+def test_a_broken_law_reports_the_oracle_witness(e2, law):
+    """The checker reports the plain tensor walk's witness at the word where
+    the law first breaks, its expected side included, down to the bytes."""
+    extend, check, degree, term, digest = BROKEN_LAWS[law]
+    lawful = extend(random_family(random.Random(11), e2, degree, 3), CAP)
+    w = cm.monomial(e2, (0, 1, 2))
+    bump = se(e2, CAP, term, Fraction(-3, 2))
+
+    def fn(v):
+        return lawful.on_monomial(v) + bump if v == w else lawful.on_monomial(v)
+
+    op = cm.SMap(e2, e2, CAP, degree, fn)
+    got, want = check(op).to_doc(), tensor_law_report(op, law).to_doc()
+    assert got == want
+    assert not got["ok"] and got["witness"]["monomial"] == ["a", "b", "g"]
+    text = json.dumps(got, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_weight_one_identity_check(e2):
