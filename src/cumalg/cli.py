@@ -30,6 +30,15 @@ from .transfer import (
 
 WEIGHT_CAP_CEILING = 10
 ROLES = ("algebra", "map", "retract", "transfer", "moments")
+# the input roles each command opens; any other role given is a usage error
+READS = {
+    "validate": ("algebra", "retract"),
+    "lift": ("algebra",),
+    "invert": ("algebra",),
+    "defects": ("map",),
+    "transfer": ("transfer",),
+    "cumulants": ("moments",),
+}
 
 
 class UsageError(Exception):
@@ -67,15 +76,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_inputs(pairs) -> dict:
+def _parse_inputs(command: str, pairs) -> dict:
+    reads = READS[command]
     inputs = {}
     for item in pairs:
         role, sep, path = item.partition("=")
         if not sep or role not in ROLES:
             raise UsageError(f"--input must look like role=path with role in {ROLES}")
+        if role not in reads:
+            raise UsageError(f"{command} reads only {' and '.join(reads)}, not {role}")
         if role in inputs:
             raise UsageError(f"role {role!r} given twice")
         inputs[role] = path
+    if not inputs:
+        raise UsageError(
+            f"{command} needs --input " + " and/or ".join(f"{r}=<path>" for r in reads)
+        )
     return inputs
 
 
@@ -86,12 +102,6 @@ def _load_json(path):
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}") from None
     return json.loads(text)
-
-
-def _require(inputs: dict, role: str) -> str:
-    if role not in inputs:
-        raise UsageError(f"this command needs --input {role}=<path>")
-    return inputs[role]
 
 
 def _algebra_from_map_doc(doc):
@@ -107,11 +117,6 @@ def _algebra_from_map_doc(doc):
 def cmd_validate(args, inputs):
     results = {}
     ok = True
-    unread = [role for role in inputs if role not in ("algebra", "retract")]
-    if unread:
-        raise UsageError(f"validate reads only algebra and retract, not {', '.join(unread)}")
-    if not inputs:
-        raise UsageError("validate needs --input algebra=... and/or retract=...")
     if "algebra" in inputs:
         doc = _load_json(inputs["algebra"])
         algebra = parse_algebra(doc)
@@ -125,14 +130,14 @@ def cmd_validate(args, inputs):
 
 
 def cmd_lift(args, inputs, inverse=False):
-    algebra = parse_algebra(_load_json(_require(inputs, "algebra")))
+    algebra = parse_algebra(_load_json(inputs["algebra"]))
     ctx = cumulant_context(algebra, args.weight_cap)
     op = ctx.tau_tilde_inverse if inverse else ctx.tau_tilde
     return {"table": op.to_doc()}, True
 
 
 def cmd_defects(args, inputs):
-    doc = _load_json(_require(inputs, "map"))
+    doc = _load_json(inputs["map"])
     source, target = _algebra_from_map_doc(doc)
     m = parse_linear_map(doc, source, target)
     family = defect_family(m, args.kind, cap=args.weight_cap)
@@ -169,7 +174,7 @@ def _arity3_comparison(d, family, cap):
 
 
 def cmd_transfer(args, inputs):
-    t = parse_transfer_input(_load_json(_require(inputs, "transfer")))
+    t = parse_transfer_input(_load_json(inputs["transfer"]))
     try:
         result = induced_cumulant_bijection(t, args.weight_cap)
     except TransferError as err:
@@ -179,7 +184,7 @@ def cmd_transfer(args, inputs):
 
 
 def cmd_cumulants(args, inputs):
-    moments = parse_moments(_load_json(_require(inputs, "moments")))
+    moments = parse_moments(_load_json(inputs["moments"]))
     if len(moments) > args.weight_cap:
         raise AlgebraError(
             f"{len(moments)} moments exceed the weight cap {args.weight_cap}"
@@ -261,7 +266,7 @@ def run(argv) -> int:
                 "sums over the 2^(n-1) blocks that hold its first factor",
                 file=sys.stderr,
             )
-        inputs = _parse_inputs(args.input)
+        inputs = _parse_inputs(args.command, args.input)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

@@ -262,12 +262,7 @@ class SMap:
 
     def first_difference(self, other: "SMap", max_weight: int | None = None):
         """Earliest canonical monomial where the two operators disagree."""
-        self._check_peer(other)
-        top = self.cap if max_weight is None else max_weight
-        for w in monomials_up_to(self.source, top):
-            if self.on_monomial(w) != other.on_monomial(w):
-                return w
-        return None
+        return _walk(self, other, max_weight)[0]
 
     def equal_up_to(self, other: "SMap", max_weight: int | None = None) -> bool:
         return self.first_difference(other, max_weight) is None
@@ -277,6 +272,19 @@ class SMap:
             {"monomial": w.names(self.source), "value": self.on_monomial(w).to_doc()}
             for w in monomials_up_to(self.source, self.cap)
         ]
+
+
+def _walk(lhs: SMap, rhs: SMap, top: int | None = None):
+    """The first canonical monomial up to weight `top` (default the cap) at
+    which two operators of one shape differ, or None, and how many
+    monomials the walk took, that one included."""
+    lhs._check_peer(rhs)
+    walked = 0
+    for w in monomials_up_to(lhs.source, lhs.cap if top is None else top):
+        walked += 1
+        if lhs.on_monomial(w) != rhs.on_monomial(w):
+            return w, walked
+    return None, walked
 
 
 def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
@@ -422,6 +430,22 @@ class CheckReport:
         return doc
 
 
+def compare(law: str, lhs: SMap, rhs: SMap, top: int | None = None,
+            sides=None) -> CheckReport:
+    """Report `law` as lhs = rhs on the canonical monomials up to weight
+    `top` (default the cap).  `checked` counts the monomials walked, up to
+    and including the first difference w; the witness holds w and the
+    entries of `sides(w)`, by default both operators' values at w.  Raises
+    ValidationError when the two operators differ in shape."""
+    w, walked = _walk(lhs, rhs, top)
+    if w is None:
+        return CheckReport(law, True, walked)
+    if sides is None:
+        def sides(w):
+            return {"lhs": lhs.on_monomial(w).to_doc(), "rhs": rhs.on_monomial(w).to_doc()}
+    return CheckReport(law, False, walked, {"monomial": w.names(lhs.source), **sides(w)})
+
+
 def _coproduct_law(law: str, op: SMap, extend) -> CheckReport:
     """Compare op with `extend` of its corestriction E, monomial by monomial
     up to the cap; at the first monomial w where the two differ, report
@@ -448,20 +472,15 @@ def _coproduct_law(law: str, op: SMap, extend) -> CheckReport:
             f"{law} check of an operator of degree {op.degree}: {err}"
         ) from None
     again = extend(family, op.cap)
+
+    def tensor_sides(w):
+        return {
+            "lhs": _tensor_doc(coproduct_element(op.on_monomial(w)), op.target, op.target),
+            "rhs": _tensor_doc(coproduct_element(again.on_monomial(w)), op.target, op.target),
+        }
+
     try:
-        checked = 0
-        for w in monomials_up_to(op.source, op.cap):
-            checked += 1
-            if op.on_monomial(w) != again.on_monomial(w):
-                lhs = coproduct_element(op.on_monomial(w))
-                expected = coproduct_element(again.on_monomial(w))
-                witness = {
-                    "monomial": w.names(op.source),
-                    "lhs": _tensor_doc(lhs, op.target, op.target),
-                    "rhs": _tensor_doc(expected, op.target, op.target),
-                }
-                return CheckReport(law, False, checked, witness)
-        return CheckReport(law, True, checked)
+        return compare(law, op, again, sides=tensor_sides)
     finally:
         again._cache.clear()  # a coalgebra-map extension's memo refers to itself
 
@@ -483,20 +502,10 @@ def check_comorphism(op: SMap) -> CheckReport:
 
 
 def check_filtration_one_identity(op: SMap) -> CheckReport:
-    """Verify the operator fixes every weight-one monomial."""
-    checked = 0
-    for w in canonical_monomials(op.source, 1):
-        checked += 1
-        expected = SElement.from_monomial(op.target, op.cap, w)
-        got = op.on_monomial(w)
-        if got != expected:
-            witness = {
-                "monomial": w.names(op.source),
-                "lhs": got.to_doc(),
-                "rhs": expected.to_doc(),
-            }
-            return CheckReport("weight-one identity", False, checked, witness)
-    return CheckReport("weight-one identity", True, checked)
+    """Verify the operator fixes every weight-one monomial.  An operator whose
+    source is not its target raises ValidationError ("operator shape
+    mismatch")."""
+    return compare("weight-one identity", op, SMap.identity(op.source, op.cap), top=1)
 
 
 def triangular_inverse(op: SMap, law: str = "triangular inverse") -> SMap:

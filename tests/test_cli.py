@@ -109,6 +109,35 @@ def test_validate_refuses_roles_it_does_not_read(tmp_path, capsys):
     assert "moments" in capsys.readouterr().err
 
 
+# each command's arguments, with a role it opens and a role it does not
+COMMAND_ROLES = {
+    "validate": (["validate"], "algebra", E2_DOC, "transfer"),
+    "lift": (["lift"], "algebra", E2_DOC, "map"),
+    "invert": (["invert"], "algebra", E2_DOC, "retract"),
+    "defects": (["defects", "--kind", "hom"], "map", E2_MAP_DOC, "algebra"),
+    "transfer": (["transfer"], "transfer", k2_doc(), "moments"),
+    "cumulants": (["cumulants"], "moments", {"moments": ["1/2"]}, "map"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ROLES))
+def test_every_command_refuses_roles_it_does_not_read(tmp_path, capsys, command):
+    """A malformed document under a role the command never opens is a usage
+    error naming that role, not a pass; so is giving no input at all."""
+    argv, role, doc, unread = COMMAND_ROLES[command]
+    good = write(tmp_path, "good.json", doc)
+    bad = write(tmp_path, "bad.json", {"source": "not an algebra", "entries": 3})
+    assert cli.run(argv + ["--input", f"{role}={good}"]) == 0
+    capsys.readouterr()
+    assert cli.run(argv + ["--input", f"{role}={good}", "--input", f"{unread}={bad}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and unread in captured.err
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err
+
+
 def test_lift_tabulates_the_bijection(tmp_path, capsys):
     path = write(tmp_path, "e2.json", E2_DOC)
     code, report = run_json(

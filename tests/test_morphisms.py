@@ -260,6 +260,27 @@ def test_weight_one_identity_check(e2):
     report = cm.check_filtration_one_identity(2 * cm.SMap.identity(e2, CAP))
     assert not report.ok
     assert report.witness["monomial"] == ["a"]
+    ident = cm.SMap.identity(e2, CAP)
+    fixes_a_only = cm.SMap(
+        e2, e2, CAP, 0, lambda w: (2 if w.indices == (1,) else 1) * ident.on_monomial(w)
+    )
+    # `checked` counts the walk up to and including the witness
+    assert cm.check_filtration_one_identity(fixes_a_only).to_doc() == {
+        "law": "weight-one identity",
+        "ok": False,
+        "checked": 2,
+        "witness": {
+            "monomial": ["b"],
+            "lhs": [{"monomial": ["b"], "coeff": "2"}],
+            "rhs": [{"monomial": ["b"], "coeff": "1"}],
+        },
+    }
+
+
+def test_weight_one_identity_needs_an_endo_operator(e2, p4):
+    op = cm.SMap(e2, p4, CAP, 0, lambda w: cm.SElement.zero(p4, CAP))
+    with pytest.raises(cm.ValidationError, match="operator shape mismatch"):
+        cm.check_filtration_one_identity(op)
 
 
 def test_triangular_inverse_round_trips(e2):
