@@ -166,8 +166,8 @@ class LinearCombination:
         """Add `scale * other` into this element in place; returns self.
 
         Only for an element the calling routine has just created: a value
-        handed out elsewhere (a product table entry, a cached image, a
-        memoized coproduct) must never be the receiver.
+        handed out elsewhere (a product table entry, a cached image) must
+        never be the receiver.
         """
         items = other.terms.items()
         if scale != 1:

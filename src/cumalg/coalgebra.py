@@ -18,6 +18,7 @@ from operator import itemgetter
 from .algebra import (
     GradedBasis,
     LinearCombination,
+    SchemaError,
     ValidationError,
     Vector,
     format_scalar,
@@ -224,15 +225,22 @@ class SElement(LinearCombination):
 
     @classmethod
     def from_doc(cls, basis, cap, doc):
+        if not isinstance(doc, list):
+            raise SchemaError("coalgebra element document must be a list")
         out = cls(basis, cap)
         for entry in doc:
-            indices = [basis.index(n) for n in entry["monomial"]]
-            norm = normalize_monomial(basis, indices)
-            if norm is None:
-                continue
-            w, sign = norm
-            out._check_key(w)
-            out.add_term(w, sign * parse_scalar(entry["coeff"]))
+            if (
+                not isinstance(entry, dict)
+                or not isinstance(entry.get("monomial"), list)
+                or "coeff" not in entry
+            ):
+                raise SchemaError(f"bad coalgebra element entry: {entry!r}")
+            coeff = parse_scalar(entry["coeff"])
+            norm = normalize_monomial(basis, [basis.index(n) for n in entry["monomial"]])
+            if norm is not None:
+                w, sign = norm
+                out._check_key(w)
+                out.add_term(w, sign * coeff)
         return out
 
 
@@ -300,35 +308,62 @@ class TensorPairSum(LinearCombination):
         return " + ".join(f"({c})*{l}⊗{r}" for (l, r), c in self.items()) or "0"
 
 
-def _coproduct_cached(mono: WedgeMonomial) -> TensorPairSum:
-    """The one place that splits a monomial into signed position blocks."""
-    out = TensorPairSum()
-    n = mono.weight
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            complement = tuple(p for p in range(n) if p not in subset)
-            sign = _rearrangement_sign(mono, (subset, complement))
-            out.add_term((mono.part(subset), mono.part(complement)), sign)
-    return out
-
-
-# shared by every job in a process; past the bound the oldest entry goes
+# shared by every job in a process, keyed by word shape; past the bound the
+# oldest entry goes
 COPRODUCT_MEMO_ENTRIES = 2048
 _coproduct_memo: dict = {}
 
 
+def splits(w: WedgeMonomial) -> tuple:
+    """The one place that splits a word: its signed splits into a nonempty
+    block and a nonempty rest, up to permuting equal factors, as
+    (block, rest, coeff, first) tuples of sorted positions.
+
+    With repetition pattern (m_0, m_1, ...), a block takes the first c_k
+    positions of run k.  Equal factors are even, so which ones it takes
+    changes neither value nor sign: the split stands for
+    coeff = sign · prod_k C(m_k, c_k) position splits, sign being the
+    Koszul sign of listing block before rest, and
+    first = coeff · c_0 / m_0 = sign · C(m_0 - 1, c_0 - 1) · prod_{k>=1} C(m_k, c_k)
+    of them hold the first factor in the block (for (n,) these are the
+    C(n-1, k-1) of the moment recursion).  The table depends only on the
+    pattern and the factor parities, which key it in `_coproduct_memo`.
+    """
+    key = (repetition_pattern(w[0]), tuple(d % 2 for d in w[1]))
+    table = _coproduct_memo.get(key)
+    if table is None:
+        if len(_coproduct_memo) >= COPRODUCT_MEMO_ENTRIES:
+            del _coproduct_memo[next(iter(_coproduct_memo))]
+        table = _coproduct_memo[key] = _split_table(*key)
+    return table
+
+
+def _split_table(pattern, parities) -> tuple:
+    starts = tuple(itertools.accumulate(pattern, initial=0))
+    table = []
+    for counts in itertools.product(*(range(m + 1) for m in pattern)):
+        if not any(counts) or counts == pattern:
+            continue
+        runs = tuple(zip(starts, pattern, counts))
+        block = tuple(p for s, _, c in runs for p in range(s, s + c))
+        rest = tuple(p for s, m, c in runs for p in range(s + c, s + m))
+        order = block + rest
+        coeff = _sort_sign(order, [parities[p] for p in order]) * math.prod(
+            math.comb(m, c) for m, c in zip(pattern, counts)
+        )
+        table.append((block, rest, coeff, coeff * counts[0] // pattern[0]))
+    return tuple(table)
+
+
 def coproduct(w: WedgeMonomial) -> TensorPairSum:
-    """Reduced coproduct: ordered complementary subset splittings with signs.
+    """Reduced coproduct: the ordered complementary position splits of w,
+    signed, each pair of parts once with its count (`splits`).
 
     Weight-1 monomials map to the empty sum.
     """
-    cached = _coproduct_memo.get(w)
-    if cached is None:
-        cached = _coproduct_cached(w)
-        if len(_coproduct_memo) >= COPRODUCT_MEMO_ENTRIES:
-            del _coproduct_memo[next(iter(_coproduct_memo))]
-        _coproduct_memo[w] = cached
-    return cached
+    out = TensorPairSum()
+    out.terms = {(w.part(block), w.part(rest)): c for block, rest, c, _ in splits(w)}
+    return out
 
 
 def coproduct_element(v: SElement) -> TensorPairSum:
@@ -382,33 +417,6 @@ def repetition_pattern(indices) -> tuple:
     """Run lengths of equal entries in a sorted index tuple: (0,0,1,2,2,2)
     has pattern (2,1,3)."""
     return tuple(len(list(run)) for _, run in itertools.groupby(indices))
-
-
-def first_blocks(pattern: tuple):
-    """The blocks other than the whole word that hold the first factor of a
-    word with repetition pattern `pattern`, up to permuting equal factors.
-
-    Returns (block, rest, count) triples of sorted positions.  A block takes
-    the first c_k positions of run k, c_0 >= 1, standing for all
-    count = C(m_0 - 1, c_0 - 1) * prod_{k>=1} C(m_k, c_k) choices: equal
-    factors are even, so the choice changes neither value nor sign.  With
-    the whole word the counts sum to 2^(n-1); for (n,) they are the
-    C(n-1, k-1) of the moment recursion m_n = sum_k C(n-1, k-1) kappa_k m_(n-k).
-    """
-    starts = tuple(itertools.accumulate(pattern, initial=0))
-    choices = [range(1, pattern[0] + 1)] + [range(m + 1) for m in pattern[1:]]
-    out = []
-    for counts in itertools.product(*choices):
-        if counts == pattern:
-            continue
-        runs = tuple(zip(starts, pattern, counts))
-        block = tuple(p for s, _, c in runs for p in range(s, s + c))
-        rest = tuple(p for s, m, c in runs for p in range(s + c, s + m))
-        count = math.comb(pattern[0] - 1, counts[0] - 1) * math.prod(
-            math.comb(m, c) for m, c in zip(pattern[1:], counts[1:])
-        )
-        out.append((block, rest, count))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -240,13 +240,10 @@ def defect_coefficients(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP):
     return coefficient
 
 
-def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP,
-                  max_arity: int | None = None) -> TaylorFamily:
-    """All defect tables of a map up to an arity bound (default: the cap)."""
-    return coefficient_family(
-        m.source, m.target, m.degree, cap if max_arity is None else max_arity,
-        defect_coefficients(m, kind, cap),
-    )
+def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> TaylorFamily:
+    """All defect tables of a map up to the cap."""
+    coefficient = defect_coefficients(m, kind, cap)
+    return coefficient_family(m.source, m.target, m.degree, cap, coefficient)
 
 
 def _defect_table(m: LinearMap, kind: str, n: int, cap: int) -> dict:

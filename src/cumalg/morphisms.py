@@ -26,13 +26,10 @@ from .coalgebra import (
     TensorPairSum,
     WedgeMonomial,
     canonical_monomials,
-    coproduct,
     coproduct_element,
     monomials_up_to,
-    first_blocks,
     normalize_monomial,
-    repetition_pattern,
-    _rearrangement_sign,
+    splits,
     _wedge_in,
 )
 
@@ -290,10 +287,11 @@ def _walk(lhs: SMap, rhs: SMap, top: int | None = None):
 def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
     """The unique coderivation whose Taylor coefficients are `family`.
 
-    The whole word goes to the coefficient of its arity; every split l⊗r of
-    the reduced coproduct feeds l to the coefficient of its arity and wedges
-    r back on.  Splits are signed and merged by the coproduct, so equal even
-    factors are summed once with their multiplicity.
+    The whole word goes to the coefficient of its arity; every split of the
+    word into a block and the rest (`splits`, the terms of the reduced
+    coproduct) feeds the block to the coefficient of its arity and wedges
+    the rest back on, so equal even factors are summed once with their
+    multiplicity.
     """
     if not same_basis(family.source, family.target):
         raise ValidationError("a coderivation needs source and target to agree")
@@ -302,9 +300,11 @@ def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
 
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.from_vector(family.coefficient(w), cap)
-        for (left, right), c in coproduct(w).terms.items():
-            if left.weight in arities:
-                _wedge_in(out, family.coefficient(left), ((right, c),))
+        for block, rest, coeff, _ in splits(w):
+            if len(block) in arities:
+                value = family.coefficient(w.part(block))
+                if value.terms:
+                    _wedge_in(out, value, ((w.part(rest), coeff),))
         return out
 
     return SMap(basis, basis, cap, family.degree, fn)
@@ -323,35 +323,22 @@ def extend_coalgebra_map(family: TaylorFamily, cap: int) -> SMap:
     where F(w_Bᶜ) is this operator's own memoized value on a shorter word
     (sorted positions of a canonical monomial are canonical).  Blocks that
     differ only by which equal factors they take are counted once with
-    their multiplicity (`first_blocks`).  Only degree-zero families compose
-    consistently here, so other degrees are rejected.
+    their multiplicity, the `first` count of `splits`.  Only degree-zero
+    families compose consistently here, so other degrees are rejected.
     """
     if family.degree != 0:
         raise ValidationError("coalgebra-map extension needs a degree-zero family")
     source, target = family.source, family.target
     arities = set(family.arities())
-    # (pattern, factor degrees) -> [(block, rest, signed multiplicity)]
-    usable: dict = {}
-
-    def blocks(w: WedgeMonomial):
-        pattern = repetition_pattern(w.indices)
-        key = (pattern, w.factor_degrees)
-        found = usable.get(key)
-        if found is None:
-            found = usable[key] = [
-                (block, rest, count * _rearrangement_sign(w, (block, rest)))
-                for block, rest, count in first_blocks(pattern)
-                if len(block) in arities
-            ]
-        return found
 
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.from_vector(family.coefficient(w), cap)
-        for block, rest, scale in blocks(w):
-            value = family.coefficient(w.part(block))
-            if value.terms:
-                tail = extension.on_monomial(w.part(rest))
-                _wedge_in(out, value, tail.terms.items(), scale)
+        for block, rest, _, first in splits(w):
+            if first and len(block) in arities:
+                value = family.coefficient(w.part(block))
+                if value.terms:
+                    tail = extension.on_monomial(w.part(rest))
+                    _wedge_in(out, value, tail.terms.items(), first)
         return out
 
     extension = SMap(source, target, cap, 0, fn)

@@ -67,28 +67,23 @@ def expectation_map(moments) -> LinearMap:
     return LinearMap(source, target, 0, columns)
 
 
-def cumulants_from_moments(moments, n: int | None = None) -> list:
-    """First n cumulants, computed through the defect machinery.
+def cumulants_from_moments(moments) -> list:
+    """One cumulant per moment, computed through the defect machinery.
 
     The j-th cumulant is the coefficient of the defect table at the j-fold
     wedge power of the variable.
     """
     moments = list(moments)
-    top = len(moments) if n is None else int(n)
-    if not 1 <= top <= len(moments):
-        raise ValidationError(f"order {top} out of range for {len(moments)} moments")
-    coefficient = defect_coefficients(expectation_map(moments), "hom", cap=len(moments))
-    return [coefficient(WedgeMonomial((0,) * j, (0,) * j)).get(0) for j in range(1, top + 1)]
+    n = len(moments)
+    coefficient = defect_coefficients(expectation_map(moments), "hom", cap=n)
+    return [coefficient(WedgeMonomial((0,) * j, (0,) * j)).get(0) for j in range(1, n + 1)]
 
 
-def oracle_cumulants(moments, n: int | None = None) -> list:
+def oracle_cumulants(moments) -> list:
     """The classical moment-cumulant recursion, free of coalgebra machinery."""
     moments = [Fraction(m) for m in moments]
-    top = len(moments) if n is None else int(n)
-    if not 1 <= top <= len(moments):
-        raise ValidationError(f"order {top} out of range for {len(moments)} moments")
     kappa = []
-    for j in range(1, top + 1):
+    for j in range(1, len(moments) + 1):
         value = moments[j - 1]
         for k in range(1, j):
             value -= math.comb(j - 1, k - 1) * kappa[k - 1] * moments[j - k - 1]

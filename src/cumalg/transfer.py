@@ -38,7 +38,7 @@ from .morphisms import (
     extract_family,
     triangular_inverse,
 )
-from .cumulant import conjugate, cumulant_context
+from .cumulant import cumulant_context, defect_operator
 
 
 class TransferError(AlgebraError):
@@ -178,9 +178,8 @@ def _injectivity_check(op: SMap) -> CheckReport:
 
 
 def transferred_differential(r: RetractData, cap: int) -> SMap:
-    """Pull-conjugate of the bare extension of the algebra differential."""
-    bare = extend_coderivation(TaylorFamily.from_linear_map(r.d), cap)
-    return conjugate(bare, "pull")
+    """Pull-conjugate of the bare coderivation of the algebra differential."""
+    return defect_operator(r.d, "der", cap)
 
 
 def validate_transfer_input(t: TransferInput, cap: int) -> TransferReport:

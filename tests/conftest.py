@@ -1,11 +1,12 @@
 """Shared fixtures: small graded algebras, a retract, and seeded randomness."""
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import cumalg as cm
-from cumalg.coalgebra import TensorPairSum, coproduct, coproduct_element
+from cumalg.coalgebra import TensorPairSum, _rearrangement_sign, coproduct, coproduct_element
 from cumalg.morphisms import _tensor_doc
 
 E2_DOC = {
@@ -202,6 +203,20 @@ def random_family(rng, basis, degree, max_arity):
         if table:
             tables[arity] = table
     return cm.TaylorFamily(basis, basis, degree, tables)
+
+
+def subset_coproduct(mono):
+    """The reduced coproduct the plain way, as `coproduct`'s oracle: one
+    signed term per nonempty proper subset of positions, merged on equal
+    pairs of parts."""
+    out = TensorPairSum()
+    n = mono.weight
+    for size in range(1, n):
+        for subset in itertools.combinations(range(n), size):
+            complement = tuple(p for p in range(n) if p not in subset)
+            sign = _rearrangement_sign(mono, (subset, complement))
+            out.add_term((mono.part(subset), mono.part(complement)), sign)
+    return out
 
 
 def _apply_left(op, pairs):

@@ -1,4 +1,5 @@
 """End-to-end command-line runs: exit codes, reports, determinism."""
+import copy
 import hashlib
 import json
 import os
@@ -441,3 +442,69 @@ def test_malformed_documents_get_an_error_report(tmp_path, capsys, argv, role, d
     assert code == 1
     assert json.loads(captured.out)["ok"] is False
     assert "Traceback" not in captured.err
+
+
+# the input boundary: every document that differs from a valid one at one
+# place, one value replaced by one of these or one key deleted
+BOUNDARY_VALUES = (None, 0, -1, 1.5, True, "x", [], {}, [{}], 10**30)
+BOUNDARY_JOBS = {
+    "algebra": (["lift"], E2_DOC),
+    "map": (["defects", "--kind", "der"], E2_MAP_DOC),
+    "retract": (["validate"], k2_doc()["retract"]),
+    "transfer": (["transfer"], k2_doc()),
+    "moments": (["cumulants"], {"moments": ["1/2", "-3", "2/7"]}),
+}
+
+
+def _mutations(doc):
+    """(what, document) for every single-place mutation of `doc`: each value,
+    the whole document included, replaced by each of BOUNDARY_VALUES, and
+    each key of an object deleted."""
+
+    def places(node, path=()):
+        yield path
+        if isinstance(node, (dict, list)):
+            for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+                yield from places(child, path + (key,))
+
+    for path in places(doc):
+        for value in BOUNDARY_VALUES:
+            yield f"{list(path)} = {value!r}", _changed(doc, path, value)
+        if path and isinstance(_at(doc, path[:-1]), dict):
+            yield f"del {list(path)}", _changed(doc, path)
+
+
+_DELETE = object()
+
+
+def _changed(doc, path, value=_DELETE):
+    """A copy of `doc` with the value at `path` replaced, or deleted."""
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    parent = _at(out, path[:-1])
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("role", sorted(BOUNDARY_JOBS))
+def test_every_single_mutation_of_a_valid_document_gets_a_report(tmp_path, capsys, role):
+    argv, doc = BOUNDARY_JOBS[role]
+    path = tmp_path / "input.json"
+    for what, mutated in _mutations(doc):
+        path.write_text(json.dumps(mutated), encoding="utf-8")
+        code = cli.run(argv + ["--weight-cap", "3", "--input", f"{role}={path}"])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), what
+        assert "Traceback" not in captured.err, what
+        if code == 1:
+            assert json.loads(captured.out)["ok"] is False, what

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import cumalg as cm
-from cumalg.coalgebra import _rearrangement_sign, first_blocks, repetition_pattern
+from cumalg.coalgebra import _rearrangement_sign, repetition_pattern, splits
 
 from conftest import random_selement
 
@@ -238,6 +238,21 @@ def test_selement_round_trip_and_order(e2):
     assert cm.SElement.from_doc(e2, 4, doc) == v
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"monomial": ["a"], "coeff": "1"},
+        [{"monomial": ["a", "b"]}],
+        [{"monomial": "ab", "coeff": "1"}],
+        [{"monomial": ["a", "a"], "coeff": "q"}],
+    ],
+    ids=["not-a-list", "entry-without-coeff", "monomial-as-a-string", "zero-word-bad-coeff"],
+)
+def test_selement_from_doc_refuses_malformed_documents(e2, doc):
+    with pytest.raises(cm.SchemaError):
+        cm.SElement.from_doc(e2, 4, doc)
+
+
 def test_selement_weight_projection(e2):
     rng = random.Random(5)
     v = random_selement(rng, e2, 4, density=0.6)
@@ -268,15 +283,24 @@ def test_repetition_pattern_counts_runs_of_equal_indices():
     assert repetition_pattern((4,)) == (1,)
 
 
+def even_word(pattern):
+    """An all-even word with the given repetition pattern."""
+    indices = tuple(k for k, m in enumerate(pattern) for _ in range(m))
+    return cm.WedgeMonomial(indices, (0,) * len(indices))
+
+
 @pytest.mark.parametrize(
     "pattern", [(1,), (4,), (2, 1), (1, 2, 1), (2, 2), (1, 1, 1, 1), (3, 2), (6,)]
 )
 def test_first_blocks_count_every_block_that_holds_the_first_factor(pattern):
     n = sum(pattern)
     starts = [sum(pattern[:k]) for k in range(len(pattern))]
-    blocks = first_blocks(pattern)
+    table = splits(even_word(pattern))
+    blocks = [(block, rest, first) for block, rest, _, first in table if first]
     # with the whole word, 2^(n-1) subsets hold position 0
-    assert sum(count for _, _, count in blocks) + 1 == 2 ** (n - 1)
+    assert sum(first for _, _, first in blocks) + 1 == 2 ** (n - 1)
+    # and with the empty block and the whole word, 2^n subsets in all
+    assert sum(coeff for _, _, coeff, _ in table) + 2 == 2 ** n
     for block, rest, _ in blocks:
         assert block[0] == 0 and rest
         assert sorted(block + rest) == list(range(n))
@@ -288,5 +312,8 @@ def test_first_blocks_count_every_block_that_holds_the_first_factor(pattern):
 
 def test_first_blocks_of_one_repeated_factor_are_binomial():
     for n in range(1, 9):
-        counts = {len(block): count for block, _, count in first_blocks((n,))}
-        assert counts == {k: math.comb(n - 1, k - 1) for k in range(1, n)}
+        table = splits(even_word((n,)))
+        firsts = {len(block): first for block, _, _, first in table}
+        assert firsts == {k: math.comb(n - 1, k - 1) for k in range(1, n)}
+        coeffs = {len(block): coeff for block, _, coeff, _ in table}
+        assert coeffs == {k: math.comb(n, k) for k in range(1, n)}

@@ -139,8 +139,7 @@ def test_conjugation_rejects_unknown_directions(p8):
 
 def test_arity_one_defect_is_the_map_itself(p8):
     f = cm.LinearMap(p8, p8, 0, {i: {i: Fraction(2)} for i in range(8)})
-    fam = cm.defect_family(f, "hom", CAP, max_arity=1)
-    assert fam.arity_one_map() == f
+    assert cm.homomorphism_defect(f, 1, CAP) == cm.TaylorFamily.from_linear_map(f).tables[1]
 
 
 def test_homomorphism_defects_vanish_exactly_for_homomorphisms(p8):
@@ -282,12 +281,6 @@ def test_defect_kind_and_degree_validation(e2):
         cm.homomorphism_defect(cm.LinearMap.identity(e2), CAP + 1, CAP)
 
 
-def test_defect_family_respects_the_arity_bound(p8):
-    f = cm.LinearMap(p8, p8, 0, {i: {i: Fraction(1)} for i in range(8)})
-    fam = cm.defect_family(f, "hom", CAP, max_arity=2)
-    assert fam.max_arity() <= 2
-
-
 def test_accumulation_never_writes_into_shared_values(monkeypatch):
     """Sums accumulate in place, but only into fresh objects: product tables,
     family tables, each family's shared zero and cached operator images stay
@@ -376,17 +369,30 @@ def test_repeated_jobs_keep_live_memory_flat():
     assert later - first < 16 * 1024, (first, later)
 
 
-def test_coproduct_memo_stays_within_its_bound():
-    """The memo is shared by every job in a process: however many distinct
-    words a process splits, it keeps at most its bound, and the latest words
-    still hit."""
-    bound = coalgebra.COPRODUCT_MEMO_ENTRIES
+def test_coproduct_memo_stays_within_its_bound(monkeypatch):
+    """The split memo is shared by every job in a process and keyed by word
+    shape (repetition pattern and factor parities), so 5050 distinct even
+    weight-2 words leave two entries.  However many shapes a process splits,
+    the memo keeps at most its bound, here lowered to 8 so that 30 shapes
+    exceed it, and the latest shape still hits."""
+    monkeypatch.setattr(coalgebra, "_coproduct_memo", {})
     words = [
         cm.WedgeMonomial(pair, (0, 0))
         for pair in itertools.combinations_with_replacement(range(100), 2)
     ]
-    assert len(words) > bound
+    assert len(words) == 5050
     for w in words:
         cm.coproduct(w)
-        assert len(coalgebra._coproduct_memo) <= bound
-    assert cm.coproduct(words[-1]) is cm.coproduct(words[-1])
+    assert len(coalgebra._coproduct_memo) <= 2
+
+    monkeypatch.setattr(coalgebra, "COPRODUCT_MEMO_ENTRIES", 8)
+    shapes = [
+        cm.WedgeMonomial(tuple(range(n)), degrees)
+        for n in range(1, 5)
+        for degrees in itertools.product((0, 1), repeat=n)
+    ]
+    assert len(shapes) == 30
+    for w in shapes:
+        cm.coproduct(w)
+        assert len(coalgebra._coproduct_memo) <= 8
+    assert coalgebra.splits(shapes[-1]) is coalgebra.splits(shapes[-1])

@@ -73,14 +73,6 @@ def test_shift_moves_only_the_mean():
     assert moved[1:] == base[1:]
 
 
-def test_order_bound_is_validated():
-    with pytest.raises(cm.ValidationError):
-        cm.cumulants_from_moments([1, 2], n=3)
-    with pytest.raises(cm.ValidationError):
-        cm.cumulants_from_moments([1, 2], n=0)
-    assert cm.cumulants_from_moments([1, 2, 3], n=1) == [Fraction(1)]
-
-
 def test_expectation_map_lands_in_the_ground_field():
     f = cm.expectation_map([Fraction(1), Fraction(2)])
     assert f.target is cm.ground_field_algebra()

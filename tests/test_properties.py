@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import cumalg as cm
 from cumalg.coalgebra import _wedge_in
 
-from conftest import random_selement, random_vector, tensor_law_report
+from conftest import random_selement, random_vector, subset_coproduct, tensor_law_report
 
 # (degree, top power): an even degree gives a truncated polynomial factor,
 # an odd degree an exterior factor (top power 1)
@@ -178,6 +178,18 @@ def test_orbit_sums_equal_the_plain_partition_sum(A, seed, arities):
     op = cm.extend_coalgebra_map(family, CAP)
     for w in cm.monomials_up_to(A, CAP):
         assert op.on_monomial(w) == partition_sum(family, w, CAP), w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(factor, min_size=1, max_size=4).filter(lambda fs: sum(m for _, m in fs) <= 8))
+def test_coproduct_equals_the_plain_subset_split(runs):
+    # a word of runs of equal factors: an even factor repeats up to three
+    # times, an odd one never
+    indices = tuple(k for k, (_, m) in enumerate(runs) for _ in range(m))
+    w = cm.WedgeMonomial(indices, tuple(runs[k][0] for k in indices))
+    got, want = cm.coproduct(w), subset_coproduct(w)
+    assert got == want
+    assert got.items() == want.items()
 
 
 @settings(max_examples=40, deadline=None)
