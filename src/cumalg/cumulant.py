@@ -4,7 +4,8 @@ tau multiplies the factors of a wedge monomial; its coalgebra-map extension
 tau_tilde rewrites moments into cumulant coordinates.  Conjugating a bare
 operator extension by tau_tilde and corestricting yields, arity by arity,
 exactly how far a linear map is from being a homomorphism (g tables) or a
-derivation (h tables).
+derivation (h tables), which `defect_coefficients` computes in the target
+by the moment–cumulant recursion, without building that conjugate.
 """
 from __future__ import annotations
 
@@ -18,12 +19,14 @@ from .algebra import (
     ValidationError,
     Vector,
     parity_sign,
+    same_basis,
 )
 from .coalgebra import (
     DEFAULT_WEIGHT_CAP,
     SElement,
     WedgeMonomial,
     iterated_coproduct,
+    splits,
     wedge,
 )
 from .morphisms import (
@@ -32,7 +35,6 @@ from .morphisms import (
     coefficient_family,
     coefficient_table,
     extend_coalgebra_map,
-    extend_coderivation,
     triangular_inverse,
 )
 
@@ -57,28 +59,26 @@ def _mobius(n: int) -> int:
     return (-1) ** (n - 1) * math.factorial(n - 1)
 
 
-class _LazyProducts(TaylorFamily):
-    """tau's Taylor family up to a cap, each n-fold product computed the
-    first time it is looked up and memoized.
+class _LazyFamily(TaylorFamily):
+    """A Taylor family up to a cap whose coefficient at a word is `fn(word)`,
+    computed on first lookup and memoized; `tables` stays empty."""
 
-    `tables` stays empty; `tau_family` is the tabulated route.
-    """
-
-    def __init__(self, algebra: AlgebraPresentation, cap: int):
-        super().__init__(algebra, algebra, 0, {})
+    def __init__(self, source, target, degree: int, cap: int, fn):
+        super().__init__(source, target, degree, {})
         self._cap = cap
-        self._products: dict = {}
+        self._fn = fn
+        self._memo: dict = {}
 
     def arities(self):
         return list(range(1, self._cap + 1))
 
     def coefficient(self, mono: WedgeMonomial) -> Vector:
-        value = self._products.get(mono)
+        value = self._memo.get(mono)
         if value is None:
-            value = tau(self.source, mono)
+            value = self._fn(mono)
             if value.is_zero():
-                value = self._zero  # the family's shared zero, not one per product
-            self._products[mono] = value
+                value = self._zero  # the family's shared zero, not one per word
+            self._memo[mono] = value
         return value
 
 
@@ -91,7 +91,7 @@ class CumulantContext:
         self.algebra = algebra
         self.cap = int(cap)
         # tau's Taylor family, one memo for tau_tilde and the defect tables
-        self.products = _LazyProducts(algebra, self.cap)
+        self.products = _LazyFamily(algebra, algebra, 0, self.cap, lambda w: tau(algebra, w))
         self._tau_tilde: SMap | None = None
         self._inverse: SMap | None = None
 
@@ -192,64 +192,60 @@ def conjugate(op: SMap, direction: str = "pull") -> SMap:
     raise ValidationError(f"unknown conjugation direction {direction!r}")
 
 
-def _bare_extension(m: LinearMap, kind: str, cap: int) -> SMap:
-    """The bare extension of a linear map, of the kind `defect_operator` names."""
-    family = TaylorFamily.from_linear_map(m)
-    if kind == "hom":
-        if m.degree != 0:
-            raise ValidationError("homomorphism defects need a degree-zero map")
-        return extend_coalgebra_map(family, cap)
-    if kind == "der":
-        return extend_coderivation(family, cap)
-    raise ValidationError(f"unknown defect kind {kind!r}")
+def defect_coefficients(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> TaylorFamily:
+    """The defect tables of a map as a lazy family: the Taylor coefficients of
+    the pull conjugate of its bare extension, by the moment–cumulant
+    recursion in the target.  Corestricting F∘tau_tilde = tau_tilde∘G (kind
+    "hom", a degree-zero f) or D∘tau_tilde = tau_tilde∘H (kind "der", an
+    endomorphism d) at w, and splitting off the block B that holds the first
+    factor, gives
 
+        g(w) = phi(w) - sum over splits with first != 0 of first · g(w_B)·phi(w_R),
+        h(w) = d(tau(w)) - sum over all splits of coeff · h(w_B)·tau(w_R),
 
-def defect_operator(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> SMap:
-    """Pull-conjugate of the bare extension of a linear map.
-
-    kind "hom" extends the map as a coalgebra morphism (degree 0 required);
-    kind "der" extends it as a coderivation (endomorphisms only).  The Taylor
-    coefficients are the defect tables, which `defect_coefficients` computes
-    without building this conjugate; it stays as their reference route.
+    with moments phi(w) = f(tau(w)), and no sign for the degree of d, which
+    acts on the block listed first (`splits` gives coeff and first).
     """
-    return conjugate(_bare_extension(m, kind, cap), "pull")
+    if kind not in ("hom", "der"):
+        raise ValidationError(f"unknown defect kind {kind!r}")
+    hom = kind == "hom"
+    if hom and m.degree != 0:
+        raise ValidationError("homomorphism defects need a degree-zero map")
+    if not hom and not same_basis(m.source, m.target):
+        raise ValidationError("a coderivation needs source and target to agree")
+    products = cumulant_context(m.source, cap).products
+    multiply = cumulant_context(m.target, cap).algebra.multiply
 
+    def moment(w: WedgeMonomial) -> Vector:
+        return m.apply(products.coefficient(w))
 
-def defect_coefficients(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP):
-    """The defect coefficient at a word, as a function of the word.
-
-    Only the corestriction of inverse∘bare∘tau_tilde is read, and the
-    corestriction of the inverse is the Möbius family: a word u of weight n
-    goes to _mobius(n) tau(u) = (-1)^(n-1) (n-1)! tau(u).  So the coefficient
-    at w sums c·_mobius(n)·tau(u) over the terms c·u of (bare∘tau_tilde)(w),
-    with the products taken from the memo that the target's tau_tilde uses.
-    """
-    bare = _bare_extension(m, kind, cap)
-    lift = cumulant_context(m.source, cap).tau_tilde
-    products = cumulant_context(m.target, cap).products
-    mobius = [0] + [_mobius(n) for n in range(1, cap + 1)]
-
-    def coefficient(w: WedgeMonomial) -> Vector:
-        out = Vector(m.target)
-        for u, c in bare(lift.on_monomial(w)).terms.items():
-            value = products.coefficient(u)
-            if value.terms:
-                out.accumulate(value, mobius[u.weight] * c)
+    def fn(w: WedgeMonomial) -> Vector:
+        out = moment(w)
+        for block, rest, coeff, first in splits(w):
+            n = first if hom else coeff
+            if n:
+                value = family.coefficient(w.part(block))
+                if value.terms:
+                    tail = rests.coefficient(w.part(rest))
+                    if tail.terms:
+                        out.accumulate(multiply(value, tail), -n)
         return out
 
-    return coefficient
+    rests = _LazyFamily(m.source, m.target, 0, cap, moment) if hom else products
+    family = _LazyFamily(m.source, m.target, m.degree, cap, fn)
+    return family
 
 
 def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> TaylorFamily:
     """All defect tables of a map up to the cap."""
-    coefficient = defect_coefficients(m, kind, cap)
-    return coefficient_family(m.source, m.target, m.degree, cap, coefficient)
+    family = defect_coefficients(m, kind, cap)
+    return coefficient_family(m.source, m.target, m.degree, cap, family.coefficient)
 
 
 def _defect_table(m: LinearMap, kind: str, n: int, cap: int) -> dict:
     if n > cap:
         raise ValidationError(f"arity {n} exceeds the weight cap {cap}")
-    return coefficient_table(m.source, n, defect_coefficients(m, kind, cap))
+    return coefficient_table(m.source, n, defect_coefficients(m, kind, cap).coefficient)
 
 
 def homomorphism_defect(f: LinearMap, n: int, cap: int = DEFAULT_WEIGHT_CAP) -> dict:

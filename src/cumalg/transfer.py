@@ -4,6 +4,8 @@ Given a retract (i, I, s) of an algebra-with-differential onto a chain
 complex, plus a square-zero coderivation on the complex side and a dg
 coalgebra map extending i, the composite (extension of I)∘tau_tilde∘
 (extension of iota) is again a cumulant-style bijection on the complex.
+The algebra's transferred differential is the coderivation extending its
+differential's derivation-defect tables, built without tau_tilde's inverse.
 Every hypothesis and every certified property is checked exactly and
 reported with witnesses; nothing is assumed.
 """
@@ -38,7 +40,7 @@ from .morphisms import (
     extract_family,
     triangular_inverse,
 )
-from .cumulant import cumulant_context, defect_operator
+from .cumulant import cumulant_context, defect_coefficients
 
 
 class TransferError(AlgebraError):
@@ -178,8 +180,9 @@ def _injectivity_check(op: SMap) -> CheckReport:
 
 
 def transferred_differential(r: RetractData, cap: int) -> SMap:
-    """Pull-conjugate of the bare coderivation of the algebra differential."""
-    return defect_operator(r.d, "der", cap)
+    """Pull-conjugate of the bare coderivation of the algebra differential:
+    the coderivation extending the differential's derivation-defect tables."""
+    return extend_coderivation(defect_coefficients(r.d, "der", cap), cap)
 
 
 def validate_transfer_input(t: TransferInput, cap: int) -> TransferReport:

@@ -271,20 +271,36 @@ def test_push_conjugate_of_a_square_zero_operator_squares_to_zero(e2):
         assert square.on_monomial(w).is_zero()
 
 
-def test_defect_kind_and_degree_validation(e2):
+def test_defect_kind_and_degree_validation(e2, e3):
     d = cm.LinearMap(e2, e2, -1, {2: {0: Fraction(1)}})
-    with pytest.raises(cm.ValidationError):
-        cm.defect_operator(d, "hom", CAP)
-    with pytest.raises(cm.ValidationError):
-        cm.defect_operator(d, "flux", CAP)
-    with pytest.raises(cm.ValidationError):
+    with pytest.raises(cm.ValidationError, match="homomorphism defects need a degree-zero map"):
+        cm.defect_family(d, "hom", CAP)
+    with pytest.raises(cm.ValidationError, match="unknown defect kind 'flux'"):
+        cm.defect_family(d, "flux", CAP)
+    across = cm.LinearMap(e2, e3, 0, {0: {0: Fraction(1)}, 2: {1: Fraction(1)}})
+    with pytest.raises(cm.ValidationError, match="a coderivation needs source and target to agree"):
+        cm.defect_family(across, "der", CAP)
+    bare = cm.LinearMap.identity(cm.ChainComplex([("c", 0)]))
+    with pytest.raises(cm.ValidationError, match="cumulant machinery needs a product table"):
+        cm.defect_family(bare, "der", CAP)
+    with pytest.raises(cm.ValidationError, match=f"arity {CAP + 1} exceeds the weight cap {CAP}"):
         cm.homomorphism_defect(cm.LinearMap.identity(e2), CAP + 1, CAP)
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_composite_of_derivations_has_defects_through_its_order(p8, power):
+    """The Euler derivation x_k -> k x_k composed `power` times is an
+    operator of order `power`: its der tables fill arities 1..power exactly."""
+    euler = cm.LinearMap(p8, p8, 0, {i: {i: Fraction(i + 1) ** power} for i in range(8)})
+    assert cm.defect_family(euler, "der", 5).arities() == list(range(1, power + 1))
 
 
 def test_accumulation_never_writes_into_shared_values(monkeypatch):
     """Sums accumulate in place, but only into fresh objects: product tables,
-    family tables, each family's shared zero and cached operator images stay
-    as they were handed out."""
+    family tables, each family's shared zero, cached operator images and the
+    values a lazy family memoizes (tau's products, the moments and the
+    defect recursion, which sums into fresh vectors next to memoized ones)
+    stay as they were handed out."""
     A = cm.parse_algebra(E2_DOC)
     f = cm.parse_linear_map(E2_MAP_DOC, A, A)
     t = cm.parse_transfer_input(k2_doc())
@@ -302,19 +318,25 @@ def test_accumulation_never_writes_into_shared_values(monkeypatch):
             return extend(family, cap)
         return record
 
-    for name in ("extend_coalgebra_map", "extend_coderivation"):
-        record = recording(getattr(cm, name))
-        for module in (cumulant, transfer):
-            monkeypatch.setattr(module, name, record)
-    tau = cumulant.tau
+    for module, name in (
+        (cumulant, "extend_coalgebra_map"),
+        (transfer, "extend_coalgebra_map"),
+        (transfer, "extend_coderivation"),
+    ):
+        monkeypatch.setattr(module, name, recording(getattr(cm, name)))
+    coefficient = cumulant._LazyFamily.coefficient
+    lazy = []
 
-    def computing(algebra, w):
-        # tau_tilde's products are computed on first lookup, not tabulated
-        value = tau(algebra, w)
-        keep(value)
+    def memoizing(family, w):
+        # computed on first lookup, then handed out from the memo
+        miss = w not in family._memo
+        value = coefficient(family, w)
+        if miss:
+            keep(value)
+            lazy.append(family)
         return value
 
-    monkeypatch.setattr(cumulant, "tau", computing)
+    monkeypatch.setattr(cumulant._LazyFamily, "coefficient", memoizing)
     on_monomial = cm.SMap.on_monomial
 
     def caching(op, w):
@@ -337,6 +359,8 @@ def test_accumulation_never_writes_into_shared_values(monkeypatch):
     assert cm.induced_cumulant_bijection(t, 5).ok
 
     assert len(handed_out) > 100
+    # tau's products, the moments of "hom" and both recursions
+    assert len({id(family) for family in lazy}) >= 4
     for value, copied in handed_out:
         assert value == copied
 

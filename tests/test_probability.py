@@ -73,6 +73,29 @@ def test_shift_moves_only_the_mean():
     assert moved[1:] == base[1:]
 
 
+def test_scaling_scales_the_nth_cumulant_by_the_nth_power():
+    rng = random.Random(31)
+    moments = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
+    a = Fraction(-5, 3)
+    scaled = [a ** n * m for n, m in enumerate(moments, start=1)]
+    base = cm.cumulants_from_moments(moments)
+    assert cm.cumulants_from_moments(scaled) == [a ** n * k for n, k in enumerate(base, start=1)]
+
+
+def test_cumulants_of_independent_variables_add():
+    rng = random.Random(37)
+    x, y = (
+        [Fraction(1)] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
+        for _ in range(2)
+    )
+    # E[(X+Y)^n] for independent X and Y, by binomial convolution
+    total = [
+        sum(math.comb(n, k) * x[k] * y[n - k] for k in range(n + 1)) for n in range(1, 7)
+    ]
+    kx, ky = cm.cumulants_from_moments(x[1:]), cm.cumulants_from_moments(y[1:])
+    assert cm.cumulants_from_moments(total) == [a + b for a, b in zip(kx, ky)]
+
+
 def test_expectation_map_lands_in_the_ground_field():
     f = cm.expectation_map([Fraction(1), Fraction(2)])
     assert f.target is cm.ground_field_algebra()

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 import cumalg as cm
 from cumalg.coalgebra import _wedge_in
 
-from conftest import random_selement, random_vector, subset_coproduct, tensor_law_report
+from conftest import (
+    defect_operator,
+    random_selement,
+    random_vector,
+    subset_coproduct,
+    tensor_law_report,
+)
 
 # (degree, top power): an even degree gives a truncated polynomial factor,
 # an odd degree an exterior factor (top power 1)
@@ -322,6 +328,40 @@ def random_map(seed, basis, degree):
     return cm.LinearMap(basis, basis, degree, columns)
 
 
+def multigrading(A, factors, scale):
+    """The diagonal map e -> scale(e)·e on the monomial basis of
+    `tensor_algebra(factors)`, e being an exponent vector."""
+    return cm.LinearMap(A, A, 0, {n: {n: scale(e)} for n, e in enumerate(exponents(factors))})
+
+
+def weighing(lam):
+    """e -> λ·e, the exponents weighed by one λ_i per factor."""
+    return lambda e: sum(l * a for l, a in zip(lam, e))
+
+
+ORDER_FACTORS = [(0, 3), (1, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_composite_of_multigrading_derivations_has_defects_through_its_order(order):
+    # e -> (λ·e)·e is a derivation for every λ; a composite of `order` of
+    # them is an operator of that order, with der tables at 1..order exactly
+    A = tensor_algebra(ORDER_FACTORS)
+    rng = random.Random(order)
+    weights = [[rng.randint(1, 3) for _ in ORDER_FACTORS] for _ in range(order)]
+    d = cm.LinearMap.identity(A)
+    for lam in weights:
+        d = d.compose(multigrading(A, ORDER_FACTORS, weighing(lam)))
+    assert cm.defect_family(d, "der", CAP).arities() == list(range(1, order + 1))
+
+
+def test_multigrading_scaling_is_a_homomorphism():
+    A = tensor_algebra(ORDER_FACTORS)
+    weight = weighing((1, 2, 3))
+    scaling = multigrading(A, ORDER_FACTORS, lambda e: 2 ** weight(e))
+    assert cm.defect_family(scaling, "hom", CAP).arities() == [1]
+
+
 @pytest.mark.parametrize("kind, degree", [("hom", 0), ("der", -1), ("der", 0), ("der", 1)])
 @settings(max_examples=25, deadline=None)
 @given(odd_algebras, st.integers(0, 2**32), st.integers(2, CAP))
@@ -329,7 +369,7 @@ def test_defect_tables_equal_the_corestricted_conjugate(kind, degree, A, seed, c
     B = rational_change_of_basis(A, seed)
     m = random_map(seed, B, degree)
     family = cm.defect_family(m, kind, cap)
-    assert family == cm.extract_family(cm.defect_operator(m, kind, cap), cap)
+    assert family == cm.extract_family(defect_operator(m, kind, cap), cap)
     table = cm.homomorphism_defect if kind == "hom" else cm.derivation_defect
     for n in range(1, cap + 1):
         assert table(m, n, cap) == family.tables.get(n, {})

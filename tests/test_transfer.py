@@ -7,7 +7,7 @@ import pytest
 import cumalg as cm
 from cumalg import transfer
 
-from conftest import k2_doc
+from conftest import defect_operator, k2_doc
 
 CAP = 3
 
@@ -58,6 +58,13 @@ def test_transferred_differential_picks_up_the_product(k2):
     cc = cm.monomial(A, (0, 0))
     assert cm.taylor_coefficient(d_tilde, cc) == A.generator(2)
     assert cm.check_coderivation(d_tilde).ok
+
+
+@pytest.mark.parametrize("cap", range(3, 9))
+def test_transferred_differential_is_the_pull_conjugate(k2, cap):
+    # the recursion's coderivation against τ̃⁻¹∘(bare coderivation of d)∘τ̃
+    reference = defect_operator(k2.d, "der", cap)
+    assert cm.transferred_differential(k2, cap).first_difference(reference) is None
 
 
 def test_transfer_hypotheses_validate(k2_transfer):
