@@ -11,10 +11,14 @@ import itertools
 import json
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 _basis_counter = itertools.count()
+# filters the (key, coefficient) items of an accumulated dict down to those
+# that did not cancel, with no Python-level call for int coefficients
+_coefficient = itemgetter(1)
 
 
 class AlgebraError(Exception):
@@ -169,11 +173,23 @@ class LinearCombination:
         handed out elsewhere (a product table entry, a cached image) must
         never be the receiver.
         """
-        items = other.terms.items()
-        if scale != 1:
-            items = [(key, scale * c) for key, c in items]
-        for key, c in items:
-            self.add_term(key, c)
+        if not scale:
+            return self
+        scaled = scale != 1
+        terms = self.terms
+        get = terms.get
+        for key, c in other.terms.items():
+            if scaled:
+                c = scale * c
+            old = get(key)
+            if old is None:
+                terms[key] = c
+            else:
+                c = old + c
+                if c:
+                    terms[key] = c
+                else:
+                    del terms[key]
         return self
 
     def is_zero(self) -> bool:
@@ -332,13 +348,19 @@ class AlgebraPresentation(GradedBasis):
                     jk = P[j][k].terms
                     if not ij and not jk:
                         continue
-                    left = Vector(self)
+                    left = {}
                     for m, c in ij.items():
-                        left.accumulate(P[m][k], c)
-                    right = Vector(self)
+                        for t, x in P[m][k].terms.items():
+                            old = left.get(t)
+                            left[t] = c * x if old is None else old + c * x
+                    right = {}
                     for m, c in jk.items():
-                        right.accumulate(P[i][m], c)
-                    if left.terms != right.terms:
+                        for t, x in P[i][m].terms.items():
+                            old = right.get(t)
+                            right[t] = c * x if old is None else old + c * x
+                    if dict(filter(_coefficient, left.items())) != dict(
+                        filter(_coefficient, right.items())
+                    ):
                         raise ValidationError(
                             f"associativity fails on triple "
                             f"({self.names[i]}, {self.names[j]}, {self.names[k]})",
@@ -352,11 +374,16 @@ class AlgebraPresentation(GradedBasis):
         """Bilinear extension of the structure-constant table."""
         if not (same_basis(u.basis, self) and same_basis(v.basis, self)):
             raise ValidationError("operands do not belong to this presentation")
-        out = Vector(self)
+        acc = {}
+        get = acc.get
         for i, cu in u.terms.items():
+            row = self.products[i]
             for j, cv in v.terms.items():
-                out.accumulate(self.products[i][j], cu * cv)
-        return out
+                c = cu * cv
+                for k, x in row[j].terms.items():
+                    old = get(k)
+                    acc[k] = c * x if old is None else old + c * x
+        return u._new(dict(filter(_coefficient, acc.items())))
 
     def to_doc(self):
         gens = [{"name": n, "degree": d} for n, d in zip(self.names, self.degrees)]

@@ -221,9 +221,45 @@ def _render_text(value, indent=0, key=None):
     return [f"{pad}{label}{json.dumps(value)}"]
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad="\n") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for str-keyed dicts,
+    lists, strings, ints, booleans and None, byte for byte.  CPython's C
+    encoder does not take `indent`, so json.dumps with it runs the
+    pure-Python encoder; this joins the same pieces with far fewer
+    Python-level calls.  `pad` is the newline and indentation that precede
+    `value`'s closing bracket."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        ) + pad + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(
+            [_json_text(item, inner) for item in value]
+        ) + pad + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
+    raise TypeError(f"report value of type {kind.__name__} is not JSON")
+
+
 def _emit(report: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _json_text(report) + "\n"
     else:
         text = "\n".join(_render_text(report)) + "\n"
     if args.output:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 
 from .algebra import (
@@ -43,8 +43,9 @@ def koszul_sign(degrees, permutation) -> int:
 
 def _sort_sign(indices, degrees):
     """Koszul sign of stably sorting `indices` ascending; None if an odd
-    degree repeats (the monomial is zero).  The one loop that counts odd
-    inversions."""
+    degree repeats (the monomial is zero).  The general loop that counts odd
+    inversions; `_split_table` counts those of its block-before-rest orders
+    in one pass."""
     sign = 1
     n = len(indices)
     for i in range(n):
@@ -100,6 +101,11 @@ class WedgeMonomial(tuple):
 
     def __repr__(self):
         return "w(" + ",".join(map(str, self[0])) + ")"
+
+
+# an (indices, degrees) pair as a monomial, with no Python-level call: how the
+# split loops build blocks and rests from the getters of `splits`
+as_monomial = partial(tuple.__new__, WedgeMonomial)
 
 
 def monomial(basis: GradedBasis, indices) -> WedgeMonomial:
@@ -200,7 +206,7 @@ class SElement(LinearCombination):
         return self._new({w: c for w, c in self.terms.items() if w.weight == n})
 
     def max_weight(self) -> int:
-        return max((w.weight for w in self.terms), default=0)
+        return max(map(len, map(itemgetter(0), self.terms)), default=0)
 
     def weight_one_vector(self) -> Vector:
         """The weight-1 component as an algebra element."""
@@ -317,7 +323,10 @@ _coproduct_memo: dict = {}
 def splits(w: WedgeMonomial) -> tuple:
     """The one place that splits a word: its signed splits into a nonempty
     block and a nonempty rest, up to permuting equal factors, as
-    (block, rest, coeff, first) tuples of sorted positions.
+    (block, rest, coeff, first, take_block, take_rest) rows, block and rest
+    being tuples of sorted positions and the two getters picking those
+    positions out of the word's index or degree tuple, as tuples
+    (`w_B = WedgeMonomial(take_block(w[0]), take_block(w[1]))`).
 
     With repetition pattern (m_0, m_1, ...), a block takes the first c_k
     positions of run k.  Equal factors are even, so which ones it takes
@@ -347,12 +356,31 @@ def _split_table(pattern, parities) -> tuple:
         runs = tuple(zip(starts, pattern, counts))
         block = tuple(p for s, _, c in runs for p in range(s, s + c))
         rest = tuple(p for s, m, c in runs for p in range(s + c, s + m))
-        order = block + rest
-        coeff = _sort_sign(order, [parities[p] for p in order]) * math.prod(
+        # listing block before rest moves each odd block factor past the odd
+        # rest factors before it; equal factors are even, so no pair repeats
+        taken = set(block)
+        odd_rest = crossings = 0
+        for p, odd in enumerate(parities):
+            if odd:
+                if p in taken:
+                    crossings += odd_rest
+                else:
+                    odd_rest += 1
+        coeff = (-1) ** crossings * math.prod(
             math.comb(m, c) for m, c in zip(pattern, counts)
         )
-        table.append((block, rest, coeff, coeff * counts[0] // pattern[0]))
+        table.append((block, rest, coeff, coeff * counts[0] // pattern[0],
+                      _getter(block), _getter(rest)))
     return tuple(table)
+
+
+def _getter(positions):
+    """An itemgetter returning the entries at sorted `positions` as a tuple:
+    a slice when they are consecutive, which also keeps one position a
+    1-tuple."""
+    if positions[-1] - positions[0] == len(positions) - 1:
+        return itemgetter(slice(positions[0], positions[-1] + 1))
+    return itemgetter(*positions)
 
 
 def coproduct(w: WedgeMonomial) -> TensorPairSum:
@@ -361,8 +389,13 @@ def coproduct(w: WedgeMonomial) -> TensorPairSum:
 
     Weight-1 monomials map to the empty sum.
     """
+    indices, degrees = w
     out = TensorPairSum()
-    out.terms = {(w.part(block), w.part(rest)): c for block, rest, c, _ in splits(w)}
+    out.terms = {
+        (as_monomial((take(indices), take(degrees))),
+         as_monomial((leave(indices), leave(degrees)))): c
+        for _, _, c, _, take, leave in splits(w)
+    }
     return out
 
 

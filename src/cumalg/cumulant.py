@@ -25,6 +25,7 @@ from .coalgebra import (
     DEFAULT_WEIGHT_CAP,
     SElement,
     WedgeMonomial,
+    as_monomial,
     iterated_coproduct,
     splits,
     wedge,
@@ -221,12 +222,13 @@ def defect_coefficients(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) 
 
     def fn(w: WedgeMonomial) -> Vector:
         out = moment(w)
-        for block, rest, coeff, first in splits(w):
+        indices, degrees = w
+        for _, _, coeff, first, take, leave in splits(w):
             n = first if hom else coeff
             if n:
-                value = family.coefficient(w.part(block))
+                value = family.coefficient(as_monomial((take(indices), take(degrees))))
                 if value.terms:
-                    tail = rests.coefficient(w.part(rest))
+                    tail = rests.coefficient(as_monomial((leave(indices), leave(degrees))))
                     if tail.terms:
                         out.accumulate(multiply(value, tail), -n)
         return out

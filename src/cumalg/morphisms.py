@@ -25,6 +25,7 @@ from .coalgebra import (
     SElement,
     TensorPairSum,
     WedgeMonomial,
+    as_monomial,
     canonical_monomials,
     coproduct_element,
     monomials_up_to,
@@ -300,11 +301,13 @@ def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
 
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.from_vector(family.coefficient(w), cap)
-        for block, rest, coeff, _ in splits(w):
+        indices, degrees = w
+        for block, _, coeff, _, take, leave in splits(w):
             if len(block) in arities:
-                value = family.coefficient(w.part(block))
+                value = family.coefficient(as_monomial((take(indices), take(degrees))))
                 if value.terms:
-                    _wedge_in(out, value, ((w.part(rest), coeff),))
+                    rest = as_monomial((leave(indices), leave(degrees)))
+                    _wedge_in(out, value, ((rest, coeff),))
         return out
 
     return SMap(basis, basis, cap, family.degree, fn)
@@ -333,11 +336,12 @@ def extend_coalgebra_map(family: TaylorFamily, cap: int) -> SMap:
 
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.from_vector(family.coefficient(w), cap)
-        for block, rest, _, first in splits(w):
+        indices, degrees = w
+        for block, _, _, first, take, leave in splits(w):
             if first and len(block) in arities:
-                value = family.coefficient(w.part(block))
+                value = family.coefficient(as_monomial((take(indices), take(degrees))))
                 if value.terms:
-                    tail = extension.on_monomial(w.part(rest))
+                    tail = extension.on_monomial(as_monomial((leave(indices), leave(degrees))))
                     _wedge_in(out, value, tail.terms.items(), first)
         return out
 
@@ -507,12 +511,13 @@ def triangular_inverse(op: SMap, law: str = "triangular inverse") -> SMap:
     basis, cap = op.source, op.cap
 
     def fn(w: WedgeMonomial) -> SElement:
-        remainder = op.on_monomial(w) - SElement.from_monomial(basis, cap, w)
+        word = SElement.from_monomial(basis, cap, w)
+        remainder = op.on_monomial(w) - word
         if remainder.max_weight() >= w.weight and not remainder.is_zero():
             raise ValidationError(
                 f"{law}: operator is not triangular at {w.names(basis)}"
             )
-        return SElement.from_monomial(basis, cap, w) - inverse(remainder)
+        return word - inverse(remainder)
 
     inverse = SMap(basis, basis, cap, 0, fn, "inv")
     return inverse

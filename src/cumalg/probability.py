@@ -36,7 +36,9 @@ def parse_moments(document) -> list:
     return moments
 
 
-@lru_cache(maxsize=None)
+# one entry per moment count: the CLI refuses more moments than the weight
+# cap, whose ceiling is 10, so a process running CLI jobs asks for n <= 10
+@lru_cache(maxsize=10)
 def truncated_polynomial_algebra(n: int) -> AlgebraPresentation:
     """Powers x^1..x^n of one even variable, products truncated past x^n."""
     if n < 1:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cumalg.cli as cli
 
@@ -376,6 +378,79 @@ def test_report_bytes_are_pinned(tmp_path, argv, role, doc, digest):
     out = tmp_path / "report.json"
     assert cli.run(argv + ["--input", f"{role}={path}", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# JSON values as reports hold them: str-keyed objects, arrays, strings,
+# integers of any size, booleans and null
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"é\u2603": ['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f\ud800"]})
+@example({"": {}, "a": [], "b": [{}, []], "n": [-1, 2**64 + 1, -(2**70)]})
+@example({"t": True, "f": False, "z": None, "zero": 0, "list": [True, False, None]})
+@example([])
+@example("")
+def test_json_writer_equals_indented_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def _broken_k2_doc():
+    doc = k2_doc()
+    del doc["iota"]["arities"]["2"]
+    return doc
+
+
+def _corrupted_e2_doc():
+    doc = copy.deepcopy(E2_DOC)
+    doc["products"].append(
+        {"left": "b", "right": "a", "value": [{"gen": "g", "coeff": "1"}]}
+    )
+    return doc
+
+
+# one report of each kind: arguments, input documents by role, exit code
+REPORT_KINDS = {
+    "validate": (["validate"], {"algebra": E2_DOC, "retract": k2_doc()["retract"]}, 0),
+    "lift": (["lift", "--weight-cap", "4"], {"algebra": E2_DOC}, 0),
+    "invert": (["invert", "--weight-cap", "4"], {"algebra": p_doc(4)}, 0),
+    "defects-hom": (["defects", "--kind", "hom", "--weight-cap", "3"], {"map": E2_MAP_DOC}, 0),
+    "defects-der": (["defects", "--kind", "der", "--weight-cap", "3"], {"map": E2_MAP_DOC}, 0),
+    "transfer": (["transfer", "--weight-cap", "4"], {"transfer": k2_doc()}, 0),
+    "transfer-broken": (["transfer", "--weight-cap", "4"], {"transfer": _broken_k2_doc()}, 1),
+    "cumulants": (["cumulants"], {"moments": {"moments": ["1/2", "-1/3", "2", "3/4"]}}, 0),
+    "error": (["validate"], {"algebra": _corrupted_e2_doc()}, 1),
+}
+
+
+@pytest.mark.parametrize("argv, docs, code", REPORT_KINDS.values(), ids=REPORT_KINDS.keys())
+def test_json_reports_equal_json_dumps_of_the_report(tmp_path, monkeypatch, argv, docs, code):
+    """Each kind of report is written byte for byte as json.dumps would
+    write the same dict."""
+    reports = []
+    emit = cli._emit
+
+    def recording(report, args):
+        reports.append(report)
+        emit(report, args)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    inputs = []
+    for role, doc in docs.items():
+        inputs += ["--input", f"{role}={write(tmp_path, role + '.json', doc)}"]
+    out = tmp_path / "report.json"
+    assert cli.run(argv + inputs + ["--output", str(out)]) == code
+    (report,) = reports
+    assert out.read_text(encoding="utf-8") == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if "der" in argv:
+        assert report["arity3_comparison"]["rows"]
+    if code:
+        assert "error" in report
 
 
 def _complex_generator_without_degree():

@@ -1,5 +1,6 @@
 """Wedge monomials, Koszul signs, and the reduced coproduct."""
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -8,7 +9,14 @@ from fractions import Fraction
 import pytest
 
 import cumalg as cm
-from cumalg.coalgebra import _rearrangement_sign, repetition_pattern, splits
+from cumalg.coalgebra import (
+    _rearrangement_sign,
+    _sort_sign,
+    _split_table,
+    as_monomial,
+    repetition_pattern,
+    splits,
+)
 
 from conftest import random_selement
 
@@ -296,11 +304,11 @@ def test_first_blocks_count_every_block_that_holds_the_first_factor(pattern):
     n = sum(pattern)
     starts = [sum(pattern[:k]) for k in range(len(pattern))]
     table = splits(even_word(pattern))
-    blocks = [(block, rest, first) for block, rest, _, first in table if first]
+    blocks = [(block, rest, first) for block, rest, _, first, _, _ in table if first]
     # with the whole word, 2^(n-1) subsets hold position 0
     assert sum(first for _, _, first in blocks) + 1 == 2 ** (n - 1)
     # and with the empty block and the whole word, 2^n subsets in all
-    assert sum(coeff for _, _, coeff, _ in table) + 2 == 2 ** n
+    assert sum(coeff for _, _, coeff, _, _, _ in table) + 2 == 2 ** n
     for block, rest, _ in blocks:
         assert block[0] == 0 and rest
         assert sorted(block + rest) == list(range(n))
@@ -313,7 +321,65 @@ def test_first_blocks_count_every_block_that_holds_the_first_factor(pattern):
 def test_first_blocks_of_one_repeated_factor_are_binomial():
     for n in range(1, 9):
         table = splits(even_word((n,)))
-        firsts = {len(block): first for block, _, _, first in table}
+        firsts = {len(block): first for block, _, _, first, _, _ in table}
         assert firsts == {k: math.comb(n - 1, k - 1) for k in range(1, n)}
-        coeffs = {len(block): coeff for block, _, coeff, _ in table}
+        coeffs = {len(block): coeff for block, _, coeff, _, _, _ in table}
         assert coeffs == {k: math.comb(n, k) for k in range(1, n)}
+
+
+def word_shapes(max_weight):
+    """Every (repetition pattern, factor parities) of a word up to
+    `max_weight` in which no odd factor repeats."""
+    for n in range(1, max_weight + 1):
+        for cuts in itertools.product((False, True), repeat=n - 1):
+            pattern, run = [], 1
+            for cut in cuts:
+                if cut:
+                    pattern.append(run)
+                    run = 1
+                else:
+                    run += 1
+            pattern.append(run)
+            singles = [k for k, m in enumerate(pattern) if m == 1]
+            for odd in itertools.product((0, 1), repeat=len(singles)):
+                odd_runs = {k for k, o in zip(singles, odd) if o}
+                parities = tuple(
+                    int(k in odd_runs) for k, m in enumerate(pattern) for _ in range(m)
+                )
+                yield tuple(pattern), parities
+
+
+def test_split_signs_equal_the_sort_sign():
+    """The one-pass block-before-rest sign of `_split_table` equals the
+    Koszul sign of sorting the listed positions, for every shape up to
+    weight 7."""
+    for pattern, parities in word_shapes(7):
+        starts = list(itertools.accumulate(pattern, initial=0))
+        for block, rest, coeff, *_ in _split_table(pattern, parities):
+            order = block + rest
+            counts = [sum(s <= p < s + m for p in block) for s, m in zip(starts, pattern)]
+            multiplicity = math.prod(math.comb(m, c) for m, c in zip(pattern, counts))
+            assert coeff == _sort_sign(order, [parities[p] for p in order]) * multiplicity
+
+
+def test_split_getters_pick_the_block_and_the_rest():
+    """Each row's getters give the monomials `part` gives, one-position
+    blocks and rests included, on random words whose even factors repeat up
+    to three times and whose odd factors appear once."""
+    rng = random.Random(7)
+    single = set()
+    for weight in range(1, 8):
+        for _ in range(40):
+            indices, degrees, k = [], [], 0
+            while len(indices) < weight:
+                degree = rng.choice((-1, 0, 1, 2, 3))
+                times = 1 if degree % 2 else rng.randint(1, min(3, weight - len(indices)))
+                indices += [k] * times
+                degrees += [degree] * times
+                k += 1
+            w = cm.WedgeMonomial(tuple(indices), tuple(degrees))
+            for block, rest, _, _, take, leave in splits(w):
+                assert as_monomial((take(w[0]), take(w[1]))) == w.part(block)
+                assert as_monomial((leave(w[0]), leave(w[1]))) == w.part(rest)
+                single.update(len(part) for part in (block, rest) if len(part) == 1)
+    assert single == {1}

@@ -106,3 +106,16 @@ def test_expectation_map_lands_in_the_ground_field():
 
 def test_truncated_algebras_are_shared():
     assert cm.truncated_polynomial_algebra(5) is cm.truncated_polynomial_algebra(5)
+
+
+def test_truncated_algebra_cache_stays_bounded():
+    """The cache keeps at most its bound however many sizes a process asks
+    for, and holds every size a CLI job can ask for (n <= 10) at once."""
+    build = cm.truncated_polynomial_algebra
+    bound = build.cache_info().maxsize
+    assert bound is not None and bound >= 10
+    for n in range(1, 41):
+        build(n)
+        assert build.cache_info().currsize <= bound
+    first = [build(n) for n in range(1, 11)]
+    assert all(build(n) is kept for n, kept in zip(range(1, 11), first))

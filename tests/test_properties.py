@@ -255,6 +255,47 @@ def test_integer_structure_constants_never_leave_int(A, seed):
                 assert type(c) is int, c
 
 
+def bilinear_sum(A, u, v):
+    """u·v term by term through `add_term`: the reference for the sparse
+    product kernel."""
+    out = cm.Vector(A)
+    for i, cu in u.terms.items():
+        for j, cv in v.terms.items():
+            for k, x in A.products[i][j].terms.items():
+                out.add_term(k, cu * cv * x)
+    return out
+
+
+def cancelling_pair(A):
+    """Some u = a·e_i + b·e_j and e_k whose product loses a key t that both
+    e_i·e_k and e_j·e_k hold, or None."""
+    n = len(A)
+    for i, j, k in itertools.permutations(range(n), 3):
+        shared = A.products[i][k].terms.keys() & A.products[j][k].terms.keys()
+        if shared:
+            t = min(shared)
+            a, b = A.products[j][k].terms[t], -A.products[i][k].terms[t]
+            return cm.Vector(A, {i: a, j: b}), A.generator(k), t
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(algebras, st.integers(0, 2**32))
+def test_multiply_equals_the_plain_bilinear_sum(A, seed):
+    B = rational_change_of_basis(A, seed)
+    rng = random.Random(seed)
+    pairs = [(random_vector(rng, B), random_vector(rng, B)) for _ in range(10)]
+    cancelling = cancelling_pair(B)
+    if cancelling is not None:
+        u, v, t = cancelling
+        assert t not in B.multiply(u, v).terms
+        pairs.append((u, v))
+    for u, v in pairs:
+        got = B.multiply(u, v)
+        assert got == bilinear_sum(B, u, v)
+        assert all(c != 0 for c in got.terms.values())
+
+
 @settings(max_examples=25, deadline=None)
 @given(algebras, st.integers(0, 2**32), st.integers(1, CAP))
 def test_tau_tilde_after_a_rational_change_of_basis_equals_the_series(A, seed, cap):

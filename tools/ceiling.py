@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Time the CLI near its weight-cap ceiling, in one process, per phase.
+
+    python3 tools/ceiling.py
+
+Runs `lift` and `invert` on the truncated polynomial algebra p6 at caps 6, 8
+and 10, `lift` on e4c (the 15-generator exterior algebra after a rational
+change of basis) at cap 5, and `defects --kind hom` (on e4) and
+`--kind der` (on e4c) at cap 5, each through `cumalg.cli.run` with its report
+written to a temporary file.  Prints one JSON line: for each job, the seconds
+spent parsing documents (`parse`), emitting the report (`emit`) and in the
+rest of the job (`compute`).  The documents come from the benchmark's input
+generators with a fixed seed.
+"""
+from __future__ import annotations
+
+import json
+import random
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import inputs  # noqa: E402
+from cumalg import cli  # noqa: E402
+
+SEED = 1
+PHASED = ("_load_json", "parse_algebra", "parse_linear_map")
+
+
+def documents(work: Path) -> dict:
+    rng = random.Random(f"ceiling:{SEED}")
+    e4 = inputs.exterior_algebra(4)
+    e4c = inputs.change_basis(rng, e4, "f")
+    docs = {
+        "p6": inputs.truncated_polynomial(6),
+        "e4c": e4c,
+        "hom_e4": inputs.degree_zero_map(rng, e4),
+        "der_e4c": inputs.degree_zero_map(rng, e4c),
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = work / f"{name}.json"
+        paths[name].write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    return paths
+
+
+def jobs(paths: dict) -> dict:
+    out = {}
+    for cap in (6, 8, 10):
+        for command in ("lift", "invert"):
+            out[f"{command} p6 cap {cap}"] = [
+                command, "--weight-cap", str(cap), "--input", f"algebra={paths['p6']}"]
+    out["lift e4c cap 5"] = ["lift", "--weight-cap", "5", "--input", f"algebra={paths['e4c']}"]
+    out["defects hom e4 cap 5"] = ["defects", "--kind", "hom", "--weight-cap", "5",
+                                   "--input", f"map={paths['hom_e4']}"]
+    out["defects der e4c cap 5"] = ["defects", "--kind", "der", "--weight-cap", "5",
+                                    "--input", f"map={paths['der_e4c']}"]
+    return out
+
+
+def timed(phase: str, fn, spent: dict):
+    def call(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[phase] += time.perf_counter() - start
+    return call
+
+
+def main() -> int:
+    spent = {"parse": 0.0, "emit": 0.0}
+    for name in PHASED:
+        setattr(cli, name, timed("parse", getattr(cli, name), spent))
+    cli._emit = timed("emit", cli._emit, spent)
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for label, argv in jobs(documents(work)).items():
+            spent.update(parse=0.0, emit=0.0)
+            start = time.perf_counter()
+            code = cli.run(argv + ["--output", str(work / "report.json")])
+            total = time.perf_counter() - start
+            if code != 0:
+                raise SystemExit(f"{label}: exit {code}")
+            result[label] = {
+                "parse": round(spent["parse"], 3),
+                "compute": round(total - spent["parse"] - spent["emit"], 3),
+                "emit": round(spent["emit"], 3),
+            }
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
