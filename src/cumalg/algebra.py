@@ -7,13 +7,14 @@ structure constants never pay for rational arithmetic.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
 from fractions import Fraction
 from operator import itemgetter
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 _basis_counter = itertools.count()
 # filters the (key, coefficient) items of an accumulated dict down to those
@@ -26,7 +27,34 @@ class AlgebraError(Exception):
 
 
 class SchemaError(AlgebraError):
-    """An input document does not have the expected shape."""
+    """An input document does not have the expected shape.  The fault is at
+    `node[key]`, or is `node` itself when `key` is None; `locate` puts the
+    RFC 6901 JSON Pointer of that place in `witness` and in the message."""
+
+    def __init__(self, reason: str, node=None, key=None):
+        super().__init__(reason)
+        self.node, self.key = node, key
+        self.witness = {"kind": "schema", "pointer": ""}
+
+    def __str__(self):
+        return f"{self.args[0]} at '{self.witness['pointer']}'"
+
+    def locate(self, doc):
+        """Find the place of the fault in `doc`, searching every object and
+        list in it, so that a valid document pays nothing for pointers."""
+        stack = [(doc, "")]
+        while stack:
+            node, at = stack.pop()
+            if node is self.node:
+                self.witness["pointer"] = at + _step(self.key)
+                return
+            if isinstance(node, (dict, list)):
+                pairs = node.items() if isinstance(node, dict) else enumerate(node)
+                stack.extend((v, at + _step(k)) for k, v in pairs if isinstance(v, (dict, list)))
+
+
+def _step(key) -> str:
+    return "" if key is None else "/" + str(key).replace("~", "~0").replace("/", "~1")
 
 
 class ValidationError(AlgebraError):
@@ -54,16 +82,85 @@ def exact(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def is_integer(value) -> bool:
-    """A JSON integer: `true` and `false` are not numbers."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# --- the document reader: only `field`, `scalar_at` and `name_at` check the
+# JSON type of a document value, and each document is read by a `reader`
+
+_REQUIRED = object()
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def load_json(text):
+    """Parse JSON text, given as `str` or as UTF-8 `bytes`."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as err:  # also not UTF-8, too many digits, too deep
+        raise AlgebraError(f"invalid JSON: {err}") from None
+
+
+def reader(kind, each=None):
+    """Decorate `read(doc, *args)`, which reads documents of the JSON type
+    `kind` (lists of `each`), to take its document as JSON text or parsed,
+    and to locate a SchemaError it raises in that document."""
+
+    def decorate(read):
+        @functools.wraps(read)
+        def read_document(document, *args):
+            doc = load_json(document) if isinstance(document, str) else document
+            try:
+                return read(field([doc], 0, kind, each=each), *args)
+            except SchemaError as err:
+                err.locate(doc)
+                raise
+
+        return read_document
+
+    return decorate
+
+
+def field(node, key, kind, default=_REQUIRED, each=None):
+    """The value at `node[key]`, of the JSON type `kind` (`object`: any; no
+    boolean is an integer), and a list of values of the type `each` if that is
+    given.  When the object `node` lacks `key`: `default`, if given."""
+    try:
+        value = node[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise SchemaError(f"lacks {key!r}", node) from None
+        return default
+    if type(value) is not kind and kind is not object:
+        raise SchemaError(f"must be {_JSON_TYPES[kind]}", node, key)
+    for k, item in enumerate(value) if each else ():
+        if type(item) is not each:
+            raise SchemaError(f"must be {_JSON_TYPES[each]}", value, k)
+    return value
+
+
+def scalar_at(node, key):
+    """The exact rational at `node[key]`: a JSON integer, or "p" or "p/q" (q > 0)."""
+    value = field(node, key, object)
+    if type(value) is int:
+        return value
+    match = type(value) is str and _RATIONAL_RE.match(value)
+    try:
+        if match:
+            p, q = match.groups()
+            return int(p) if q is None else exact(Fraction(int(p), int(q)))
+    except ValueError:  # more digits than `int` converts
+        pass
+    raise SchemaError("not an exact rational", node, key)
 
 
 def parse_scalar(text):
     """Parse an exact rational written as "p" or "p/q" (q > 0)."""
-    if is_integer(text) or isinstance(text, str) and _RATIONAL_RE.match(text):
-        return exact(text)
-    raise SchemaError(f"not an exact rational: {text!r}")
+    return scalar_at([text], 0)
+
+
+def name_at(basis, node, key) -> int:
+    """The index in `basis` of the generator named at `node[key]`."""
+    i = basis._index.get(field(node, key, str))
+    if i is None:
+        raise SchemaError("unknown generator", node, key)
+    return i
 
 
 def format_scalar(value) -> str:
@@ -278,14 +375,16 @@ class Vector(LinearCombination):
 
     @classmethod
     def from_doc(cls, basis, doc):
-        if not isinstance(doc, list):
-            raise SchemaError("vector document must be a list")
-        out = cls(basis)
-        for entry in doc:
-            if not isinstance(entry, dict) or "gen" not in entry or "coeff" not in entry:
-                raise SchemaError(f"bad vector entry: {entry!r}")
-            out.add_term(basis.index(entry["gen"]), parse_scalar(entry["coeff"]))
-        return out
+        return read_vector(doc, basis)
+
+
+@reader(list, dict)
+def read_vector(entries, basis) -> Vector:
+    """A vector document: a list of {"gen", "coeff"} terms."""
+    out = Vector(basis)
+    for entry in entries:
+        out.add_term(name_at(basis, entry, "gen"), scalar_at(entry, "coeff"))
+    return out
 
 
 def parity_sign(p: int, q: int) -> int:
@@ -401,62 +500,42 @@ class AlgebraPresentation(GradedBasis):
         return {"generators": gens, "products": prods}
 
 
-def parse_algebra(document) -> AlgebraPresentation:
+@reader(dict)
+def parse_algebra(doc) -> AlgebraPresentation:
     """Build a validated presentation from a JSON document (text or dict).
 
     Products may state either orientation of a pair; the omitted one defaults
     to the graded-commutative reflection.  Stating both is allowed but they
     must agree (checked by the validator).
     """
-    doc = json.loads(document) if isinstance(document, str) else document
-    generators = _parse_generators(doc, "algebra")
-    if "modulus" in doc or "characteristic" in doc:
-        raise SchemaError("only characteristic 0 (exact rationals) is supported")
+    generators = _generators(doc)
+    for key in ("modulus", "characteristic"):
+        if key in doc:
+            raise SchemaError("only characteristic 0 (exact rationals) is supported", doc, key)
     basis = GradedBasis(generators)
-
-    entries = doc.get("products", [])
-    if not isinstance(entries, list):
-        raise SchemaError("'products' must be a list")
     stated = {}
-    for p in entries:
-        if not isinstance(p, dict) or "left" not in p or "right" not in p:
-            raise SchemaError(f"bad product entry: {p!r}")
-        i = basis.index(p["left"])
-        j = basis.index(p["right"])
-        value = Vector.from_doc(basis, p.get("value", []))
-        if (i, j) in stated:
-            raise SchemaError(
-                f"product ({p['left']},{p['right']}) stated more than once"
-            )
-        stated[(i, j)] = value
-
-    products = {}
-    for (i, j), value in stated.items():
-        products[(i, j)] = value.terms
-        if (j, i) not in stated:
-            sign = parity_sign(basis.degrees[i], basis.degrees[j])
-            products[(j, i)] = (sign * value).terms
-
-    algebra = AlgebraPresentation(generators, products)
-    return algebra
+    for p in field(doc, "products", list, (), dict):
+        pair = name_at(basis, p, "left"), name_at(basis, p, "right")
+        if pair in stated:
+            raise SchemaError("product stated more than once", p)
+        stated[pair] = read_vector(field(p, "value", list, []), basis)
+    products = {
+        (j, i): parity_sign(basis.degrees[i], basis.degrees[j]) * value
+        for (i, j), value in stated.items()
+    }
+    products.update(stated)
+    return AlgebraPresentation(generators, {ij: v.terms for ij, v in products.items()})
 
 
-def _parse_generators(doc, what: str) -> list:
+def _generators(doc) -> list:
     """The (name, degree) pairs of a document's generator list."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{what} document must be an object")
-    if not isinstance(doc.get("generators"), list):
-        raise SchemaError(f"{what} document lacks 'generators'")
-    generators = []
-    for g in doc["generators"]:
-        if not isinstance(g, dict) or "name" not in g or "degree" not in g:
-            raise SchemaError(f"bad generator entry: {g!r}")
-        if not isinstance(g["name"], str):
-            raise SchemaError(f"generator name must be a string: {g!r}")
-        if not is_integer(g["degree"]):
-            raise SchemaError(f"generator degree must be an integer: {g!r}")
-        generators.append((g["name"], g["degree"]))
-    return generators
+    generators = {}
+    for g in field(doc, "generators", list, each=dict):
+        name = field(g, "name", str)
+        if name in generators:
+            raise SchemaError("duplicate generator name", g, "name")
+        generators[name] = field(g, "degree", int)
+    return list(generators.items())
 
 
 class LinearMap:
@@ -559,22 +638,15 @@ def linear_bracket(m1: LinearMap, m2: LinearMap) -> LinearMap:
     return m1.compose(m2) - sign * m2.compose(m1)
 
 
-def parse_linear_map(document, source: GradedBasis, target: GradedBasis) -> LinearMap:
-    doc = json.loads(document) if isinstance(document, str) else document
-    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
-        raise SchemaError("linear-map document lacks 'entries'")
-    degree = doc.get("degree", 0)
-    if not is_integer(degree):
-        raise SchemaError("map degree must be an integer")
+@reader(dict)
+def parse_linear_map(doc, source: GradedBasis, target: GradedBasis) -> LinearMap:
     columns = {}
-    for entry in doc["entries"]:
-        if not isinstance(entry, dict) or "gen" not in entry:
-            raise SchemaError(f"bad map entry: {entry!r}")
-        i = source.index(entry["gen"])
+    for entry in field(doc, "entries", list, each=dict):
+        i = name_at(source, entry, "gen")
         if i in columns:
-            raise SchemaError(f"duplicate map entry for {entry['gen']!r}")
-        columns[i] = Vector.from_doc(target, entry.get("value", []))
-    return LinearMap(source, target, degree, columns)
+            raise SchemaError("duplicate map entry", entry, "gen")
+        columns[i] = read_vector(field(entry, "value", list, []), target)
+    return LinearMap(source, target, field(doc, "degree", int, 0), columns)
 
 
 class ChainComplex(GradedBasis):
@@ -594,14 +666,13 @@ class ChainComplex(GradedBasis):
         return {"generators": gens, "differential": self.differential.to_doc()}
 
 
-def parse_chain_complex(document) -> ChainComplex:
-    doc = json.loads(document) if isinstance(document, str) else document
-    cx = ChainComplex(_parse_generators(doc, "complex"))
-    ddoc = doc.get("differential")
-    if ddoc is not None:
-        diff = parse_linear_map(ddoc, cx, cx)
+@reader(dict)
+def parse_chain_complex(doc) -> ChainComplex:
+    cx = ChainComplex(_generators(doc))
+    if doc.get("differential") is not None:
+        diff = parse_linear_map(field(doc, "differential", dict), cx, cx)
         if diff.degree != -1:
-            raise SchemaError("complex differential must have degree -1")
+            raise SchemaError("complex differential must have degree -1", doc, "differential")
         _require_square_zero(diff)
         cx.differential = diff
     return cx

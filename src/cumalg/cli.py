@@ -11,7 +11,9 @@ import functools
 import json
 import sys
 
-from .algebra import AlgebraError, format_scalar, parse_algebra, parse_linear_map
+from .algebra import (
+    AlgebraError, field, format_scalar, load_json, parse_algebra, parse_linear_map, reader
+)
 from .coalgebra import DEFAULT_WEIGHT_CAP, canonical_monomials
 from .cumulant import (
     cumulant_context,
@@ -97,21 +99,21 @@ def _parse_inputs(command: str, pairs) -> dict:
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             text = fh.read()
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}") from None
-    return json.loads(text)
+    return load_json(text)
 
 
-def _algebra_from_map_doc(doc):
-    """Resolve the inline source/target presentations of a map document."""
-    if not isinstance(doc, dict) or "source" not in doc:
-        raise AlgebraError("map document lacks an inline 'source' algebra")
-    source = parse_algebra(doc["source"])
-    target_doc = doc.get("target", doc["source"])
-    target = source if target_doc == doc["source"] else parse_algebra(target_doc)
-    return source, target
+@reader(dict)
+def _read_map(doc):
+    """A map document: a linear map with its source algebra inline, and its
+    target algebra when that differs."""
+    source = parse_algebra(field(doc, "source", dict))
+    if doc.get("target", doc["source"]) == doc["source"]:
+        return parse_linear_map(doc, source, source)
+    return parse_linear_map(doc, source, parse_algebra(field(doc, "target", dict)))
 
 
 def cmd_validate(args, inputs):
@@ -137,9 +139,7 @@ def cmd_lift(args, inputs, inverse=False):
 
 
 def cmd_defects(args, inputs):
-    doc = _load_json(inputs["map"])
-    source, target = _algebra_from_map_doc(doc)
-    m = parse_linear_map(doc, source, target)
+    m = _read_map(_load_json(inputs["map"]))
     family = defect_family(m, args.kind, cap=args.weight_cap)
     payload = {
         "kind": args.kind,
@@ -263,8 +263,11 @@ def _emit(report: dict, args) -> None:
     else:
         text = "\n".join(_render_text(report)) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write {args.output}: {err}") from None
     else:
         sys.stdout.write(text)
 
@@ -310,25 +313,17 @@ def run(argv) -> int:
     # true by construction: every wedge refuses a product past the weight cap
     base = {"command": args.command, "weight_cap": args.weight_cap, "overflow": False}
     try:
-        payload, ok = HANDLERS[args.command](args, inputs)
+        try:
+            payload, ok = HANDLERS[args.command](args, inputs)
+        except AlgebraError as err:
+            ok, payload = False, {"error": {"message": str(err)}}
+            witness = getattr(err, "witness", None)
+            if witness:
+                payload["error"]["witness"] = witness
+        _emit({**base, "ok": ok, **payload}, args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as err:
-        report = {**base, "ok": False, "error": {"message": f"invalid JSON: {err}"}}
-        _emit(report, args)
-        return 1
-    except AlgebraError as err:
-        error = {"message": str(err)}
-        witness = getattr(err, "witness", None)
-        if witness:
-            error["witness"] = witness
-        report = {**base, "ok": False, "error": error}
-        _emit(report, args)
-        return 1
-
-    report = {**base, "ok": ok, **payload}
-    _emit(report, args)
     return 0 if ok else 1
 
 

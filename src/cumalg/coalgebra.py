@@ -18,12 +18,14 @@ from operator import itemgetter
 from .algebra import (
     GradedBasis,
     LinearCombination,
-    SchemaError,
     ValidationError,
     Vector,
+    field,
     format_scalar,
+    name_at,
     parity_sign,
-    parse_scalar,
+    reader,
+    scalar_at,
 )
 
 DEFAULT_WEIGHT_CAP = 6
@@ -231,23 +233,22 @@ class SElement(LinearCombination):
 
     @classmethod
     def from_doc(cls, basis, cap, doc):
-        if not isinstance(doc, list):
-            raise SchemaError("coalgebra element document must be a list")
-        out = cls(basis, cap)
-        for entry in doc:
-            if (
-                not isinstance(entry, dict)
-                or not isinstance(entry.get("monomial"), list)
-                or "coeff" not in entry
-            ):
-                raise SchemaError(f"bad coalgebra element entry: {entry!r}")
-            coeff = parse_scalar(entry["coeff"])
-            norm = normalize_monomial(basis, [basis.index(n) for n in entry["monomial"]])
-            if norm is not None:
-                w, sign = norm
-                out._check_key(w)
-                out.add_term(w, sign * coeff)
-        return out
+        return _read_selement(doc, basis, cap)
+
+
+@reader(list, dict)
+def _read_selement(entries, basis, cap) -> SElement:
+    """A coalgebra-element document: a list of {"monomial", "coeff"} terms."""
+    out = SElement(basis, cap)
+    for entry in entries:
+        coeff = scalar_at(entry, "coeff")
+        names = field(entry, "monomial", list)
+        norm = normalize_monomial(basis, [name_at(basis, names, k) for k in range(len(names))])
+        if norm is not None:
+            w, sign = norm
+            out._check_key(w)
+            out.add_term(w, sign * coeff)
+    return out
 
 
 def wedge(u: SElement, v: SElement) -> SElement:

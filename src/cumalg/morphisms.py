@@ -16,9 +16,12 @@ from .algebra import (
     SchemaError,
     ValidationError,
     Vector,
+    field,
     format_scalar,
-    is_integer,
+    name_at,
     parity_sign,
+    read_vector,
+    reader,
     same_basis,
 )
 from .coalgebra import (
@@ -139,43 +142,32 @@ class TaylorFamily:
             arities[str(arity)] = rows
         return {"degree": self.degree, "arities": arities}
 
-    @classmethod
-    def from_doc(cls, doc, source: GradedBasis, target: GradedBasis) -> "TaylorFamily":
-        if not isinstance(doc, dict):
-            raise SchemaError("coefficient family document must be an object")
-        degree = doc.get("degree", 0)
-        if not is_integer(degree):
-            raise SchemaError("family degree must be an integer")
-        arities = doc.get("arities", {})
-        if not isinstance(arities, dict):
-            raise SchemaError("'arities' must be an object keyed by arity")
+    @staticmethod
+    @reader(dict)
+    def from_doc(doc, source: GradedBasis, target: GradedBasis) -> "TaylorFamily":
+        """A coefficient-family document: a degree (default 0) and, keyed by
+        arity, rows of a monomial and its value."""
+        arities = field(doc, "arities", dict, {})
         tables: dict = {}
-        for arity_key, rows in arities.items():
-            if not str(arity_key).isdecimal():
-                raise SchemaError(f"arity key must be a decimal integer: {arity_key!r}")
-            if not isinstance(rows, list):
-                raise SchemaError(f"rows of arity {arity_key} must be a list")
-            arity = int(arity_key)
+        for arity_key in arities:
+            try:
+                arity = int(arity_key) if str(arity_key).isdecimal() else 0
+            except ValueError:  # more digits than `int` converts
+                arity = 0
+            if arity < 1:
+                raise SchemaError("arity key must be a decimal integer >= 1", arities, arity_key)
             table = tables.setdefault(arity, {})
-            for row in rows:
-                if (
-                    not isinstance(row, dict)
-                    or not isinstance(row.get("monomial"), list)
-                    or "value" not in row
-                ):
-                    raise SchemaError(f"bad coefficient row: {row!r}")
-                indices = [source.index(n) for n in row["monomial"]]
+            for row in field(arities, arity_key, list, each=dict):
+                names = field(row, "monomial", list)
+                indices = [name_at(source, names, k) for k in range(len(names))]
                 if len(indices) != arity:
-                    raise ValidationError(
-                        f"monomial {row['monomial']} filed under arity {arity}"
-                    )
+                    raise SchemaError(f"monomial filed under arity {arity}", row, "monomial")
+                value = read_vector(field(row, "value", list), target)
                 norm = normalize_monomial(source, indices)
-                if norm is None:
-                    continue
-                mono, sign = norm
-                value = Vector.from_doc(target, row["value"])
-                table.setdefault(mono, Vector(target)).accumulate(value, sign)
-        return cls(source, target, degree, tables)
+                if norm is not None:
+                    mono, sign = norm
+                    table.setdefault(mono, Vector(target)).accumulate(value, sign)
+        return TaylorFamily(source, target, field(doc, "degree", int, 0), tables)
 
 
 class SMap:

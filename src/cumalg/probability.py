@@ -8,7 +8,6 @@ machinery serves as the independent oracle.
 """
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -18,22 +17,20 @@ from .algebra import (
     LinearMap,
     SchemaError,
     ValidationError,
-    parse_scalar,
+    field,
+    reader,
+    scalar_at,
 )
 from .coalgebra import WedgeMonomial
 from .cumulant import defect_coefficients
 
 
-def parse_moments(document) -> list:
-    doc = json.loads(document) if isinstance(document, str) else document
-    if not isinstance(doc, dict) or "moments" not in doc:
-        raise SchemaError("moments document lacks 'moments'")
-    if not isinstance(doc["moments"], list):
-        raise SchemaError("'moments' must be a list of exact rationals")
-    moments = [parse_scalar(m) for m in doc["moments"]]
+@reader(dict)
+def parse_moments(doc) -> list:
+    moments = field(doc, "moments", list)
     if not moments:
-        raise SchemaError("moments list is empty")
-    return moments
+        raise SchemaError("moments list is empty", doc, "moments")
+    return [scalar_at(moments, k) for k in range(len(moments))]
 
 
 # one entry per moment count: the CLI refuses more moments than the weight

@@ -11,18 +11,17 @@ reported with witnesses; nothing is assumed.
 """
 from __future__ import annotations
 
-import json
-
 from .algebra import (
     AlgebraPresentation,
     AlgebraError,
     ChainComplex,
     LinearMap,
-    SchemaError,
     ValidationError,
+    field,
     parse_algebra,
     parse_chain_complex,
     parse_linear_map,
+    reader,
     same_basis,
 )
 from .coalgebra import monomials_up_to
@@ -316,43 +315,27 @@ def _triangular_and_invertible(op: SMap):
     return CheckReport(law, True, checked), inverse
 
 
-def _expect_degree(m: LinearMap, degree: int, name: str) -> LinearMap:
-    if m.degree != degree:
-        raise SchemaError(f"map {name!r} must have degree {degree}")
-    return m
-
-
-def parse_retract(document) -> RetractData:
-    doc = json.loads(document) if isinstance(document, str) else document
-    if not isinstance(doc, dict):
-        raise SchemaError("retract document must be an object")
-    for key in ("algebra", "complex", "d", "i", "I", "s"):
-        if key not in doc:
-            raise SchemaError(f"retract document lacks {key!r}")
-    A = parse_algebra(doc["algebra"])
-    C = parse_chain_complex(doc["complex"])
+@reader(dict)
+def parse_retract(doc) -> RetractData:
+    A = parse_algebra(field(doc, "algebra", dict))
+    C = parse_chain_complex(field(doc, "complex", dict))
     return RetractData(
         algebra=A,
-        d=_expect_degree(parse_linear_map(doc["d"], A, A), -1, "d"),
+        d=parse_linear_map(field(doc, "d", dict), A, A),
         complex=C,
-        inclusion=_expect_degree(parse_linear_map(doc["i"], C, A), 0, "i"),
-        projection=_expect_degree(parse_linear_map(doc["I"], A, C), 0, "I"),
-        homotopy=_expect_degree(parse_linear_map(doc["s"], A, A), 1, "s"),
+        inclusion=parse_linear_map(field(doc, "i", dict), C, A),
+        projection=parse_linear_map(field(doc, "I", dict), A, C),
+        homotopy=parse_linear_map(field(doc, "s", dict), A, A),
     )
 
 
-def parse_transfer_input(document) -> TransferInput:
-    doc = json.loads(document) if isinstance(document, str) else document
-    if not isinstance(doc, dict) or "retract" not in doc:
-        raise SchemaError("transfer document lacks 'retract'")
-    retract = parse_retract(doc["retract"])
+@reader(dict)
+def parse_transfer_input(doc) -> TransferInput:
+    retract = parse_retract(field(doc, "retract", dict))
     C, A = retract.complex, retract.algebra
-    d_inf_doc = doc.get("d_infinity", {"degree": -1, "arities": {}})
-    iota_doc = doc.get("iota")
-    if iota_doc is None:
-        raise SchemaError("transfer document lacks 'iota'")
+    d_inf_doc = field(doc, "d_infinity", dict, {"degree": -1})
     return TransferInput(
         retract=retract,
         d_infinity=TaylorFamily.from_doc(d_inf_doc, C, C),
-        iota=TaylorFamily.from_doc(iota_doc, C, A),
+        iota=TaylorFamily.from_doc(field(doc, "iota", dict), C, A),
     )

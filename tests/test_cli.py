@@ -465,58 +465,128 @@ def _transfer_doc_with(change):
     return doc
 
 
+# name: (argv, role, document, the RFC 6901 pointer its error report names)
 MALFORMED = {
     "product-without-right": (
         ["validate"], "algebra",
-        {"generators": [{"name": "a", "degree": 0}], "products": [{"left": "a"}]}),
+        {"generators": [{"name": "a", "degree": 0}], "products": [{"left": "a"}]},
+        "/products/0"),
     "product-entry-without-coeff": (
         ["validate"], "algebra",
         {"generators": [{"name": "a", "degree": 0}],
-         "products": [{"left": "a", "right": "a", "value": [{"gen": "a"}]}]}),
+         "products": [{"left": "a", "right": "a", "value": [{"gen": "a"}]}]},
+        "/products/0/value/0"),
     "map-entry-without-coeff": (
         ["defects", "--kind", "hom"], "map",
-        {**E2_MAP_DOC, "entries": [{"gen": "a", "value": [{"gen": "a"}]}]}),
+        {**E2_MAP_DOC, "entries": [{"gen": "a", "value": [{"gen": "a"}]}]},
+        "/entries/0/value/0"),
     "products-not-a-list": (
         ["validate"], "algebra",
-        {"generators": [{"name": "a", "degree": 0}], "products": 5}),
+        {"generators": [{"name": "a", "degree": 0}], "products": 5},
+        "/products"),
     "map-entries-not-a-list": (
-        ["defects", "--kind", "hom"], "map", {**E2_MAP_DOC, "entries": 5}),
+        ["defects", "--kind", "hom"], "map", {**E2_MAP_DOC, "entries": 5}, "/entries"),
     "list-as-generator-name": (
-        ["validate"], "algebra", {"generators": [{"name": ["a"], "degree": 0}]}),
+        ["validate"], "algebra", {"generators": [{"name": ["a"], "degree": 0}]},
+        "/generators/0/name"),
     "complex-generator-without-degree": (
-        ["validate"], "retract", _complex_generator_without_degree()),
-    "moments-as-a-string": (["cumulants"], "moments", {"moments": "12"}),
+        ["validate"], "retract", _complex_generator_without_degree(),
+        "/complex/generators/0"),
+    "moments-as-a-string": (["cumulants"], "moments", {"moments": "12"}, "/moments"),
     "iota-row-without-monomial": (
         ["transfer"], "transfer",
-        _transfer_doc_with(lambda iota: iota["arities"]["1"][0].pop("monomial"))),
+        _transfer_doc_with(lambda iota: iota["arities"]["1"][0].pop("monomial")),
+        "/iota/arities/1/0"),
     "iota-row-without-value": (
         ["transfer"], "transfer",
-        _transfer_doc_with(lambda iota: iota["arities"]["1"][0].pop("value"))),
+        _transfer_doc_with(lambda iota: iota["arities"]["1"][0].pop("value")),
+        "/iota/arities/1/0"),
     "arities-not-an-object": (
         ["transfer"], "transfer",
-        _transfer_doc_with(lambda iota: iota.update(arities=[]))),
+        _transfer_doc_with(lambda iota: iota.update(arities=[])),
+        "/iota/arities"),
     "arity-key-not-a-number": (
         ["transfer"], "transfer",
-        _transfer_doc_with(lambda iota: iota["arities"].update(two=iota["arities"].pop("2")))),
+        _transfer_doc_with(lambda iota: iota["arities"].update(two=iota["arities"].pop("2"))),
+        "/iota/arities/two"),
+    # a pointer escapes "~" as "~0" and "/" as "~1"
+    "arity-key-with-slash-and-tilde": (
+        ["transfer"], "transfer",
+        _transfer_doc_with(lambda iota: iota["arities"].update({"2/~": iota["arities"].pop("2")})),
+        "/iota/arities/2~1~0"),
+    # the report names the place of a large bad value and does not copy it
+    "iota-row-with-a-megabyte-monomial": (
+        ["transfer"], "transfer",
+        _transfer_doc_with(lambda iota: iota["arities"]["1"][0].update(monomial="c" * 2**20)),
+        "/iota/arities/1/0/monomial"),
     # JSON booleans are not numbers
-    "moment-true": (["cumulants"], "moments", {"moments": [True, 2]}),
+    "moment-true": (["cumulants"], "moments", {"moments": [True, 2]}, "/moments/0"),
     "generator-degree-true": (
-        ["validate"], "algebra", {"generators": [{"name": "a", "degree": True}]}),
+        ["validate"], "algebra", {"generators": [{"name": "a", "degree": True}]},
+        "/generators/0/degree"),
     "map-degree-false": (
-        ["defects", "--kind", "hom"], "map", {**E2_MAP_DOC, "degree": False}),
+        ["defects", "--kind", "hom"], "map", {**E2_MAP_DOC, "degree": False}, "/degree"),
     "iota-degree-false": (
-        ["transfer"], "transfer", _transfer_doc_with(lambda iota: iota.update(degree=False))),
+        ["transfer"], "transfer", _transfer_doc_with(lambda iota: iota.update(degree=False)),
+        "/iota/degree"),
 }
 
 
-@pytest.mark.parametrize("argv, role, doc", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_documents_get_an_error_report(tmp_path, capsys, argv, role, doc):
+@pytest.mark.parametrize("argv, role, doc, pointer", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_documents_get_an_error_report(tmp_path, capsys, argv, role, doc, pointer):
     path = write(tmp_path, "input.json", doc)
     code = cli.run(argv + ["--input", f"{role}={path}"])
     captured = capsys.readouterr()
     assert code == 1
-    assert json.loads(captured.out)["ok"] is False
+    report = json.loads(captured.out)
+    assert report["ok"] is False
     assert "Traceback" not in captured.err
+    assert report["error"]["witness"] == {"kind": "schema", "pointer": pointer}
+    assert f"'{pointer}'" in report["error"]["message"]
+    assert len(report["error"]["message"]) < 100
+    _resolve(doc, pointer)
+
+
+def _resolve(doc, pointer):
+    """The value at an RFC 6901 JSON Pointer; KeyError or IndexError if there
+    is none."""
+    for token in pointer.split("/")[1:]:
+        token = token.replace("~1", "/").replace("~0", "~")
+        doc = doc[int(token)] if isinstance(doc, list) else doc[token]
+    return doc
+
+
+# bytes that a JSON parser or a scalar reader refuses before any shape check
+BOUNDARY_BYTES = {
+    "nested-100000-deep": (b"[" * 100_000 + b"]" * 100_000, None),
+    "not-utf-8": (b'{"moments": ["1/2"]}\xff', None),
+    "integer-of-5000-digits": (b'{"moments": [' + b"1" * 5000 + b"]}", None),
+    "rational-of-5000-digits": (b'{"moments": ["' + b"1" * 5000 + b'"]}', "/moments/0"),
+}
+
+
+@pytest.mark.parametrize("data, pointer", BOUNDARY_BYTES.values(), ids=BOUNDARY_BYTES.keys())
+def test_unreadable_bytes_get_an_error_report(tmp_path, capsys, data, pointer):
+    path = tmp_path / "moments.json"
+    path.write_bytes(data)
+    code = cli.run(["cumulants", "--input", f"moments={path}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["ok"] is False
+    if pointer is None:
+        assert report["error"]["message"].startswith("invalid JSON")
+    else:
+        assert report["error"]["witness"] == {"kind": "schema", "pointer": pointer}
+
+
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "e2.json", E2_DOC)
+    report = tmp_path / "no" / "such" / "r.json"
+    code = cli.run(["validate", "--input", f"algebra={path}", "--output", str(report)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write {report}")
 
 
 # the input boundary: every document that differs from a valid one at one
@@ -582,4 +652,10 @@ def test_every_single_mutation_of_a_valid_document_gets_a_report(tmp_path, capsy
         assert code in (0, 1, 2), what
         assert "Traceback" not in captured.err, what
         if code == 1:
-            assert json.loads(captured.out)["ok"] is False, what
+            report = json.loads(captured.out)
+            assert report["ok"] is False, what
+            # a failed transfer reports its error as a string
+            error = report.get("error")
+            witness = error.get("witness", {}) if isinstance(error, dict) else {}
+            if witness.get("kind") == "schema":
+                _resolve(mutated, witness["pointer"])
