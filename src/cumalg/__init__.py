@@ -1,93 +1,46 @@
-"""Exact-arithmetic cumulant bijections on graded commutative algebras."""
+"""Exact-arithmetic cumulant bijections on graded commutative algebras.
 
-from .algebra import (
-    AlgebraError,
-    AlgebraPresentation,
-    ChainComplex,
-    GradedBasis,
-    LinearMap,
-    SchemaError,
-    ValidationError,
-    Vector,
-    format_scalar,
-    linear_bracket,
-    parity_sign,
-    parse_algebra,
-    parse_chain_complex,
-    parse_linear_map,
-    parse_scalar,
-    same_basis,
-)
-from .coalgebra import (
-    DEFAULT_WEIGHT_CAP,
-    SElement,
-    TensorPairSum,
-    WedgeMonomial,
-    canonical_monomials,
-    coproduct,
-    coproduct_element,
-    iterated_coproduct,
-    koszul_sign,
-    monomial,
-    monomials_up_to,
-    normalize_monomial,
-    set_partitions,
-    wedge,
-)
-from .morphisms import (
-    CheckReport,
-    SMap,
-    TaylorFamily,
-    bracket,
-    check_coderivation,
-    check_comorphism,
-    check_filtration_one_identity,
-    extend_coalgebra_map,
-    extend_coderivation,
-    extract_family,
-    taylor_coefficient,
-    taylor_extract,
-    triangular_inverse,
-)
-from .cumulant import (
-    CumulantContext,
-    conjugate,
-    cumulant_context,
-    defect_family,
-    derivation_defect,
-    g2_closed_form,
-    g3_closed_form,
-    h2_closed_form,
-    h3_closed_form,
-    h3_seven_term_variant,
-    homomorphism_defect,
-    mobius_inverse_family,
-    tau,
-    tau_family,
-    tau_tilde,
-    tau_tilde_inverse,
-    tau_tilde_series,
-    vanishes_above_one,
-)
-from .transfer import (
-    RetractData,
-    TransferError,
-    TransferInput,
-    TransferReport,
-    TransferResult,
-    induced_cumulant_bijection,
-    parse_retract,
-    parse_transfer_input,
-    transferred_differential,
-    validate_retract,
-    validate_transfer_input,
-)
-from .probability import (
-    cumulants_from_moments,
-    expectation_map,
-    ground_field_algebra,
-    oracle_cumulants,
-    parse_moments,
-    truncated_polynomial_algebra,
-)
-from .linalg import rank, solve
+The namespace is lazy (PEP 562): `cumalg.X` imports the module that defines X
+on first use, so a process loads, and compiles, only the layers it uses.
+"""
+import importlib
+
+# every public name, by the layer module that defines it
+_EXPORTS = {
+    "algebra": """AlgebraError AlgebraPresentation ChainComplex GradedBasis LinearMap
+        SchemaError ValidationError Vector format_scalar linear_bracket parity_sign
+        parse_algebra parse_chain_complex parse_linear_map parse_scalar same_basis""",
+    "coalgebra": """DEFAULT_WEIGHT_CAP SElement TaylorFamily TensorPairSum WedgeMonomial
+        canonical_monomials coproduct coproduct_element iterated_coproduct
+        koszul_sign monomial monomials_up_to normalize_monomial set_partitions wedge""",
+    "morphisms": """CheckReport SMap bracket check_coderivation check_comorphism
+        check_filtration_one_identity extend_coalgebra_map extend_coderivation
+        extract_family taylor_coefficient taylor_extract triangular_inverse""",
+    "cumulant": """CumulantContext conjugate cumulant_context defect_family
+        derivation_defect g2_closed_form g3_closed_form h2_closed_form h3_closed_form
+        h3_seven_term_variant homomorphism_defect mobius_inverse_family tau
+        tau_family tau_tilde tau_tilde_inverse tau_tilde_series vanishes_above_one""",
+    "transfer": """RetractData TransferError TransferInput TransferReport TransferResult
+        induced_cumulant_bijection parse_retract parse_transfer_input
+        transferred_differential validate_retract validate_transfer_input""",
+    "probability": """cumulants_from_moments expectation_map ground_field_algebra
+        oracle_cumulants parse_moments truncated_polynomial_algebra""",
+    "linalg": "rank solve",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -99,13 +99,15 @@ def load_json(text):
 
 def reader(kind, each=None):
     """Decorate `read(doc, *args)`, which reads documents of the JSON type
-    `kind` (lists of `each`), to take its document as JSON text or parsed,
-    and to locate a SchemaError it raises in that document."""
+    `kind` (lists of `each`), to take its document as JSON text (`str` or
+    `bytes`) or parsed, and to locate a SchemaError it raises in that
+    document.  Text is parsed once: text that holds a JSON string is a
+    string document, refused like any other value of the wrong type."""
 
     def decorate(read):
         @functools.wraps(read)
         def read_document(document, *args):
-            doc = load_json(document) if isinstance(document, str) else document
+            doc = load_json(document) if isinstance(document, (str, bytes)) else document
             try:
                 return read(field([doc], 0, kind, each=each), *args)
             except SchemaError as err:
@@ -164,7 +166,16 @@ def name_at(basis, node, key) -> int:
 
 
 def format_scalar(value) -> str:
-    return str(value)
+    """`str` of an exact scalar, also past the interpreter's limit on the
+    digits of an int-to-str conversion, which stays as it is."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than `str` converts
+        from decimal import Decimal  # converts an int of any size exactly
+
+        value = Fraction(value)
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 class GradedBasis:

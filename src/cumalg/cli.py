@@ -3,6 +3,9 @@
 Reports are deterministic: canonical key order, tables in canonical monomial
 order, no timestamps.  Exit codes: 0 success, 1 validation failure, 2 usage
 error.
+
+Each handler imports the layers its command runs, so a process loads (and
+compiles) only those; this module imports only what every command shares.
 """
 from __future__ import annotations
 
@@ -12,23 +15,9 @@ import json
 import sys
 
 from .algebra import (
-    AlgebraError, field, format_scalar, load_json, parse_algebra, parse_linear_map, reader
+    AlgebraError, field, format_scalar, parse_algebra, parse_linear_map, reader
 )
-from .coalgebra import DEFAULT_WEIGHT_CAP, canonical_monomials
-from .cumulant import (
-    cumulant_context,
-    defect_family,
-    h3_seven_term_variant,
-    vanishes_above_one,
-)
-from .probability import cumulants_from_moments, oracle_cumulants, parse_moments
-from .transfer import (
-    TransferError,
-    induced_cumulant_bijection,
-    parse_retract,
-    parse_transfer_input,
-    validate_retract,
-)
+from .coalgebra import DEFAULT_WEIGHT_CAP
 
 WEIGHT_CAP_CEILING = 10
 ROLES = ("algebra", "map", "retract", "transfer", "moments")
@@ -97,13 +86,13 @@ def _parse_inputs(command: str, pairs) -> dict:
     return inputs
 
 
-def _load_json(path):
+def _load_json(path) -> bytes:
+    """The bytes of a JSON document file, which its reader parses once."""
     try:
         with open(path, "rb") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}") from None
-    return load_json(text)
 
 
 @reader(dict)
@@ -124,6 +113,8 @@ def cmd_validate(args, inputs):
         algebra = parse_algebra(doc)
         results["algebra"] = {"ok": True, "generators": len(algebra)}
     if "retract" in inputs:
+        from .transfer import parse_retract, validate_retract
+
         retract = parse_retract(_load_json(inputs["retract"]))
         report = validate_retract(retract)
         results["retract"] = report.to_doc()
@@ -132,6 +123,8 @@ def cmd_validate(args, inputs):
 
 
 def cmd_lift(args, inputs, inverse=False):
+    from .cumulant import cumulant_context
+
     algebra = parse_algebra(_load_json(inputs["algebra"]))
     ctx = cumulant_context(algebra, args.weight_cap)
     op = ctx.tau_tilde_inverse if inverse else ctx.tau_tilde
@@ -139,6 +132,8 @@ def cmd_lift(args, inputs, inverse=False):
 
 
 def cmd_defects(args, inputs):
+    from .cumulant import defect_family, vanishes_above_one
+
     m = _read_map(_load_json(inputs["map"]))
     family = defect_family(m, args.kind, cap=args.weight_cap)
     payload = {
@@ -153,6 +148,9 @@ def cmd_defects(args, inputs):
 
 def _arity3_comparison(d, family, cap):
     """Computed arity-3 table next to the seven-term variant expression."""
+    from .coalgebra import canonical_monomials
+    from .cumulant import h3_seven_term_variant
+
     A = d.source
     rows = []
     all_match = True
@@ -174,6 +172,8 @@ def _arity3_comparison(d, family, cap):
 
 
 def cmd_transfer(args, inputs):
+    from .transfer import TransferError, induced_cumulant_bijection, parse_transfer_input
+
     t = parse_transfer_input(_load_json(inputs["transfer"]))
     try:
         result = induced_cumulant_bijection(t, args.weight_cap)
@@ -184,6 +184,8 @@ def cmd_transfer(args, inputs):
 
 
 def cmd_cumulants(args, inputs):
+    from .probability import cumulants_from_moments, oracle_cumulants, parse_moments
+
     moments = parse_moments(_load_json(inputs["moments"]))
     if len(moments) > args.weight_cap:
         raise AlgebraError(

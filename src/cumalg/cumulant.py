@@ -24,20 +24,16 @@ from .algebra import (
 from .coalgebra import (
     DEFAULT_WEIGHT_CAP,
     SElement,
+    TaylorFamily,
     WedgeMonomial,
     as_monomial,
     iterated_coproduct,
     splits,
     wedge,
 )
-from .morphisms import (
-    SMap,
-    TaylorFamily,
-    coefficient_family,
-    coefficient_table,
-    extend_coalgebra_map,
-    triangular_inverse,
-)
+
+# `cumalg.morphisms` is imported where its operators are built, so that the
+# cumulants and the defect recursion run without loading it
 
 
 def tau(algebra: AlgebraPresentation, w: WedgeMonomial) -> Vector:
@@ -52,6 +48,8 @@ def tau(algebra: AlgebraPresentation, w: WedgeMonomial) -> Vector:
 
 def tau_family(algebra: AlgebraPresentation, max_arity: int) -> TaylorFamily:
     """Taylor coefficients of tau_tilde: the n-fold products, one table per arity."""
+    from .morphisms import coefficient_family
+
     return coefficient_family(algebra, algebra, 0, max_arity, lambda mono: tau(algebra, mono))
 
 
@@ -92,19 +90,36 @@ class CumulantContext:
         self.algebra = algebra
         self.cap = int(cap)
         # tau's Taylor family, one memo for tau_tilde and the defect tables
-        self.products = _LazyFamily(algebra, algebra, 0, self.cap, lambda w: tau(algebra, w))
+        self.products = _LazyFamily(algebra, algebra, 0, self.cap, self._product)
         self._tau_tilde: SMap | None = None
         self._inverse: SMap | None = None
+
+    def _product(self, w: WedgeMonomial) -> Vector:
+        """tau(w) as tau(w without its last factor) times that factor, both
+        read from the memo: the same left-to-right products as `tau`."""
+        indices, degrees = w
+        if len(indices) == 1:
+            return self.algebra.generator(indices[0])
+        coefficient = self.products.coefficient
+        head = coefficient(as_monomial((indices[:-1], degrees[:-1])))
+        if not head.terms:
+            return head
+        last = coefficient(as_monomial((indices[-1:], degrees[-1:])))
+        return self.algebra.multiply(head, last)
 
     @property
     def tau_tilde(self) -> SMap:
         if self._tau_tilde is None:
+            from .morphisms import extend_coalgebra_map
+
             self._tau_tilde = extend_coalgebra_map(self.products, self.cap)
         return self._tau_tilde
 
     @property
     def tau_tilde_inverse(self) -> SMap:
         if self._inverse is None:
+            from .morphisms import triangular_inverse
+
             self._inverse = triangular_inverse(self.tau_tilde, "cumulant bijection")
         return self._inverse
 
@@ -143,6 +158,8 @@ def tau_tilde_series(algebra: AlgebraPresentation, cap: int) -> SMap:
     the blocks wedged back together, divided by k! because ordered splits
     overcount each unordered partition once per block ordering.
     """
+    from .morphisms import SMap
+
     ctx = cumulant_context(algebra, cap)
 
     def fn(w: WedgeMonomial) -> SElement:
@@ -172,6 +189,8 @@ def mobius_inverse_family(algebra: AlgebraPresentation, max_arity: int) -> Taylo
     extending it as a coalgebra map gives a second, recursion-free route to
     the inverse.
     """
+    from .morphisms import coefficient_family
+
     return coefficient_family(
         algebra, algebra, 0, max_arity, lambda mono: _mobius(mono.weight) * tau(algebra, mono)
     )
@@ -240,6 +259,8 @@ def defect_coefficients(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) 
 
 def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> TaylorFamily:
     """All defect tables of a map up to the cap."""
+    from .morphisms import coefficient_family
+
     family = defect_coefficients(m, kind, cap)
     return coefficient_family(m.source, m.target, m.degree, cap, family.coefficient)
 
@@ -247,6 +268,8 @@ def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> Tay
 def _defect_table(m: LinearMap, kind: str, n: int, cap: int) -> dict:
     if n > cap:
         raise ValidationError(f"arity {n} exceeds the weight cap {cap}")
+    from .morphisms import coefficient_table
+
     return coefficient_table(m.source, n, defect_coefficients(m, kind, cap).coefficient)
 
 

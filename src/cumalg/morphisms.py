@@ -12,162 +12,24 @@ from collections.abc import Callable
 
 from .algebra import (
     GradedBasis,
-    LinearMap,
-    SchemaError,
     ValidationError,
     Vector,
-    field,
     format_scalar,
-    name_at,
     parity_sign,
-    read_vector,
-    reader,
     same_basis,
 )
 from .coalgebra import (
     SElement,
+    TaylorFamily,
     TensorPairSum,
     WedgeMonomial,
     as_monomial,
     canonical_monomials,
     coproduct_element,
     monomials_up_to,
-    normalize_monomial,
     splits,
     _wedge_in,
 )
-
-
-class TaylorFamily:
-    """Symmetric multilinear coefficients, one table per arity.
-
-    Table keys are canonical monomials; evaluation at an arbitrary factor
-    tuple normalizes first and applies the Koszul sign.  Values live in the
-    target basis and must be homogeneous of the monomial degree shifted by
-    the family degree.
-    """
-
-    def __init__(self, source: GradedBasis, target: GradedBasis, degree: int, tables):
-        self.source = source
-        self.target = target
-        self.degree = int(degree)
-        clean: dict = {}
-        for arity, table in tables.items():
-            arity = int(arity)
-            if arity < 1:
-                raise ValidationError("arity must be >= 1")
-            kept = {}
-            for mono, value in table.items():
-                if mono.weight != arity:
-                    raise ValidationError(
-                        f"monomial {mono} filed under arity {arity}"
-                    )
-                if not same_basis(value.basis, target):
-                    raise ValidationError("coefficient value over the wrong basis")
-                if value.is_zero():
-                    continue
-                if not value.is_homogeneous(mono.degree + self.degree):
-                    raise ValidationError(
-                        f"coefficient at {mono} not homogeneous of degree "
-                        f"{mono.degree + self.degree}"
-                    )
-                kept[mono] = value
-            if kept:
-                clean[arity] = kept
-        self.tables = clean
-        self._zero = Vector.zero(target)  # the one value of every missing entry
-
-    @classmethod
-    def from_linear_map(cls, m: LinearMap) -> "TaylorFamily":
-        table = {}
-        for i in range(len(m.source)):
-            v = m.apply(m.source.generator(i))
-            if not v.is_zero():
-                mono = WedgeMonomial((i,), (m.source.degrees[i],))
-                table[mono] = v
-        return cls(m.source, m.target, m.degree, {1: table})
-
-    def arities(self):
-        return sorted(self.tables)
-
-    def max_arity(self) -> int:
-        return max(self.tables, default=0)
-
-    def coefficient(self, mono: WedgeMonomial) -> Vector:
-        return self.tables.get(mono.weight, {}).get(mono, self._zero)
-
-    def evaluate(self, factors) -> Vector:
-        """Value at an arbitrary (possibly unsorted) factor index tuple."""
-        norm = normalize_monomial(self.source, factors)
-        if norm is None:
-            return Vector.zero(self.target)
-        mono, sign = norm
-        return sign * self.coefficient(mono)
-
-    def arity_one_map(self) -> LinearMap:
-        columns = {
-            mono.indices[0]: value for mono, value in self.tables.get(1, {}).items()
-        }
-        return LinearMap(self.source, self.target, self.degree, columns)
-
-    def restrict_arities(self, keep) -> "TaylorFamily":
-        keep = set(keep)
-        return TaylorFamily(
-            self.source,
-            self.target,
-            self.degree,
-            {a: t for a, t in self.tables.items() if a in keep},
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TaylorFamily)
-            and same_basis(self.source, other.source)
-            and same_basis(self.target, other.target)
-            and self.degree == other.degree
-            and self.tables == other.tables
-        )
-
-    def to_doc(self):
-        arities = {}
-        for arity in self.arities():
-            rows = []
-            for mono in sorted(self.tables[arity], key=lambda w: w.sort_key()):
-                rows.append(
-                    {
-                        "monomial": mono.names(self.source),
-                        "value": self.tables[arity][mono].to_doc(),
-                    }
-                )
-            arities[str(arity)] = rows
-        return {"degree": self.degree, "arities": arities}
-
-    @staticmethod
-    @reader(dict)
-    def from_doc(doc, source: GradedBasis, target: GradedBasis) -> "TaylorFamily":
-        """A coefficient-family document: a degree (default 0) and, keyed by
-        arity, rows of a monomial and its value."""
-        arities = field(doc, "arities", dict, {})
-        tables: dict = {}
-        for arity_key in arities:
-            try:
-                arity = int(arity_key) if str(arity_key).isdecimal() else 0
-            except ValueError:  # more digits than `int` converts
-                arity = 0
-            if arity < 1:
-                raise SchemaError("arity key must be a decimal integer >= 1", arities, arity_key)
-            table = tables.setdefault(arity, {})
-            for row in field(arities, arity_key, list, each=dict):
-                names = field(row, "monomial", list)
-                indices = [name_at(source, names, k) for k in range(len(names))]
-                if len(indices) != arity:
-                    raise SchemaError(f"monomial filed under arity {arity}", row, "monomial")
-                value = read_vector(field(row, "value", list), target)
-                norm = normalize_monomial(source, indices)
-                if norm is not None:
-                    mono, sign = norm
-                    table.setdefault(mono, Vector(target)).accumulate(value, sign)
-        return TaylorFamily(source, target, field(doc, "degree", int, 0), tables)
 
 
 class SMap:

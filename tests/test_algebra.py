@@ -1,5 +1,7 @@
 """Presentation parsing, validation witnesses, and linear-map arithmetic."""
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -82,6 +84,26 @@ def test_scalars_normalize_to_lowest_terms():
     alg = cm.parse_algebra(doc)
     (u,) = alg.generators()
     assert alg.multiply(u, u) == Fraction(1, 2) * u
+
+
+@pytest.mark.parametrize("value", [
+    0, -7, Fraction(-3, 4), 10**5000 + 1, -(10**5000) + 3, Fraction(10**5000 + 1, 3),
+    Fraction(2, 3 * 10**5000 + 1), Fraction(-(7**6000), 11**5000),
+], ids=["zero", "int", "fraction", "long-int", "long-negative-int", "long-numerator",
+        "long-denominator", "long-both"])
+def test_format_scalar_writes_every_digit(value):
+    """Exact digits on both sides of the interpreter's int-to-str limit,
+    which stays as it was."""
+    limit = sys.get_int_max_str_digits()
+    text = cm.format_scalar(value)
+    numerator, _, denominator = text.partition("/")
+    value = Fraction(value)
+    assert Decimal(numerator) == Decimal(value.numerator)
+    assert Decimal(denominator or 1) == Decimal(value.denominator)
+    assert (denominator == "") == (value.denominator == 1)
+    if max(abs(value.numerator), value.denominator) < 10**4000:
+        assert text == str(value)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_duplicate_product_statement_rejected():

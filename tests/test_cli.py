@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -529,6 +530,9 @@ MALFORMED = {
     "iota-degree-false": (
         ["transfer"], "transfer", _transfer_doc_with(lambda iota: iota.update(degree=False)),
         "/iota/degree"),
+    # a file holding a JSON string is a string document, not JSON text to parse again
+    "document-is-a-json-string": (
+        ["cumulants"], "moments", json.dumps({"moments": ["1/2", "1/3"]}), ""),
 }
 
 
@@ -578,6 +582,23 @@ def test_unreadable_bytes_get_an_error_report(tmp_path, capsys, data, pointer):
         assert report["error"]["message"].startswith("invalid JSON")
     else:
         assert report["error"]["witness"] == {"kind": "schema", "pointer": pointer}
+
+
+def test_scalars_past_the_str_digit_limit_are_reported_exactly(tmp_path, capsys):
+    """The second cumulant of two 3000-digit moments has 6001 digits, past
+    the interpreter's default limit of 4300 for an int-to-str conversion;
+    the report holds its exact digits and the limit stays as it was."""
+    m = 10**3000 - 1
+    limit = sys.get_int_max_str_digits()
+    path = write(tmp_path, "moments.json", {"moments": ["9" * 3000, "9" * 3000]})
+    code, report = run_json(capsys, ["cumulants", "--weight-cap", "2",
+                                     "--input", f"moments={path}"])
+    assert code == 0 and report["agree"] is True
+    assert report["cumulants"][0] == "9" * 3000
+    assert report["cumulants"][1] == report["oracle"][1]
+    assert len(report["cumulants"][1]) == 6001
+    assert Decimal(report["cumulants"][1]) == Decimal(m - m * m)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys):

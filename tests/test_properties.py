@@ -304,6 +304,24 @@ def test_tau_tilde_after_a_rational_change_of_basis_equals_the_series(A, seed, c
     assert lazy.first_difference(cm.tau_tilde_series(B, cap)) is None
 
 
+@settings(max_examples=25, deadline=None)
+@given(algebras, st.integers(0, 2**32), st.integers(1, CAP), st.booleans())
+def test_context_products_equal_the_left_to_right_tau(A, seed, cap, longest_first):
+    """A context reads tau(w) as the memoized tau of w without its last
+    factor times that factor, one product per word; `tau` multiplies left to
+    right with fresh generators.  Both give the same vectors, whichever
+    words are asked for first."""
+    B = rational_change_of_basis(A, seed)
+    words = list(cm.monomials_up_to(B, cap))
+    expected = {w: cm.tau(B, w) for w in words}
+    multiply, products = B.multiply, []
+    B.multiply = lambda u, v: products.append((u, v)) or multiply(u, v)
+    family = cm.CumulantContext(B, cap).products
+    for w in reversed(words) if longest_first else words:
+        assert family.coefficient(w) == expected[w]
+    assert len(products) <= sum(w.weight > 1 for w in words)
+
+
 def perturbed(op, rng):
     """op plus one random term at one random word: a monomial whose degree is
     the word's shifted by op's degree, with a nonzero coefficient.  Returns

@@ -28,7 +28,8 @@ import inputs  # noqa: E402
 from cumalg import cli  # noqa: E402
 
 SEED = 1
-PHASED = ("_load_json", "parse_algebra", "parse_linear_map")
+# reading a file, and the readers that parse its bytes and build its objects
+PHASED = ("_load_json", "parse_algebra", "_read_map")
 
 
 def documents(work: Path) -> dict:
@@ -64,16 +65,20 @@ def jobs(paths: dict) -> dict:
 
 def timed(phase: str, fn, spent: dict):
     def call(*args, **kwargs):
+        if spent["open"]:  # inside a timed call, which counts this one
+            return fn(*args, **kwargs)
+        spent["open"] = True
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
+            spent["open"] = False
             spent[phase] += time.perf_counter() - start
     return call
 
 
 def main() -> int:
-    spent = {"parse": 0.0, "emit": 0.0}
+    spent = {"parse": 0.0, "emit": 0.0, "open": False}
     for name in PHASED:
         setattr(cli, name, timed("parse", getattr(cli, name), spent))
     cli._emit = timed("emit", cli._emit, spent)
