@@ -1,16 +1,20 @@
 """Exact-arithmetic cumulant bijections on graded commutative algebras.
 
 The namespace is lazy (PEP 562): `cumalg.X` imports the module that defines X
-on first use, so a process loads, and compiles, only the layers it uses.
+on first use, so a process loads, and compiles, only the layers it uses.  A
+name is read from its module on every access and never bound here, so
+`cumalg.X` is always what the module holds now (a patch undone is undone
+here too).
 """
 import importlib
 
 # every public name, by the layer module that defines it
 _EXPORTS = {
-    "algebra": """AlgebraError AlgebraPresentation ChainComplex GradedBasis LinearMap
-        SchemaError ValidationError Vector format_scalar linear_bracket parity_sign
-        parse_algebra parse_chain_complex parse_linear_map parse_scalar same_basis""",
-    "coalgebra": """DEFAULT_WEIGHT_CAP SElement TaylorFamily TensorPairSum WedgeMonomial
+    "algebra": """AlgebraError AlgebraPresentation ChainComplex DEFAULT_WEIGHT_CAP
+        GradedBasis LinearMap SchemaError ValidationError Vector format_scalar
+        linear_bracket parity_sign parse_algebra parse_chain_complex parse_linear_map
+        parse_scalar same_basis""",
+    "coalgebra": """SElement TaylorFamily TensorPairSum WedgeMonomial
         canonical_monomials coproduct coproduct_element iterated_coproduct
         koszul_sign monomial monomials_up_to normalize_monomial set_partitions wedge""",
     "morphisms": """CheckReport SMap bracket check_coderivation check_comorphism
@@ -37,9 +41,7 @@ def __getattr__(name):
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value  # later lookups skip this function
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__():

@@ -14,6 +14,9 @@ import re
 from fractions import Fraction
 from operator import itemgetter
 
+# the truncation weight of the coalgebra when a caller gives none
+DEFAULT_WEIGHT_CAP = 6
+
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 _basis_counter = itertools.count()

@@ -15,9 +15,9 @@ import json
 import sys
 
 from .algebra import (
-    AlgebraError, field, format_scalar, parse_algebra, parse_linear_map, reader
+    DEFAULT_WEIGHT_CAP, AlgebraError, field, format_scalar, parse_algebra, parse_linear_map,
+    reader,
 )
-from .coalgebra import DEFAULT_WEIGHT_CAP
 
 WEIGHT_CAP_CEILING = 10
 ROLES = ("algebra", "map", "retract", "transfer", "moments")

@@ -18,6 +18,7 @@ from functools import lru_cache, partial
 from operator import itemgetter
 
 from .algebra import (
+    DEFAULT_WEIGHT_CAP,  # noqa: F401 (public here too)
     GradedBasis,
     LinearCombination,
     LinearMap,
@@ -33,8 +34,6 @@ from .algebra import (
     same_basis,
     scalar_at,
 )
-
-DEFAULT_WEIGHT_CAP = 6
 
 
 def koszul_sign(degrees, permutation) -> int:
@@ -388,6 +387,27 @@ class TaylorFamily:
                     table.setdefault(mono, Vector(target)).accumulate(value, sign)
         return TaylorFamily(source, target, field(doc, "degree", int, 0), tables)
 
+
+def coefficient_table(basis: GradedBasis, arity: int, coefficient) -> dict:
+    """The arity-n table of a coefficient function (monomial -> Vector),
+    sparse on canonical monomials."""
+    table = {}
+    for mono in canonical_monomials(basis, arity):
+        value = coefficient(mono)
+        if not value.is_zero():
+            table[mono] = value
+    return table
+
+
+def coefficient_family(source: GradedBasis, target: GradedBasis, degree: int,
+                       max_arity: int, coefficient) -> TaylorFamily:
+    """The tables of a coefficient function for arities 1..max_arity."""
+    tables: dict = {}
+    for arity in range(1, max_arity + 1):
+        table = coefficient_table(source, arity, coefficient)
+        if table:
+            tables[arity] = table
+    return TaylorFamily(source, target, degree, tables)
 
 def wedge(u: SElement, v: SElement) -> SElement:
     """Graded-commutative product on the symmetric coalgebra carrier.

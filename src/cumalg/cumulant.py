@@ -14,6 +14,7 @@ import weakref
 from fractions import Fraction
 
 from .algebra import (
+    DEFAULT_WEIGHT_CAP,
     AlgebraPresentation,
     LinearMap,
     ValidationError,
@@ -22,11 +23,12 @@ from .algebra import (
     same_basis,
 )
 from .coalgebra import (
-    DEFAULT_WEIGHT_CAP,
     SElement,
     TaylorFamily,
     WedgeMonomial,
     as_monomial,
+    coefficient_family,
+    coefficient_table,
     iterated_coproduct,
     splits,
     wedge,
@@ -48,8 +50,6 @@ def tau(algebra: AlgebraPresentation, w: WedgeMonomial) -> Vector:
 
 def tau_family(algebra: AlgebraPresentation, max_arity: int) -> TaylorFamily:
     """Taylor coefficients of tau_tilde: the n-fold products, one table per arity."""
-    from .morphisms import coefficient_family
-
     return coefficient_family(algebra, algebra, 0, max_arity, lambda mono: tau(algebra, mono))
 
 
@@ -189,8 +189,6 @@ def mobius_inverse_family(algebra: AlgebraPresentation, max_arity: int) -> Taylo
     extending it as a coalgebra map gives a second, recursion-free route to
     the inverse.
     """
-    from .morphisms import coefficient_family
-
     return coefficient_family(
         algebra, algebra, 0, max_arity, lambda mono: _mobius(mono.weight) * tau(algebra, mono)
     )
@@ -259,8 +257,6 @@ def defect_coefficients(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) 
 
 def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> TaylorFamily:
     """All defect tables of a map up to the cap."""
-    from .morphisms import coefficient_family
-
     family = defect_coefficients(m, kind, cap)
     return coefficient_family(m.source, m.target, m.degree, cap, family.coefficient)
 
@@ -268,8 +264,6 @@ def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> Tay
 def _defect_table(m: LinearMap, kind: str, n: int, cap: int) -> dict:
     if n > cap:
         raise ValidationError(f"arity {n} exceeds the weight cap {cap}")
-    from .morphisms import coefficient_table
-
     return coefficient_table(m.source, n, defect_coefficients(m, kind, cap).coefficient)
 
 

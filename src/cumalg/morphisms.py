@@ -24,7 +24,8 @@ from .coalgebra import (
     TensorPairSum,
     WedgeMonomial,
     as_monomial,
-    canonical_monomials,
+    coefficient_family,
+    coefficient_table,
     coproduct_element,
     monomials_up_to,
     splits,
@@ -206,28 +207,6 @@ def extend_coalgebra_map(family: TaylorFamily, cap: int) -> SMap:
 def taylor_coefficient(op: SMap, mono: WedgeMonomial) -> Vector:
     """Corestriction to weight one of the operator's value at a monomial."""
     return op.on_monomial(mono).weight_one_vector()
-
-
-def coefficient_table(basis: GradedBasis, arity: int, coefficient) -> dict:
-    """The arity-n table of a coefficient function (monomial -> Vector),
-    sparse on canonical monomials."""
-    table = {}
-    for mono in canonical_monomials(basis, arity):
-        value = coefficient(mono)
-        if not value.is_zero():
-            table[mono] = value
-    return table
-
-
-def coefficient_family(source: GradedBasis, target: GradedBasis, degree: int,
-                       max_arity: int, coefficient) -> TaylorFamily:
-    """The tables of a coefficient function for arities 1..max_arity."""
-    tables: dict = {}
-    for arity in range(1, max_arity + 1):
-        table = coefficient_table(source, arity, coefficient)
-        if table:
-            tables[arity] = table
-    return TaylorFamily(source, target, degree, tables)
 
 
 def taylor_extract(op: SMap, arity: int) -> dict:

@@ -11,42 +11,36 @@ from pathlib import Path
 import pytest
 
 import cumalg as cm
-from cumalg import coalgebra, morphisms
+from cumalg import algebra, coalgebra, morphisms, probability
 
 from conftest import E2_DOC, E2_MAP_DOC, k2_doc
 
 SRC = str(Path(cm.__file__).resolve().parents[1])
-
-# the cumalg modules loaded once `cli.run(argv)` has returned; argv[1] is
-# the argument list as JSON
-LOADED_AFTER_RUN = """
-import json, sys
-from cumalg import cli
-code = cli.run(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cumalg."))]))
-"""
+# runs one CLI command, then prints its exit code and the cumalg modules loaded
+LOADED = str(Path(__file__).resolve().parents[1] / "tools" / "loaded.py")
 
 CUMULANTS = ["algebra", "cli", "coalgebra", "cumulant", "probability"]
-OPERATORS = ["algebra", "cli", "coalgebra", "cumulant", "morphisms"]
+LIFTS = ["algebra", "cli", "coalgebra", "cumulant", "morphisms"]
+DEFECTS = ["algebra", "cli", "coalgebra", "cumulant"]
 RETRACTS = ["algebra", "cli", "coalgebra", "cumulant", "linalg", "morphisms", "transfer"]
 
 COMMANDS = {
     "cumulants": (["cumulants"], "moments", {"moments": ["1/2", "1/3", "1/5"]}, CUMULANTS),
-    "lift": (["lift", "--weight-cap", "3"], "algebra", E2_DOC, OPERATORS),
-    "invert": (["invert", "--weight-cap", "3"], "algebra", E2_DOC, OPERATORS),
-    "defects-hom": (["defects", "--kind", "hom"], "map", E2_MAP_DOC, OPERATORS),
+    "lift": (["lift", "--weight-cap", "3"], "algebra", E2_DOC, LIFTS),
+    "invert": (["invert", "--weight-cap", "3"], "algebra", E2_DOC, LIFTS),
+    "defects-hom": (["defects", "--kind", "hom"], "map", E2_MAP_DOC, DEFECTS),
     "defects-der": (["defects", "--kind", "der", "--weight-cap", "3"], "map", E2_MAP_DOC,
-                    OPERATORS),
+                    DEFECTS),
     "transfer": (["transfer"], "transfer", k2_doc(), RETRACTS),
     "validate-retract": (["validate"], "retract", k2_doc()["retract"], RETRACTS),
-    "validate-algebra": (["validate"], "algebra", E2_DOC, ["algebra", "cli", "coalgebra"]),
+    "validate-algebra": (["validate"], "algebra", E2_DOC, ["algebra", "cli"]),
 }
 
 
-def fresh(script, *args):
-    """The last stdout line of `script` run in a fresh interpreter, as JSON."""
+def fresh(*args):
+    """The last stdout line of `python3 ARGS` in a fresh interpreter, as JSON."""
     proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True, text=True, timeout=60,
     )
@@ -59,14 +53,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, role, doc, 
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     argv = argv + ["--input", f"{role}={path}", "--output", str(tmp_path / "report.json")]
-    code, loaded = fresh(LOADED_AFTER_RUN, json.dumps(argv))
+    code, loaded = fresh(LOADED, *argv)
     assert code == 0
     assert loaded == [f"cumalg.{name}" for name in modules]
 
 
 def test_importing_the_package_loads_no_layer_module():
     script = "import json, sys, cumalg\nprint(json.dumps(sorted(sys.modules)))"
-    assert [m for m in fresh(script) if m.startswith("cumalg")] == ["cumalg"]
+    assert [m for m in fresh("-c", script) if m.startswith("cumalg")] == ["cumalg"]
 
 
 # for each name in __all__, read in a fresh interpreter: the module that
@@ -84,7 +78,7 @@ print(json.dumps(rows))
 
 
 def test_every_public_name_is_the_object_its_home_module_defines():
-    rows = fresh(HOMES)
+    rows = fresh("-c", HOMES)
     assert [name for name, _, _ in rows] == cm.__all__
     plain = []
     for name, home, same in rows:
@@ -93,7 +87,7 @@ def test_every_public_name_is_the_object_its_home_module_defines():
         else:
             assert home.startswith("cumalg.") and same, name
     assert plain == ["DEFAULT_WEIGHT_CAP"]
-    assert cm.DEFAULT_WEIGHT_CAP is coalgebra.DEFAULT_WEIGHT_CAP
+    assert cm.DEFAULT_WEIGHT_CAP is algebra.DEFAULT_WEIGHT_CAP is coalgebra.DEFAULT_WEIGHT_CAP
     assert morphisms.TaylorFamily is coalgebra.TaylorFamily is cm.TaylorFamily
     assert set(cm.__all__) <= set(dir(cm))
 
@@ -104,3 +98,14 @@ def test_an_unknown_name_raises_attribute_error():
     assert not hasattr(cm, "cli_run")
     with pytest.raises(ImportError):
         from cumalg import no_such_name  # noqa: F401
+
+
+def test_a_name_is_what_its_home_module_holds_now(monkeypatch):
+    """Nothing is bound in the package: a name first read while its home
+    module is patched is the original again once the patch is undone."""
+    original = probability.parse_moments
+    monkeypatch.setattr(probability, "parse_moments", "patched")
+    assert cm.parse_moments == "patched"
+    monkeypatch.undo()
+    assert cm.parse_moments is original
+    assert "parse_moments" not in vars(cm)

@@ -1,21 +1,19 @@
 #!/usr/bin/env python3
 """Time one CLI process per command next to the interpreter's own start-up.
 
-    python3 tools/startup.py [--runs N]
+    python3 tools/startup.py
 
 Runs each command once per round as `python3 -m cumalg.cli`, on the
 benchmark's input documents (`perfbench/inputs.py`, fixed seed, the
-benchmark's caps), together with `python3 -c pass`, for N rounds (default 9).
-Each process time is divided by the mean of the reference computation
+benchmark's caps), together with `python3 -c pass`, for nine rounds.  Each
+process time is divided by the mean of the reference computation
 (`perfbench/reference.py`) run just before and just after it.  A separate
-run of each command through `cumalg.cli.run` in a fresh interpreter lists
-the `cumalg` modules it loaded.  Prints one JSON line: for each job, the
-median process time in reference units (`median_ref`) and, for the
-commands, the modules loaded.
+run of each command through `tools/loaded.py` lists the `cumalg` modules it
+loaded.  Prints one JSON line: for each job, the median process time in
+reference units (`median_ref`) and, for the commands, the modules loaded.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
@@ -34,16 +32,8 @@ import inputs  # noqa: E402
 from reference import reference  # noqa: E402
 
 SEED = 1
+RUNS = 9
 FLOOR = "python3 -c pass"
-
-# the cumalg modules loaded once `cli.run(argv)` has returned; argv[1] is
-# the argument list as JSON
-LOADED = """
-import json, sys
-from cumalg import cli
-cli.run(json.loads(sys.argv[1]))
-print(json.dumps(sorted(m[7:] for m in sys.modules if m.startswith("cumalg."))))
-"""
 
 
 def documents(work: Path) -> dict:
@@ -94,11 +84,6 @@ def in_ref(command: list, env: dict) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=9, help="rounds (default 9)")
-    args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,16 +93,16 @@ def main() -> int:
         for label, argv in argvs.items():
             commands[label] = [sys.executable, "-m", "cumalg.cli", *argv]
         samples = {label: [] for label in commands}
-        for _ in range(args.runs):
+        for _ in range(RUNS):
             for label, command in commands.items():
                 samples[label].append(in_ref(command, env))
         result = {label: {"median_ref": round(statistics.median(values), 3)}
                   for label, values in samples.items()}
         for label, argv in argvs.items():
-            proc = subprocess.run([sys.executable, "-c", LOADED, json.dumps(argv)],
-                                  env=env, capture_output=True, text=True, check=True)
-            result[label]["modules"] = json.loads(proc.stdout)
-    print(json.dumps({"runs": args.runs, "jobs": result}))
+            proc = subprocess.run([sys.executable, str(ROOT / "tools" / "loaded.py"), *argv],
+                                  capture_output=True, text=True, check=True)
+            result[label]["modules"] = json.loads(proc.stdout)[1]
+    print(json.dumps({"runs": RUNS, "jobs": result}))
     return 0
 
 
