@@ -12,18 +12,17 @@ import importlib
 _EXPORTS = {
     "algebra": """AlgebraError AlgebraPresentation ChainComplex DEFAULT_WEIGHT_CAP
         GradedBasis LinearMap SchemaError ValidationError Vector format_scalar
-        linear_bracket parity_sign parse_algebra parse_chain_complex parse_linear_map
-        parse_scalar same_basis""",
-    "coalgebra": """SElement TaylorFamily TensorPairSum WedgeMonomial
+        linear_bracket parity_sign parse_algebra parse_chain_complex parse_linear_map""",
+    "coalgebra": """SElement TaylorFamily WedgeMonomial
         canonical_monomials coproduct coproduct_element iterated_coproduct
         koszul_sign monomial monomials_up_to normalize_monomial set_partitions wedge""",
     "morphisms": """CheckReport SMap bracket check_coderivation check_comorphism
         check_filtration_one_identity extend_coalgebra_map extend_coderivation
         extract_family taylor_coefficient taylor_extract triangular_inverse""",
     "cumulant": """CumulantContext conjugate cumulant_context defect_family
-        derivation_defect g2_closed_form g3_closed_form h2_closed_form h3_closed_form
-        h3_seven_term_variant homomorphism_defect mobius_inverse_family tau
-        tau_family tau_tilde tau_tilde_inverse tau_tilde_series vanishes_above_one""",
+        g2_closed_form g3_closed_form h2_closed_form h3_closed_form
+        h3_seven_term_variant mobius_inverse_family tau tau_family tau_tilde_series
+        vanishes_above_one""",
     "transfer": """RetractData TransferError TransferInput TransferReport TransferResult
         induced_cumulant_bijection parse_retract parse_transfer_input
         transferred_differential validate_retract validate_transfer_input""",

@@ -17,7 +17,7 @@ from operator import itemgetter
 # the truncation weight of the coalgebra when a caller gives none
 DEFAULT_WEIGHT_CAP = 6
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 _basis_counter = itertools.count()
 # filters the (key, coefficient) items of an accumulated dict down to those
@@ -145,7 +145,7 @@ def scalar_at(node, key):
     value = field(node, key, object)
     if type(value) is int:
         return value
-    match = type(value) is str and _RATIONAL_RE.match(value)
+    match = type(value) is str and _RATIONAL_RE.fullmatch(value)
     try:
         if match:
             p, q = match.groups()
@@ -153,11 +153,6 @@ def scalar_at(node, key):
     except ValueError:  # more digits than `int` converts
         pass
     raise SchemaError("not an exact rational", node, key)
-
-
-def parse_scalar(text):
-    """Parse an exact rational written as "p" or "p/q" (q > 0)."""
-    return scalar_at([text], 0)
 
 
 def name_at(basis, node, key) -> int:
@@ -213,10 +208,6 @@ class GradedBasis:
     def __repr__(self):
         gens = ", ".join(f"{n}:{d}" for n, d in zip(self.names, self.degrees))
         return f"<{type(self).__name__} {gens}>"
-
-
-def same_basis(a: GradedBasis, b: GradedBasis) -> bool:
-    return a is b
 
 
 class LinearCombination:
@@ -354,10 +345,6 @@ class Vector(LinearCombination):
     def _space(self):
         return (self.basis,)
 
-    @classmethod
-    def zero(cls, basis):
-        return cls(basis)
-
     def items(self):
         return sorted(self.terms.items())
 
@@ -387,10 +374,6 @@ class Vector(LinearCombination):
             for i, c in self.items()
         ]
 
-    @classmethod
-    def from_doc(cls, basis, doc):
-        return read_vector(doc, basis)
-
 
 @reader(list, dict)
 def read_vector(entries, basis) -> Vector:
@@ -417,11 +400,13 @@ class AlgebraPresentation(GradedBasis):
     def __init__(self, generators, products):
         super().__init__(generators)
         n = len(self)
-        table = [[Vector.zero(self)] * n for _ in range(n)]
+        table = [[Vector(self)] * n for _ in range(n)]
         for (i, j), value in products.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise SchemaError(f"product index pair ({i},{j}) out of range")
-            table[i][j] = value if isinstance(value, Vector) else Vector(self, value)
+            if isinstance(value, Vector):  # over another basis: this one is being built
+                raise ValidationError("product value over another presentation")
+            table[i][j] = Vector(self, value)
         self.products = tuple(tuple(row) for row in table)
         self._validate()
         # the cumulant contexts of this presentation by weight cap (filled by
@@ -485,7 +470,7 @@ class AlgebraPresentation(GradedBasis):
 
     def multiply(self, u: Vector, v: Vector) -> Vector:
         """Bilinear extension of the structure-constant table."""
-        if not (same_basis(u.basis, self) and same_basis(v.basis, self)):
+        if u.basis is not self or v.basis is not self:
             raise ValidationError("operands do not belong to this presentation")
         acc = {}
         get = acc.get
@@ -564,7 +549,7 @@ class LinearMap:
             vec = v if isinstance(v, Vector) else Vector(target, v)
             if vec.is_zero():
                 continue
-            if not same_basis(vec.basis, target):
+            if vec.basis is not target:
                 raise ValidationError("column vector over wrong presentation")
             want = source.degrees[i] + self.degree
             if any(target.degrees[k] != want for k in vec.terms):
@@ -580,12 +565,8 @@ class LinearMap:
     def identity(cls, basis: GradedBasis) -> "LinearMap":
         return cls(basis, basis, 0, {i: basis.generator(i) for i in range(len(basis))})
 
-    @classmethod
-    def zero(cls, source, target, degree=0) -> "LinearMap":
-        return cls(source, target, degree, {})
-
     def apply(self, v: Vector) -> Vector:
-        if not same_basis(v.basis, self.source):
+        if v.basis is not self.source:
             raise ValidationError("vector is not over the map's source")
         out = Vector(self.target)
         for i, c in v.terms.items():
@@ -596,21 +577,21 @@ class LinearMap:
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
-        if not same_basis(other.target, self.source):
+        if other.target is not self.source:
             raise ValidationError("composition mismatch")
         cols = {i: self.apply(col) for i, col in other.columns.items()}
         return LinearMap(other.source, self.target, self.degree + other.degree, cols)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if (
-            not same_basis(self.source, other.source)
-            or not same_basis(self.target, other.target)
+            self.source is not other.source
+            or self.target is not other.target
             or self.degree != other.degree
         ):
             raise ValidationError("cannot add maps of different shapes")
         cols = dict(self.columns)
         for i, col in other.columns.items():
-            cols[i] = cols.get(i, Vector.zero(self.target)) + col
+            cols[i] = cols.get(i, Vector(self.target)) + col
         return LinearMap(self.source, self.target, self.degree, cols)
 
     def __sub__(self, other):
@@ -627,8 +608,8 @@ class LinearMap:
     def __eq__(self, other):
         return (
             isinstance(other, LinearMap)
-            and same_basis(self.source, other.source)
-            and same_basis(self.target, other.target)
+            and self.source is other.source
+            and self.target is other.target
             and self.degree == other.degree
             and self.columns == other.columns
         )

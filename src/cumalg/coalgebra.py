@@ -28,10 +28,8 @@ from .algebra import (
     field,
     format_scalar,
     name_at,
-    parity_sign,
     read_vector,
     reader,
-    same_basis,
     scalar_at,
 )
 
@@ -189,14 +187,6 @@ class SElement(LinearCombination):
         return (self.basis, self.cap)
 
     @classmethod
-    def zero(cls, basis, cap):
-        return cls(basis, cap)
-
-    @classmethod
-    def from_monomial(cls, basis, cap, w, coeff=1):
-        return cls(basis, cap, {w: coeff})
-
-    @classmethod
     def from_vector(cls, v: Vector, cap):
         out = cls(v.basis, cap)
         out.terms = {
@@ -236,24 +226,20 @@ class SElement(LinearCombination):
             for w, c in self.items()
         ]
 
-    @classmethod
-    def from_doc(cls, basis, cap, doc):
-        return _read_selement(doc, basis, cap)
-
-
-@reader(list, dict)
-def _read_selement(entries, basis, cap) -> SElement:
-    """A coalgebra-element document: a list of {"monomial", "coeff"} terms."""
-    out = SElement(basis, cap)
-    for entry in entries:
-        coeff = scalar_at(entry, "coeff")
-        names = field(entry, "monomial", list)
-        norm = normalize_monomial(basis, [name_at(basis, names, k) for k in range(len(names))])
-        if norm is not None:
-            w, sign = norm
-            out._check_key(w)
-            out.add_term(w, sign * coeff)
-    return out
+    @staticmethod
+    @reader(list, dict)
+    def from_doc(entries, basis: GradedBasis, cap: int) -> "SElement":
+        """A coalgebra-element document: a list of {"monomial", "coeff"} terms."""
+        out = SElement(basis, cap)
+        for entry in entries:
+            coeff = scalar_at(entry, "coeff")
+            names = field(entry, "monomial", list)
+            norm = normalize_monomial(basis, [name_at(basis, names, k) for k in range(len(names))])
+            if norm is not None:
+                w, sign = norm
+                out._check_key(w)
+                out.add_term(w, sign * coeff)
+        return out
 
 
 class TaylorFamily:
@@ -280,7 +266,7 @@ class TaylorFamily:
                     raise ValidationError(
                         f"monomial {mono} filed under arity {arity}"
                     )
-                if not same_basis(value.basis, target):
+                if value.basis is not target:
                     raise ValidationError("coefficient value over the wrong basis")
                 if value.is_zero():
                     continue
@@ -293,7 +279,7 @@ class TaylorFamily:
             if kept:
                 clean[arity] = kept
         self.tables = clean
-        self._zero = Vector.zero(target)  # the one value of every missing entry
+        self._zero = Vector(target)  # the one value of every missing entry
 
     @classmethod
     def from_linear_map(cls, m: LinearMap) -> "TaylorFamily":
@@ -308,9 +294,6 @@ class TaylorFamily:
     def arities(self):
         return sorted(self.tables)
 
-    def max_arity(self) -> int:
-        return max(self.tables, default=0)
-
     def coefficient(self, mono: WedgeMonomial) -> Vector:
         return self.tables.get(mono.weight, {}).get(mono, self._zero)
 
@@ -318,7 +301,7 @@ class TaylorFamily:
         """Value at an arbitrary (possibly unsorted) factor index tuple."""
         norm = normalize_monomial(self.source, factors)
         if norm is None:
-            return Vector.zero(self.target)
+            return Vector(self.target)
         mono, sign = norm
         return sign * self.coefficient(mono)
 
@@ -328,20 +311,11 @@ class TaylorFamily:
         }
         return LinearMap(self.source, self.target, self.degree, columns)
 
-    def restrict_arities(self, keep) -> "TaylorFamily":
-        keep = set(keep)
-        return TaylorFamily(
-            self.source,
-            self.target,
-            self.degree,
-            {a: t for a, t in self.tables.items() if a in keep},
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, TaylorFamily)
-            and same_basis(self.source, other.source)
-            and same_basis(self.target, other.target)
+            and self.source is other.source
+            and self.target is other.target
             and self.degree == other.degree
             and self.tables == other.tables
         )
@@ -452,27 +426,6 @@ def _wedge_in(out: SElement, value: Vector, tail, scale=1) -> None:
             add(mono, a * c)
 
 
-class TensorPairSum(LinearCombination):
-    """A normalized sum of signed (left, right) monomial pairs."""
-
-    __slots__ = ()
-
-    def items(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
-        )
-
-    def signed_flip(self) -> "TensorPairSum":
-        """Apply the graded flip l⊗r -> (-1)^(|l||r|) r⊗l."""
-        out = TensorPairSum()
-        for (l, r), c in self.terms.items():
-            out.add_term((r, l), parity_sign(l.degree, r.degree) * c)
-        return out
-
-    def __repr__(self):
-        return " + ".join(f"({c})*{l}⊗{r}" for (l, r), c in self.items()) or "0"
-
-
 # shared by every job in a process, keyed by word shape; past the bound the
 # oldest entry goes
 COPRODUCT_MEMO_ENTRIES = 2048
@@ -542,14 +495,15 @@ def _getter(positions):
     return itemgetter(*positions)
 
 
-def coproduct(w: WedgeMonomial) -> TensorPairSum:
+def coproduct(w: WedgeMonomial) -> LinearCombination:
     """Reduced coproduct: the ordered complementary position splits of w,
-    signed, each pair of parts once with its count (`splits`).
+    signed, each pair of parts once with its count (`splits`), as a sum keyed
+    by (left, right) monomial pairs.
 
     Weight-1 monomials map to the empty sum.
     """
     indices, degrees = w
-    out = TensorPairSum()
+    out = LinearCombination()
     out.terms = {
         (as_monomial((take(indices), take(degrees))),
          as_monomial((leave(indices), leave(degrees)))): c
@@ -558,8 +512,8 @@ def coproduct(w: WedgeMonomial) -> TensorPairSum:
     return out
 
 
-def coproduct_element(v: SElement) -> TensorPairSum:
-    out = TensorPairSum()
+def coproduct_element(v: SElement) -> LinearCombination:
+    out = LinearCombination()
     for w, c in v.terms.items():
         out.accumulate(coproduct(w), c)
     return out

@@ -20,7 +20,6 @@ from .algebra import (
     ValidationError,
     Vector,
     parity_sign,
-    same_basis,
 )
 from .coalgebra import (
     SElement,
@@ -28,7 +27,6 @@ from .coalgebra import (
     WedgeMonomial,
     as_monomial,
     coefficient_family,
-    coefficient_table,
     iterated_coproduct,
     splits,
     wedge,
@@ -51,11 +49,6 @@ def tau(algebra: AlgebraPresentation, w: WedgeMonomial) -> Vector:
 def tau_family(algebra: AlgebraPresentation, max_arity: int) -> TaylorFamily:
     """Taylor coefficients of tau_tilde: the n-fold products, one table per arity."""
     return coefficient_family(algebra, algebra, 0, max_arity, lambda mono: tau(algebra, mono))
-
-
-def _mobius(n: int) -> int:
-    """(-1)^(n-1) (n-1)!, the arity-n scale of the inverse's Taylor family."""
-    return (-1) ** (n - 1) * math.factorial(n - 1)
 
 
 class _LazyFamily(TaylorFamily):
@@ -143,14 +136,6 @@ def cumulant_context(algebra: AlgebraPresentation, cap: int = DEFAULT_WEIGHT_CAP
     return ctx
 
 
-def tau_tilde(algebra: AlgebraPresentation, v: SElement) -> SElement:
-    return cumulant_context(algebra, v.cap).tau_tilde(v)
-
-
-def tau_tilde_inverse(algebra: AlgebraPresentation, v: SElement) -> SElement:
-    return cumulant_context(algebra, v.cap).tau_tilde_inverse(v)
-
-
 def tau_tilde_series(algebra: AlgebraPresentation, cap: int) -> SMap:
     """Independent route to tau_tilde: the exponential-style series.
 
@@ -163,7 +148,7 @@ def tau_tilde_series(algebra: AlgebraPresentation, cap: int) -> SMap:
     ctx = cumulant_context(algebra, cap)
 
     def fn(w: WedgeMonomial) -> SElement:
-        out = SElement.zero(algebra, cap)
+        out = SElement(algebra, cap)
         for k in range(1, w.weight + 1):
             scale = Fraction(1, math.factorial(k))
             for coeff, parts in iterated_coproduct(w, k):
@@ -189,9 +174,11 @@ def mobius_inverse_family(algebra: AlgebraPresentation, max_arity: int) -> Taylo
     extending it as a coalgebra map gives a second, recursion-free route to
     the inverse.
     """
-    return coefficient_family(
-        algebra, algebra, 0, max_arity, lambda mono: _mobius(mono.weight) * tau(algebra, mono)
-    )
+    def coefficient(mono: WedgeMonomial) -> Vector:
+        n = mono.weight
+        return (-1) ** (n - 1) * math.factorial(n - 1) * tau(algebra, mono)
+
+    return coefficient_family(algebra, algebra, 0, max_arity, coefficient)
 
 
 def conjugate(op: SMap, direction: str = "pull") -> SMap:
@@ -229,7 +216,7 @@ def defect_coefficients(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) 
     hom = kind == "hom"
     if hom and m.degree != 0:
         raise ValidationError("homomorphism defects need a degree-zero map")
-    if not hom and not same_basis(m.source, m.target):
+    if not hom and m.source is not m.target:
         raise ValidationError("a coderivation needs source and target to agree")
     products = cumulant_context(m.source, cap).products
     multiply = cumulant_context(m.target, cap).algebra.multiply
@@ -259,22 +246,6 @@ def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> Tay
     """All defect tables of a map up to the cap."""
     family = defect_coefficients(m, kind, cap)
     return coefficient_family(m.source, m.target, m.degree, cap, family.coefficient)
-
-
-def _defect_table(m: LinearMap, kind: str, n: int, cap: int) -> dict:
-    if n > cap:
-        raise ValidationError(f"arity {n} exceeds the weight cap {cap}")
-    return coefficient_table(m.source, n, defect_coefficients(m, kind, cap).coefficient)
-
-
-def homomorphism_defect(f: LinearMap, n: int, cap: int = DEFAULT_WEIGHT_CAP) -> dict:
-    """The arity-n table measuring failure of f to be an algebra map."""
-    return _defect_table(f, "hom", n, cap)
-
-
-def derivation_defect(d: LinearMap, n: int, cap: int = DEFAULT_WEIGHT_CAP) -> dict:
-    """The arity-n table measuring failure of d to be a derivation."""
-    return _defect_table(d, "der", n, cap)
 
 
 def vanishes_above_one(family: TaylorFamily) -> bool:

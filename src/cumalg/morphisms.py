@@ -12,16 +12,15 @@ from collections.abc import Callable
 
 from .algebra import (
     GradedBasis,
+    LinearCombination,
     ValidationError,
     Vector,
     format_scalar,
     parity_sign,
-    same_basis,
 )
 from .coalgebra import (
     SElement,
     TaylorFamily,
-    TensorPairSum,
     WedgeMonomial,
     as_monomial,
     coefficient_family,
@@ -56,7 +55,7 @@ class SMap:
     @classmethod
     def identity(cls, basis: GradedBasis, cap: int) -> "SMap":
         def fn(w, _basis=basis, _cap=cap):
-            return SElement.from_monomial(_basis, _cap, w)
+            return SElement(_basis, _cap, {w: 1})
 
         return cls(basis, basis, cap, 0, fn, "id")
 
@@ -68,7 +67,7 @@ class SMap:
         return out
 
     def __call__(self, v: SElement) -> SElement:
-        if not same_basis(v.basis, self.source) or v.cap != self.cap:
+        if v.basis is not self.source or v.cap != self.cap:
             raise ValidationError("element does not match the operator's source")
         out = SElement(self.target, self.cap)
         for w, c in v.terms.items():
@@ -76,7 +75,7 @@ class SMap:
         return out
 
     def compose(self, inner: "SMap") -> "SMap":
-        if not same_basis(inner.target, self.source) or inner.cap != self.cap:
+        if inner.target is not self.source or inner.cap != self.cap:
             raise ValidationError("composition mismatch")
         outer = self
 
@@ -88,8 +87,8 @@ class SMap:
 
     def _check_peer(self, other: "SMap"):
         if (
-            not same_basis(self.source, other.source)
-            or not same_basis(self.target, other.target)
+            self.source is not other.source
+            or self.target is not other.target
             or self.cap != other.cap
         ):
             raise ValidationError("operator shape mismatch")
@@ -113,12 +112,10 @@ class SMap:
 
         return SMap(self.source, self.target, self.cap, self.degree, fn, self.label)
 
-    def first_difference(self, other: "SMap", max_weight: int | None = None):
-        """Earliest canonical monomial where the two operators disagree."""
-        return _walk(self, other, max_weight)[0]
-
     def equal_up_to(self, other: "SMap", max_weight: int | None = None) -> bool:
-        return self.first_difference(other, max_weight) is None
+        """Whether the two operators agree on every canonical monomial up to
+        `max_weight` (default the cap)."""
+        return _walk(self, other, max_weight)[0] is None
 
     def to_doc(self):
         return [
@@ -149,7 +146,7 @@ def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
     the rest back on, so equal even factors are summed once with their
     multiplicity.
     """
-    if not same_basis(family.source, family.target):
+    if family.source is not family.target:
         raise ValidationError("a coderivation needs source and target to agree")
     basis = family.source
     arities = set(family.arities())
@@ -225,14 +222,18 @@ def bracket(d1: SMap, d2: SMap) -> SMap:
     return d1.compose(d2) - parity_sign(d1.degree, d2.degree) * d2.compose(d1)
 
 
-def _tensor_doc(pairs: TensorPairSum, basis_l: GradedBasis, basis_r: GradedBasis):
+def _tensor_doc(pairs: LinearCombination, basis_l: GradedBasis, basis_r: GradedBasis):
+    """The rows of a sum of (left, right) monomial pairs, in the order of the
+    left monomial and then the right one."""
     return [
         {
             "left": l.names(basis_l),
             "right": r.names(basis_r),
             "coeff": format_scalar(c),
         }
-        for (l, r), c in pairs.items()
+        for (l, r), c in sorted(
+            pairs.terms.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
+        )
     ]
 
 
@@ -312,7 +313,7 @@ def _coproduct_law(law: str, op: SMap, extend) -> CheckReport:
 def check_coderivation(op: SMap) -> CheckReport:
     """Verify the co-Leibniz law Δ̄∘op = (op⊗1 + 1⊗op)∘Δ̄, by comparing op
     with the coderivation extension of its corestriction (`_coproduct_law`)."""
-    if not same_basis(op.source, op.target):
+    if op.source is not op.target:
         raise ValidationError("co-Leibniz needs an endo-operator")
     return _coproduct_law("co-Leibniz", op, extend_coderivation)
 
@@ -339,12 +340,12 @@ def triangular_inverse(op: SMap, law: str = "triangular inverse") -> SMap:
     remainder strictly drops weight; a remainder term at or above the input
     weight is reported as a validation failure with the witness monomial.
     """
-    if not same_basis(op.source, op.target):
+    if op.source is not op.target:
         raise ValidationError("triangular inversion needs an endo-operator")
     basis, cap = op.source, op.cap
 
     def fn(w: WedgeMonomial) -> SElement:
-        word = SElement.from_monomial(basis, cap, w)
+        word = SElement(basis, cap, {w: 1})
         remainder = op.on_monomial(w) - word
         if remainder.max_weight() >= w.weight and not remainder.is_zero():
             raise ValidationError(

@@ -22,7 +22,6 @@ from .algebra import (
     parse_chain_complex,
     parse_linear_map,
     reader,
-    same_basis,
 )
 from .coalgebra import monomials_up_to
 from .linalg import rank
@@ -65,7 +64,7 @@ class RetractData:
             (homotopy, A, A, 1, "s"),
         ]
         for m, src, tgt, deg, name in shapes:
-            if not same_basis(m.source, src) or not same_basis(m.target, tgt):
+            if m.source is not src or m.target is not tgt:
                 raise ValidationError(f"map {name} has the wrong source or target")
             if m.degree != deg:
                 raise ValidationError(f"map {name} must have degree {deg}")
@@ -78,11 +77,14 @@ class RetractData:
 
 
 class RetractReport:
-    __slots__ = ("ok", "checks")
+    __slots__ = ("checks",)
 
-    def __init__(self, ok: bool, checks: list):
-        self.ok = ok
+    def __init__(self, checks: list):
         self.checks = checks
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
 
     def to_doc(self):
         return {"ok": self.ok, "checks": [c.to_doc() for c in self.checks]}
@@ -113,7 +115,7 @@ def validate_retract(r: RetractData) -> RetractReport:
         _map_check("differential squares to zero", d.compose(d)),
         _map_check("complex differential squares to zero", d_C.compose(d_C)),
     ]
-    return RetractReport(all(c.ok for c in checks), checks)
+    return RetractReport(checks)
 
 
 class TransferInput:
@@ -121,11 +123,11 @@ class TransferInput:
 
     def __init__(self, retract: RetractData, d_infinity: TaylorFamily, iota: TaylorFamily):
         C, A = retract.complex, retract.algebra
-        if not (same_basis(d_infinity.source, C) and same_basis(d_infinity.target, C)):
+        if d_infinity.source is not C or d_infinity.target is not C:
             raise ValidationError("d-infinity coefficients must live on the complex")
         if d_infinity.degree != -1:
             raise ValidationError("d-infinity must have degree -1")
-        if not (same_basis(iota.source, C) and same_basis(iota.target, A)):
+        if iota.source is not C or iota.target is not A:
             raise ValidationError("iota coefficients must map the complex into the algebra")
         if iota.degree != 0:
             raise ValidationError("iota must have degree 0")
@@ -135,16 +137,19 @@ class TransferInput:
 
 
 class TransferReport:
-    __slots__ = ("ok", "retract", "checks", "iota_hat", "d_inf")
+    __slots__ = ("retract", "checks", "iota_hat", "d_inf")
 
-    def __init__(self, ok: bool, retract: RetractReport, checks: list,
+    def __init__(self, retract: RetractReport, checks: list,
                  iota_hat: SMap | None = None, d_inf: SMap | None = None):
-        self.ok = ok
         self.retract = retract
         self.checks = checks
         # the extensions the checks ran on, reused by the pipeline with their caches
         self.iota_hat = iota_hat
         self.d_inf = d_inf
+
+    @property
+    def ok(self) -> bool:
+        return self.retract.ok and all(c.ok for c in self.checks)
 
     def to_doc(self):
         return {
@@ -211,8 +216,7 @@ def validate_transfer_input(t: TransferInput, cap: int) -> TransferReport:
     )
     checks.append(_injectivity_check(iota_hat))
 
-    ok = retract_report.ok and all(c.ok for c in checks)
-    return TransferReport(ok, retract_report, checks, iota_hat, d_inf)
+    return TransferReport(retract_report, checks, iota_hat, d_inf)
 
 
 class TransferResult:

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import cumalg as cm
-from cumalg.coalgebra import TensorPairSum, _rearrangement_sign, coproduct
+from cumalg.algebra import LinearCombination
+from cumalg.coalgebra import _rearrangement_sign, coproduct
 from cumalg.morphisms import _tensor_doc
 
 E2_DOC = {
@@ -209,7 +210,7 @@ def subset_coproduct(mono):
     """The reduced coproduct the plain way, as `coproduct`'s oracle: one
     signed term per nonempty proper subset of positions, merged on equal
     pairs of parts."""
-    out = TensorPairSum()
+    out = LinearCombination()
     n = mono.weight
     for size in range(1, n):
         for subset in itertools.combinations(range(n), size):
@@ -221,7 +222,7 @@ def subset_coproduct(mono):
 
 def _apply_left(op, pairs):
     """(op⊗1) on a tensor-pair sum."""
-    out = TensorPairSum()
+    out = LinearCombination()
     for (l, r), c in pairs.terms.items():
         for wl, cl in op.on_monomial(l).terms.items():
             out.add_term((wl, r), c * cl)
@@ -230,7 +231,7 @@ def _apply_left(op, pairs):
 
 def _apply_right(op, pairs):
     """(1⊗op) on a tensor-pair sum, with the sign of moving op past l."""
-    out = TensorPairSum()
+    out = LinearCombination()
     for (l, r), c in pairs.terms.items():
         sign = cm.parity_sign(op.degree, l.degree)
         for wr, cr in op.on_monomial(r).terms.items():
@@ -245,7 +246,7 @@ def _apply_either(op, pairs):
 
 def _apply_both(op, pairs):
     """(op⊗op) on a tensor-pair sum."""
-    out = TensorPairSum()
+    out = LinearCombination()
     for (l, r), c in pairs.terms.items():
         left = op.on_monomial(l)
         right = op.on_monomial(r)
@@ -273,7 +274,7 @@ def tensor_law_report(op, kind):
     checked = 0
     for w in cm.monomials_up_to(op.source, op.cap):
         checked += 1
-        lhs = TensorPairSum()
+        lhs = LinearCombination()
         for u, c in op.on_monomial(w).terms.items():
             lhs.accumulate(split(u), c)
         expected = rhs(op, split(w))

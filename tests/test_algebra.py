@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import cumalg as cm
+from cumalg.algebra import read_vector
 
 from conftest import E2_DOC, random_vector
 
@@ -54,6 +55,16 @@ def test_associativity_violation_names_a_triple():
     assert err.value.witness["triple"] == ["u", "u", "v"]
 
 
+@pytest.mark.parametrize(
+    "generators", [[("a", 0), ("b", 0)], [("a", 0)]], ids=["two-generators", "one-generator"]
+)
+def test_product_vector_over_another_presentation_rejected(generators):
+    # q of another algebra, at the index of b (or past the end of a one-generator basis)
+    other = cm.AlgebraPresentation([("p", 0), ("q", 0)], {})
+    with pytest.raises(cm.ValidationError, match="another presentation"):
+        cm.AlgebraPresentation(generators, {(0, 0): other.generator(1)})
+
+
 def test_inhomogeneous_product_rejected():
     doc = {
         "generators": [{"name": "a", "degree": 1}, {"name": "g", "degree": 2}],
@@ -64,7 +75,8 @@ def test_inhomogeneous_product_rejected():
         cm.parse_algebra(doc)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "3/-2", "", "x", "1/0"])
+# a trailing newline and non-ASCII digits ("١" is ARABIC-INDIC DIGIT ONE)
+@pytest.mark.parametrize("bad", ["1.5", "3/-2", "", "x", "1/0", "1\n", "\u0661", "1/1\u0660"])
 def test_malformed_scalars_rejected(bad):
     doc = {
         "generators": [{"name": "u", "degree": 0}],
@@ -132,14 +144,14 @@ def test_integer_moduli_are_not_supported():
 def test_vector_round_trip(e2):
     a, b, g = e2.generators()
     v = Fraction(2, 3) * a - b + 5 * g
-    assert cm.Vector.from_doc(e2, v.to_doc()) == v
+    assert read_vector(v.to_doc(), e2) == v
 
 
 def test_vector_homogeneity(e2):
     a, b, g = e2.generators()
     assert (a + b).is_homogeneous(1)
     assert not (a + g).is_homogeneous()
-    assert cm.Vector.zero(e2).is_homogeneous(3)
+    assert cm.Vector(e2).is_homogeneous(3)
 
 
 def test_multiply_is_bilinear(e2):

@@ -22,7 +22,7 @@ def dg_family(e2):
 
 
 def se(basis, cap, indices, coeff=1):
-    return cm.SElement.from_monomial(basis, cap, cm.monomial(basis, indices), coeff)
+    return cm.SElement(basis, cap, {cm.monomial(basis, indices): coeff})
 
 
 def test_arity_one_coderivation_obeys_the_signed_leibniz_rule(e2, dg_family):
@@ -194,7 +194,7 @@ def test_odd_self_bracket_doubles_the_square(e2, dg_family):
     D = cm.extend_coderivation(dg_family, CAP)
     assert cm.bracket(D, D).equal_up_to(2 * D.compose(D))
     assert D.compose(D).equal_up_to(
-        cm.SMap(e2, e2, CAP, -2, lambda w: cm.SElement.zero(e2, CAP))
+        cm.SMap(e2, e2, CAP, -2, lambda w: cm.SElement(e2, CAP))
     )
 
 
@@ -203,7 +203,7 @@ def test_comorphism_check_reports_the_first_witness(e2):
 
     def fn(w):
         if w == cm.monomial(e2, (0, 1)):
-            return cm.SElement.zero(e2, CAP)
+            return cm.SElement(e2, CAP)
         return ident.on_monomial(w)
 
     bad = cm.SMap(e2, e2, CAP, 0, fn)
@@ -216,8 +216,8 @@ def test_comorphism_check_reports_the_first_witness(e2):
 def test_coderivation_check_reports_the_first_witness(e2):
     def fn(w):
         if w == cm.monomial(e2, (0,)):
-            return cm.SElement.from_monomial(e2, CAP, w)
-        return cm.SElement.zero(e2, CAP)
+            return cm.SElement(e2, CAP, {w: 1})
+        return cm.SElement(e2, CAP)
 
     bad = cm.SMap(e2, e2, CAP, 0, fn)
     report = cm.check_coderivation(bad)
@@ -278,7 +278,7 @@ def test_weight_one_identity_check(e2):
 
 
 def test_weight_one_identity_needs_an_endo_operator(e2, p4):
-    op = cm.SMap(e2, p4, CAP, 0, lambda w: cm.SElement.zero(p4, CAP))
+    op = cm.SMap(e2, p4, CAP, 0, lambda w: cm.SElement(p4, CAP))
     with pytest.raises(cm.ValidationError, match="operator shape mismatch"):
         cm.check_filtration_one_identity(op)
 

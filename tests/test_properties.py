@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cumalg as cm
-from cumalg.coalgebra import _wedge_in
+from cumalg.coalgebra import _wedge_in, coefficient_table
+from cumalg.cumulant import defect_coefficients
 
 from conftest import (
     defect_operator,
@@ -93,7 +94,7 @@ def block_sign(w, blocks):
 def partition_sum(family, w, cap):
     """The coalgebra-map extension at w as a plain signed sum over all set
     partitions of its factor positions."""
-    out = cm.SElement.zero(family.target, cap)
+    out = cm.SElement(family.target, cap)
     for blocks in cm.set_partitions(w.weight):
         piece = None
         for block in blocks:
@@ -114,7 +115,7 @@ def subset_sum(family, w, cap):
     nonempty subset of its factor positions: the subset is moved to the
     front and evaluated, and the complement is wedged back on."""
     basis = family.source
-    out = cm.SElement.zero(basis, cap)
+    out = cm.SElement(basis, cap)
     positions = range(w.weight)
     for size in range(1, w.weight + 1):
         for subset in itertools.combinations(positions, size):
@@ -125,7 +126,7 @@ def subset_sum(family, w, cap):
             complement = tuple(p for p in positions if p not in subset)
             if complement:
                 tail = cm.monomial(basis, tuple(w.indices[p] for p in complement))
-                piece = cm.wedge(piece, cm.SElement.from_monomial(basis, cap, tail))
+                piece = cm.wedge(piece, cm.SElement(basis, cap, {tail: 1}))
             out = out + block_sign(w, (subset, complement)) * piece
     return out
 
@@ -195,7 +196,6 @@ def test_coproduct_equals_the_plain_subset_split(runs):
     w = cm.WedgeMonomial(indices, tuple(runs[k][0] for k in indices))
     got, want = cm.coproduct(w), subset_coproduct(w)
     assert got == want
-    assert got.items() == want.items()
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,11 +207,9 @@ def test_weight_one_insertion_equals_wedge(A, seed):
     lead = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
     value = cm.Vector(A, {**random_vector(rng, A).terms, odd: lead})
     below = random_selement(rng, A, CAP - 1, density=0.5)
-    tail = cm.SElement(A, CAP, below.terms) + cm.SElement.from_monomial(
-        A, CAP, cm.monomial(A, (odd,))
-    )
+    tail = cm.SElement(A, CAP, below.terms) + cm.SElement(A, CAP, {cm.monomial(A, (odd,)): 1})
     scale = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    got = cm.SElement.zero(A, CAP)
+    got = cm.SElement(A, CAP)
     _wedge_in(got, value, tail.terms.items(), scale)
     assert got == scale * cm.wedge(cm.SElement.from_vector(value, CAP), tail)
 
@@ -235,7 +233,7 @@ def test_coderivation_extension_equals_the_plain_subset_sum(degree, A, seed, ari
 def test_lazy_tau_tilde_equals_the_tabulated_extension(A, cap):
     lazy = cm.cumulant_context(A, cap).tau_tilde
     tabulated = cm.extend_coalgebra_map(cm.tau_family(A, cap), cap)
-    assert lazy.first_difference(tabulated) is None
+    assert lazy.equal_up_to(tabulated)
 
 
 @settings(max_examples=25, deadline=None)
@@ -301,7 +299,7 @@ def test_multiply_equals_the_plain_bilinear_sum(A, seed):
 def test_tau_tilde_after_a_rational_change_of_basis_equals_the_series(A, seed, cap):
     B = rational_change_of_basis(A, seed)
     lazy = cm.cumulant_context(B, cap).tau_tilde
-    assert lazy.first_difference(cm.tau_tilde_series(B, cap)) is None
+    assert lazy.equal_up_to(cm.tau_tilde_series(B, cap))
 
 
 @settings(max_examples=25, deadline=None)
@@ -332,7 +330,7 @@ def perturbed(op, rng):
     if not fits:
         return op
     coeff = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
-    term = cm.SElement.from_monomial(op.target, op.cap, rng.choice(fits), coeff)
+    term = cm.SElement(op.target, op.cap, {rng.choice(fits): coeff})
 
     def fn(v):
         return op.on_monomial(v) + term if v == w else op.on_monomial(v)
@@ -373,7 +371,7 @@ def test_law_checks_refuse_weight_one_values_off_the_stated_degree(law):
     A = tensor_algebra([(1, 1), (0, 2)])
     odd = A.degrees.index(1)
     off = cm.SElement.from_vector(A.generator(odd), 3)
-    op = cm.SMap(A, A, 3, 0, lambda w: off if w.weight == 1 else cm.SElement.zero(A, 3))
+    op = cm.SMap(A, A, 3, 0, lambda w: off if w.weight == 1 else cm.SElement(A, 3))
     with pytest.raises(cm.ValidationError, match=f"{law} check of an operator of degree 0"):
         LAWS[law][1](op)
 
@@ -429,6 +427,6 @@ def test_defect_tables_equal_the_corestricted_conjugate(kind, degree, A, seed, c
     m = random_map(seed, B, degree)
     family = cm.defect_family(m, kind, cap)
     assert family == cm.extract_family(defect_operator(m, kind, cap), cap)
-    table = cm.homomorphism_defect if kind == "hom" else cm.derivation_defect
     for n in range(1, cap + 1):
-        assert table(m, n, cap) == family.tables.get(n, {})
+        table = coefficient_table(m.source, n, defect_coefficients(m, kind, cap).coefficient)
+        assert table == family.tables.get(n, {})
