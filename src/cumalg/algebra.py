@@ -546,6 +546,8 @@ class LinearMap:
         self.degree = int(degree)
         cols = {}
         for i, v in columns.items():
+            if not 0 <= i < len(source):
+                raise ValidationError(f"column index {i} out of range")
             vec = v if isinstance(v, Vector) else Vector(target, v)
             if vec.is_zero():
                 continue

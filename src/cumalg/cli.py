@@ -20,6 +20,9 @@ from .algebra import (
 )
 
 WEIGHT_CAP_CEILING = 10
+# why a cap past the ceiling is refused and one of 8 or more warned about
+_LARGE_CAP = ("tables hold every canonical monomial up to the cap, and a word of n distinct "
+              "factors sums over the 2^(n-1) blocks that hold its first factor")
 ROLES = ("algebra", "map", "retract", "transfer", "moments")
 # the input roles each command opens; any other role given is a usage error
 READS = {
@@ -295,18 +298,9 @@ def run(argv) -> int:
         if args.weight_cap < 1:
             raise UsageError("--weight-cap must be at least 1")
         if args.weight_cap > WEIGHT_CAP_CEILING:
-            raise UsageError(
-                f"--weight-cap above {WEIGHT_CAP_CEILING} is refused: tables hold "
-                "every canonical monomial up to the cap, and a word of n distinct "
-                "factors sums over the 2^(n-1) blocks that hold its first factor"
-            )
+            raise UsageError(f"--weight-cap above {WEIGHT_CAP_CEILING} is refused: {_LARGE_CAP}")
         if args.weight_cap >= 8:
-            print(
-                f"warning: weight cap {args.weight_cap} is large; tables hold every "
-                "canonical monomial up to the cap, and a word of n distinct factors "
-                "sums over the 2^(n-1) blocks that hold its first factor",
-                file=sys.stderr,
-            )
+            print(f"warning: weight cap {args.weight_cap} is large; {_LARGE_CAP}", file=sys.stderr)
         inputs = _parse_inputs(args.command, args.input)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

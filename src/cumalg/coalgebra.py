@@ -6,8 +6,8 @@ index never repeats.  The reduced coproduct splits a monomial over all ordered
 pairs of complementary nonempty position subsets; reassembling blocks by
 wedging later sums over unordered partitions, which is the convention under
 which the cumulant bijection fixes the leading term with coefficient 1.  A
-`TaylorFamily` holds an operator's coefficients on these monomials, one table
-per arity.
+`TaylorFamily` holds an operator's coefficients on these monomials, given by
+one table per arity or by a coefficient function memoized per word.
 """
 from __future__ import annotations
 
@@ -243,59 +243,89 @@ class SElement(LinearCombination):
 
 
 class TaylorFamily:
-    """Symmetric multilinear coefficients, one table per arity.
+    """Symmetric multilinear coefficients on canonical monomials.
 
-    Table keys are canonical monomials; evaluation at an arbitrary factor
-    tuple normalizes first and applies the Koszul sign.  Values live in the
-    target basis and must be homogeneous of the monomial degree shifted by
-    the family degree.
+    A family is given by its tables, one per arity, or up to a cap by a
+    coefficient function `fn`, which a word's first lookup calls.  Either way
+    the values live in one memo keyed by monomial, and each is checked once,
+    as it enters: over the target basis and homogeneous of the monomial
+    degree shifted by the family degree.  Every zero value is the family's
+    `_zero`.  What needs every value (`tables`, `arities`, `==`, `to_doc`)
+    computes the rest up to the cap, after which the family is tabulated.
+    Evaluation at an arbitrary factor tuple normalizes first and applies the
+    Koszul sign.
     """
 
-    def __init__(self, source: GradedBasis, target: GradedBasis, degree: int, tables):
+    def __init__(self, source: GradedBasis, target: GradedBasis, degree: int,
+                 tables=None, *, cap: int = 0, fn=None):
         self.source = source
         self.target = target
         self.degree = int(degree)
-        clean: dict = {}
-        for arity, table in tables.items():
+        self._zero = Vector(target)  # the one value of every zero entry
+        self._memo: dict = {}
+        self._cap = int(cap)
+        self._fn = fn
+        for arity, table in (tables or {}).items():
             arity = int(arity)
             if arity < 1:
                 raise ValidationError("arity must be >= 1")
-            kept = {}
             for mono, value in table.items():
-                if mono.weight != arity:
-                    raise ValidationError(
-                        f"monomial {mono} filed under arity {arity}"
-                    )
-                if value.basis is not target:
-                    raise ValidationError("coefficient value over the wrong basis")
-                if value.is_zero():
-                    continue
-                if not value.is_homogeneous(mono.degree + self.degree):
-                    raise ValidationError(
-                        f"coefficient at {mono} not homogeneous of degree "
-                        f"{mono.degree + self.degree}"
-                    )
-                kept[mono] = value
-            if kept:
-                clean[arity] = kept
-        self.tables = clean
-        self._zero = Vector(target)  # the one value of every missing entry
+                # a computed family's words are canonical already; a table's
+                # keys are checked here
+                indices = mono[0]
+                if len(indices) != arity:
+                    raise ValidationError(f"monomial {mono} filed under arity {arity}")
+                if not all(0 <= i < len(source) for i in indices) or (
+                    monomial(source, indices) != mono
+                ):
+                    raise ValidationError(f"monomial {mono} is not canonical over the source")
+                self._enter(mono, value)
+
+    def _enter(self, mono: WedgeMonomial, value: Vector) -> Vector:
+        if value.basis is not self.target:
+            raise ValidationError("coefficient value over the wrong basis")
+        if not value.terms:
+            value = self._zero
+        elif not value.is_homogeneous(mono.degree + self.degree):
+            raise ValidationError(
+                f"coefficient at {mono} not homogeneous of degree {mono.degree + self.degree}"
+            )
+        self._memo[mono] = value
+        return value
 
     @classmethod
     def from_linear_map(cls, m: LinearMap) -> "TaylorFamily":
-        table = {}
-        for i in range(len(m.source)):
-            v = m.apply(m.source.generator(i))
-            if not v.is_zero():
-                mono = WedgeMonomial((i,), (m.source.degrees[i],))
-                table[mono] = v
+        table = {WedgeMonomial((i,), (m.source.degrees[i],)): v for i, v in m.columns.items()}
         return cls(m.source, m.target, m.degree, {1: table})
 
-    def arities(self):
-        return sorted(self.tables)
-
     def coefficient(self, mono: WedgeMonomial) -> Vector:
-        return self.tables.get(mono.weight, {}).get(mono, self._zero)
+        value = self._memo.get(mono)
+        if value is None:
+            if self._fn is None or len(mono[0]) > self._cap:
+                return self._zero
+            value = self._enter(mono, self._fn(mono))
+        return value
+
+    @property
+    def tables(self) -> dict:
+        """The nonzero values by arity, each table keyed by monomial."""
+        if self._fn is not None:
+            for mono in monomials_up_to(self.source, self._cap):
+                self.coefficient(mono)
+            self._fn = None
+        tables: dict = {}
+        for mono, value in self._memo.items():
+            if value.terms:
+                tables.setdefault(len(mono[0]), {})[mono] = value
+        return dict(sorted(tables.items()))
+
+    def arities(self):
+        return list(self.tables)
+
+    def _block_arities(self):
+        """The block lengths an extension looks up, computing nothing: the
+        nonzero arities of a tabulated family, 1..cap of a computed one."""
+        return set(self.tables) if self._fn is None else set(range(1, self._cap + 1))
 
     def evaluate(self, factors) -> Vector:
         """Value at an arbitrary (possibly unsorted) factor index tuple."""
@@ -306,9 +336,7 @@ class TaylorFamily:
         return sign * self.coefficient(mono)
 
     def arity_one_map(self) -> LinearMap:
-        columns = {
-            mono.indices[0]: value for mono, value in self.tables.get(1, {}).items()
-        }
+        columns = {w[0][0]: self.coefficient(w) for w in canonical_monomials(self.source, 1)}
         return LinearMap(self.source, self.target, self.degree, columns)
 
     def __eq__(self, other):
@@ -322,16 +350,11 @@ class TaylorFamily:
 
     def to_doc(self):
         arities = {}
-        for arity in self.arities():
-            rows = []
-            for mono in sorted(self.tables[arity], key=lambda w: w.sort_key()):
-                rows.append(
-                    {
-                        "monomial": mono.names(self.source),
-                        "value": self.tables[arity][mono].to_doc(),
-                    }
-                )
-            arities[str(arity)] = rows
+        for arity, table in self.tables.items():
+            arities[str(arity)] = [
+                {"monomial": mono.names(self.source), "value": table[mono].to_doc()}
+                for mono in sorted(table, key=WedgeMonomial.sort_key)
+            ]
         return {"degree": self.degree, "arities": arities}
 
     @staticmethod
@@ -361,27 +384,6 @@ class TaylorFamily:
                     table.setdefault(mono, Vector(target)).accumulate(value, sign)
         return TaylorFamily(source, target, field(doc, "degree", int, 0), tables)
 
-
-def coefficient_table(basis: GradedBasis, arity: int, coefficient) -> dict:
-    """The arity-n table of a coefficient function (monomial -> Vector),
-    sparse on canonical monomials."""
-    table = {}
-    for mono in canonical_monomials(basis, arity):
-        value = coefficient(mono)
-        if not value.is_zero():
-            table[mono] = value
-    return table
-
-
-def coefficient_family(source: GradedBasis, target: GradedBasis, degree: int,
-                       max_arity: int, coefficient) -> TaylorFamily:
-    """The tables of a coefficient function for arities 1..max_arity."""
-    tables: dict = {}
-    for arity in range(1, max_arity + 1):
-        table = coefficient_table(source, arity, coefficient)
-        if table:
-            tables[arity] = table
-    return TaylorFamily(source, target, degree, tables)
 
 def wedge(u: SElement, v: SElement) -> SElement:
     """Graded-commutative product on the symmetric coalgebra carrier.

@@ -4,8 +4,10 @@ tau multiplies the factors of a wedge monomial; its coalgebra-map extension
 tau_tilde rewrites moments into cumulant coordinates.  Conjugating a bare
 operator extension by tau_tilde and corestricting yields, arity by arity,
 exactly how far a linear map is from being a homomorphism (g tables) or a
-derivation (h tables), which `defect_coefficients` computes in the target
-by the moment–cumulant recursion, without building that conjugate.
+derivation (h tables), which `defect_family` computes in the target by the
+moment–cumulant recursion, without building that conjugate.  The products,
+the moments and the defects are `TaylorFamily`s given by a coefficient
+function: each word is computed on first lookup and memoized.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .coalgebra import (
     TaylorFamily,
     WedgeMonomial,
     as_monomial,
-    coefficient_family,
     iterated_coproduct,
     splits,
     wedge,
@@ -47,31 +48,8 @@ def tau(algebra: AlgebraPresentation, w: WedgeMonomial) -> Vector:
 
 
 def tau_family(algebra: AlgebraPresentation, max_arity: int) -> TaylorFamily:
-    """Taylor coefficients of tau_tilde: the n-fold products, one table per arity."""
-    return coefficient_family(algebra, algebra, 0, max_arity, lambda mono: tau(algebra, mono))
-
-
-class _LazyFamily(TaylorFamily):
-    """A Taylor family up to a cap whose coefficient at a word is `fn(word)`,
-    computed on first lookup and memoized; `tables` stays empty."""
-
-    def __init__(self, source, target, degree: int, cap: int, fn):
-        super().__init__(source, target, degree, {})
-        self._cap = cap
-        self._fn = fn
-        self._memo: dict = {}
-
-    def arities(self):
-        return list(range(1, self._cap + 1))
-
-    def coefficient(self, mono: WedgeMonomial) -> Vector:
-        value = self._memo.get(mono)
-        if value is None:
-            value = self._fn(mono)
-            if value.is_zero():
-                value = self._zero  # the family's shared zero, not one per word
-            self._memo[mono] = value
-        return value
+    """Taylor coefficients of tau_tilde up to `max_arity`: the n-fold products."""
+    return TaylorFamily(algebra, algebra, 0, cap=max_arity, fn=lambda mono: tau(algebra, mono))
 
 
 class CumulantContext:
@@ -83,7 +61,7 @@ class CumulantContext:
         self.algebra = algebra
         self.cap = int(cap)
         # tau's Taylor family, one memo for tau_tilde and the defect tables
-        self.products = _LazyFamily(algebra, algebra, 0, self.cap, self._product)
+        self.products = TaylorFamily(algebra, algebra, 0, cap=self.cap, fn=self._product)
         self._tau_tilde: SMap | None = None
         self._inverse: SMap | None = None
 
@@ -178,7 +156,7 @@ def mobius_inverse_family(algebra: AlgebraPresentation, max_arity: int) -> Taylo
         n = mono.weight
         return (-1) ** (n - 1) * math.factorial(n - 1) * tau(algebra, mono)
 
-    return coefficient_family(algebra, algebra, 0, max_arity, coefficient)
+    return TaylorFamily(algebra, algebra, 0, cap=max_arity, fn=coefficient)
 
 
 def conjugate(op: SMap, direction: str = "pull") -> SMap:
@@ -197,13 +175,13 @@ def conjugate(op: SMap, direction: str = "pull") -> SMap:
     raise ValidationError(f"unknown conjugation direction {direction!r}")
 
 
-def defect_coefficients(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> TaylorFamily:
-    """The defect tables of a map as a lazy family: the Taylor coefficients of
-    the pull conjugate of its bare extension, by the moment–cumulant
-    recursion in the target.  Corestricting F∘tau_tilde = tau_tilde∘G (kind
-    "hom", a degree-zero f) or D∘tau_tilde = tau_tilde∘H (kind "der", an
-    endomorphism d) at w, and splitting off the block B that holds the first
-    factor, gives
+def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> TaylorFamily:
+    """The defect tables of a map up to the cap, each word computed on first
+    lookup: the Taylor coefficients of the pull conjugate of its bare
+    extension, by the moment–cumulant recursion in the target.
+    Corestricting F∘tau_tilde = tau_tilde∘G (kind "hom", a degree-zero f) or
+    D∘tau_tilde = tau_tilde∘H (kind "der", an endomorphism d) at w, and
+    splitting off the block B that holds the first factor, gives
 
         g(w) = phi(w) - sum over splits with first != 0 of first · g(w_B)·phi(w_R),
         h(w) = d(tau(w)) - sum over all splits of coeff · h(w_B)·tau(w_R),
@@ -237,15 +215,9 @@ def defect_coefficients(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) 
                         out.accumulate(multiply(value, tail), -n)
         return out
 
-    rests = _LazyFamily(m.source, m.target, 0, cap, moment) if hom else products
-    family = _LazyFamily(m.source, m.target, m.degree, cap, fn)
+    rests = TaylorFamily(m.source, m.target, 0, cap=cap, fn=moment) if hom else products
+    family = TaylorFamily(m.source, m.target, m.degree, cap=cap, fn=fn)
     return family
-
-
-def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> TaylorFamily:
-    """All defect tables of a map up to the cap."""
-    family = defect_coefficients(m, kind, cap)
-    return coefficient_family(m.source, m.target, m.degree, cap, family.coefficient)
 
 
 def vanishes_above_one(family: TaylorFamily) -> bool:

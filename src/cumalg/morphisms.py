@@ -23,8 +23,7 @@ from .coalgebra import (
     TaylorFamily,
     WedgeMonomial,
     as_monomial,
-    coefficient_family,
-    coefficient_table,
+    canonical_monomials,
     coproduct_element,
     monomials_up_to,
     splits,
@@ -149,7 +148,7 @@ def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
     if family.source is not family.target:
         raise ValidationError("a coderivation needs source and target to agree")
     basis = family.source
-    arities = set(family.arities())
+    arities = family._block_arities()
 
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.from_vector(family.coefficient(w), cap)
@@ -184,7 +183,7 @@ def extend_coalgebra_map(family: TaylorFamily, cap: int) -> SMap:
     if family.degree != 0:
         raise ValidationError("coalgebra-map extension needs a degree-zero family")
     source, target = family.source, family.target
-    arities = set(family.arities())
+    arities = family._block_arities()
 
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.from_vector(family.coefficient(w), cap)
@@ -208,13 +207,15 @@ def taylor_coefficient(op: SMap, mono: WedgeMonomial) -> Vector:
 
 def taylor_extract(op: SMap, arity: int) -> dict:
     """The arity-n coefficient table of an operator, sparse on canonical monomials."""
-    return coefficient_table(op.source, arity, lambda mono: taylor_coefficient(op, mono))
+    values = ((mono, taylor_coefficient(op, mono)) for mono in canonical_monomials(op.source, arity))
+    return {mono: value for mono, value in values if value.terms}
 
 
 def extract_family(op: SMap, max_arity: int) -> TaylorFamily:
-    return coefficient_family(
-        op.source, op.target, op.degree, max_arity, lambda mono: taylor_coefficient(op, mono)
-    )
+    """The Taylor coefficients of an operator up to `max_arity`, every one
+    computed and checked on return."""
+    tables = {n: taylor_extract(op, n) for n in range(1, max_arity + 1)}
+    return TaylorFamily(op.source, op.target, op.degree, tables)
 
 
 def bracket(d1: SMap, d2: SMap) -> SMap:

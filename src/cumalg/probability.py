@@ -22,7 +22,7 @@ from .algebra import (
     scalar_at,
 )
 from .coalgebra import WedgeMonomial
-from .cumulant import defect_coefficients
+from .cumulant import defect_family
 
 
 @reader(dict)
@@ -74,7 +74,7 @@ def cumulants_from_moments(moments) -> list:
     """
     moments = list(moments)
     n = len(moments)
-    family = defect_coefficients(expectation_map(moments), "hom", cap=n)
+    family = defect_family(expectation_map(moments), "hom", cap=n)
     return [family.coefficient(WedgeMonomial((0,) * j, (0,) * j)).get(0) for j in range(1, n + 1)]
 
 

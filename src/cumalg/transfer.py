@@ -38,7 +38,7 @@ from .morphisms import (
     extract_family,
     triangular_inverse,
 )
-from .cumulant import cumulant_context, defect_coefficients
+from .cumulant import cumulant_context, defect_family
 
 
 class TransferError(AlgebraError):
@@ -186,7 +186,7 @@ def _injectivity_check(op: SMap) -> CheckReport:
 def transferred_differential(r: RetractData, cap: int) -> SMap:
     """Pull-conjugate of the bare coderivation of the algebra differential:
     the coderivation extending the differential's derivation-defect tables."""
-    return extend_coderivation(defect_coefficients(r.d, "der", cap), cap)
+    return extend_coderivation(defect_family(r.d, "der", cap), cap)
 
 
 def validate_transfer_input(t: TransferInput, cap: int) -> TransferReport:

@@ -177,6 +177,10 @@ def test_linear_map_composition_and_identity(e2):
 def test_linear_map_degree_validation(e2):
     with pytest.raises(cm.ValidationError):
         cm.LinearMap(e2, e2, 0, {0: {2: Fraction(1)}})
+    # a column index outside the source: negative, or past its last generator
+    for index in (-3, 5):
+        with pytest.raises(cm.ValidationError, match="out of range"):
+            cm.LinearMap(e2, e2, 0, {index: {0: 1}})
 
 
 def test_bracket_of_odd_maps_is_an_anticommutator(e2):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import cumalg as cm
-from cumalg import coalgebra, cumulant, morphisms, transfer
+from cumalg import coalgebra, morphisms, transfer
 
 from conftest import (
     E2_DOC,
@@ -290,10 +290,53 @@ def test_composite_of_derivations_has_defects_through_its_order(p8, power):
     assert cm.defect_family(euler, "der", 5).arities() == list(range(1, power + 1))
 
 
+# computed families over E2 and its map f, a new family on every call
+COMPUTED = {
+    "products": lambda A, f: cm.CumulantContext(A, CAP).products,
+    "hom defects": lambda A, f: cm.defect_family(f, "hom", CAP),
+    "der defects": lambda A, f: cm.defect_family(f, "der", CAP),
+    "tau_family": lambda A, f: cm.tau_family(A, CAP),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMPUTED))
+def test_a_computed_family_answers_as_its_tables_do(kind):
+    """Every view of a family given by a coefficient function, asked before
+    anything is tabulated, equals that view of the family built from its
+    tables; E2's odd generators sign the products."""
+    A = cm.parse_algebra(E2_DOC)
+    f = cm.parse_linear_map(E2_MAP_DOC, A, A)
+    build = COMPUTED[kind]
+    first = build(A, f)
+    tabled = cm.TaylorFamily(first.source, first.target, first.degree, first.tables)
+    assert build(A, f) == tabled and first == tabled
+    assert build(A, f).to_doc() == tabled.to_doc()
+    assert build(A, f).arity_one_map() == tabled.arity_one_map()
+    assert build(A, f).arities() == tabled.arities()
+    assert cm.vanishes_above_one(build(A, f)) == cm.vanishes_above_one(tabled)
+
+
+def test_the_shared_products_are_the_n_fold_products():
+    A = cm.parse_algebra(E2_DOC)
+    products = cm.cumulant_context(A, CAP).products
+    assert products.to_doc() == cm.tau_family(A, CAP).to_doc()
+    assert products.arities() == [1, 2]
+
+
+def test_defect_families_of_different_moments_differ():
+    one, two = (
+        cm.defect_family(cm.expectation_map(moments), "hom", 3)
+        for moments in ([1, 2, 3], [5, 7, 11])
+    )
+    assert one != two
+    assert one.arity_one_map() != two.arity_one_map()
+    assert not cm.vanishes_above_one(one) and not cm.vanishes_above_one(two)
+
+
 def test_accumulation_never_writes_into_shared_values(monkeypatch):
     """Sums accumulate in place, but only into fresh objects: product tables,
-    family tables, each family's shared zero, cached operator images and the
-    values a lazy family memoizes (tau's products, the moments and the
+    family memos, each family's shared zero, cached operator images and the
+    values a computed family memoizes (tau's products, the moments and the
     defect recursion, which sums into fresh vectors next to memoized ones)
     stay as they were handed out."""
     A = cm.parse_algebra(E2_DOC)
@@ -308,7 +351,7 @@ def test_accumulation_never_writes_into_shared_values(monkeypatch):
 
     def recording(extend):
         def record(family, cap):
-            keep(family.tables)
+            keep(dict(family._memo))  # the values memoized so far
             keep(family._zero)
             return extend(family, cap)
         return record
@@ -320,19 +363,19 @@ def test_accumulation_never_writes_into_shared_values(monkeypatch):
         (transfer, "extend_coderivation"),
     ):
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
-    coefficient = cumulant._LazyFamily.coefficient
+    coefficient = cm.TaylorFamily.coefficient
     lazy = []
 
     def memoizing(family, w):
         # computed on first lookup, then handed out from the memo
-        miss = w not in family._memo
+        miss = family._fn is not None and w not in family._memo
         value = coefficient(family, w)
         if miss:
             keep(value)
             lazy.append(family)
         return value
 
-    monkeypatch.setattr(cumulant._LazyFamily, "coefficient", memoizing)
+    monkeypatch.setattr(cm.TaylorFamily, "coefficient", memoizing)
     on_monomial = cm.SMap.on_monomial
 
     def caching(op, w):
@@ -350,13 +393,13 @@ def test_accumulation_never_writes_into_shared_values(monkeypatch):
     keep(ctx.products._zero)
     ctx.tau_tilde.to_doc()
     ctx.tau_tilde_inverse.to_doc()
-    cm.defect_family(f, "hom", cap=3)
-    cm.defect_family(f, "der", cap=3)
+    cm.defect_family(f, "hom", cap=3).to_doc()
+    cm.defect_family(f, "der", cap=3).to_doc()
+    # tau's products at caps 4 and 3, the moments of "hom" and both recursions
+    assert len({id(family) for family in lazy}) == 5
     assert cm.induced_cumulant_bijection(t, 5).ok
 
     assert len(handed_out) > 100
-    # tau's products, the moments of "hom" and both recursions
-    assert len({id(family) for family in lazy}) >= 4
     for value, copied in handed_out:
         assert value == copied
 
@@ -371,8 +414,8 @@ def test_repeated_jobs_keep_live_memory_flat():
         ctx = cm.cumulant_context(A, CAP)
         ctx.tau_tilde.to_doc()
         ctx.tau_tilde_inverse.to_doc()
-        cm.defect_family(f, "hom", cap=CAP)
-        cm.defect_family(f, "der", cap=CAP)
+        cm.defect_family(f, "hom", cap=CAP).to_doc()
+        cm.defect_family(f, "der", cap=CAP).to_doc()
 
     def live_after(rounds):
         for _ in range(rounds):

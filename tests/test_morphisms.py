@@ -128,6 +128,11 @@ def test_extension_round_trip_on_graded_signs(e2):
 def test_taylor_family_rejects_inhomogeneous_values(e2):
     with pytest.raises(cm.ValidationError):
         cm.TaylorFamily(e2, e2, 0, {2: {cm.monomial(e2, (0, 1)): e2.generator(0)}})
+    # keys that are not canonical monomials over the source: an index past
+    # its last generator, and `a` (degree 1) claimed at degree 2
+    for key in (cm.WedgeMonomial((7,), (1,)), cm.WedgeMonomial((0,), (2,))):
+        with pytest.raises(cm.ValidationError, match="not canonical"):
+            cm.TaylorFamily(e2, e2, 0, {1: {key: e2.generator(0)}})
 
 
 def test_taylor_family_doc_normalizes_monomials(e2):
