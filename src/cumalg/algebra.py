@@ -1,9 +1,10 @@
 """Graded commutative algebras over Q, presented by exact structure constants.
 
 Everything here is immutable after construction and all arithmetic is exact:
-a coefficient is an `int` until a division or a rational input makes it a
-`fractions.Fraction`, so identities can be asserted exactly and integer
-structure constants never pay for rational arithmetic.
+a coefficient is an `int`, or a `Rational` (a `fractions.Fraction` whose +,
+- and * work on its two integers) when it is not integral, so identities can
+be asserted exactly and integer structure constants never pay for rational
+arithmetic.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import itertools
 import json
 import re
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 
 # the truncation weight of the coalgebra when a caller gives none
@@ -72,17 +74,116 @@ class ValidationError(AlgebraError):
         self.witness = witness or {}
 
 
+class Rational(Fraction):
+    """A non-integral exact scalar: a `Fraction` whose +, - and * with an
+    `int`, a `Fraction` or a `Rational` read the two integers of each operand
+    and reduce with `math.gcd`, as `Fraction`'s own `_add` and `_mul` do, but
+    without its Python-level operand dispatch and constructor.  Their result
+    is an `int` when it is integral and a `Rational` otherwise.  Every other
+    operand type and every other operation (division, powers, comparisons,
+    `hash`, `str`, copy and pickle) is `Fraction`'s own.  Make one with
+    `exact`, never with the constructor: so made, no `Rational` is integral."""
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if type(b) is int:
+            return _rational(a._numerator + b * a._denominator, a._denominator)
+        if type(b) is Rational or type(b) is Fraction:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        return Fraction.__add__(a, b)
+
+    def __radd__(a, b):
+        if type(b) is int:
+            return _rational(a._numerator + b * a._denominator, a._denominator)
+        if type(b) is Rational or type(b) is Fraction:
+            return _sum(b._numerator, b._denominator, a._numerator, a._denominator)
+        return Fraction.__radd__(a, b)
+
+    def __sub__(a, b):
+        if type(b) is int:
+            return _rational(a._numerator - b * a._denominator, a._denominator)
+        if type(b) is Rational or type(b) is Fraction:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            return _rational(b * a._denominator - a._numerator, a._denominator)
+        if type(b) is Rational or type(b) is Fraction:
+            return _sum(b._numerator, b._denominator, -a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        if type(b) is int:
+            return _product(a._numerator, a._denominator, b, 1)
+        if type(b) is Rational or type(b) is Fraction:
+            return _product(a._numerator, a._denominator, b._numerator, b._denominator)
+        return Fraction.__mul__(a, b)
+
+    def __rmul__(a, b):
+        if type(b) is int:
+            return _product(b, 1, a._numerator, a._denominator)
+        if type(b) is Rational or type(b) is Fraction:
+            return _product(b._numerator, b._denominator, a._numerator, a._denominator)
+        return Fraction.__rmul__(a, b)
+
+    def __neg__(a):
+        return _rational(-a._numerator, a._denominator)
+
+
+# a bare Rational, for `_rational` to fill in: the bound call is quicker than
+# looking up `object.__new__` and `Rational` on every result
+_new_rational = functools.partial(object.__new__, Rational)
+
+
+def _rational(n: int, d: int):
+    """The exact scalar n/d of coprime integers with d > 0: `n` itself when
+    d is 1, else a `Rational` made without `Fraction.__new__`."""
+    if d == 1:
+        return n
+    value = _new_rational()
+    value._numerator = n
+    value._denominator = d
+    return value
+
+
+def _sum(na, da, nb, db):
+    """na/da + nb/db of two reduced fractions (Knuth, TAOCP 4.5.1)."""
+    g = gcd(da, db)
+    if g == 1:
+        return _rational(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _rational(t, s * db)
+    return _rational(t // g2, s * (db // g2))
+
+
+def _product(na, da, nb, db):
+    """(na/da) * (nb/db) of two reduced fractions, each cross pair reduced."""
+    g1 = gcd(na, db)
+    g2 = gcd(nb, da)
+    return _rational((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+
 def exact(value):
-    """An exact scalar: an `int` stays an `int`; anything else becomes a
-    `Fraction`, and an integral `Fraction` becomes its `int`.
+    """The exact scalar of `value`: an `int` stays an `int`, an integral
+    value becomes its `int`, and any other rational (a `Fraction`, a
+    `Decimal`, a string such as "1/3") becomes a `Rational`.  A float is
+    refused, whatever its type, because its binary digits are not the
+    rational it was written as.  This is the one way into `Rational`.
 
     `Fraction(2) == 2` with equal hashes and equal `str`, so which type a
     value has never shows in a comparison or a report.
     """
-    if type(value) is int:
+    if type(value) is int or type(value) is Rational:
         return value
+    if isinstance(value, float):
+        raise ValidationError(f"a {type(value).__name__} is not an exact scalar: {value!r}")
     value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+    return _rational(value._numerator, value._denominator)
 
 
 # --- the document reader: only `field`, `scalar_at` and `name_at` check the
@@ -212,7 +313,7 @@ class GradedBasis:
 
 class LinearCombination:
     """A finite sparse linear combination over Q: `terms` maps keys to
-    nonzero exact scalars (`int`s, or `Fraction`s once something divides).
+    nonzero exact scalars (`int`s, or `Rational`s where not integral).
 
     The one home of add, subtract, negate, scale, equality and zero-cleaning
     for algebra elements, truncated coalgebra elements and coproduct pairs.

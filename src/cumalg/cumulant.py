@@ -21,6 +21,7 @@ from .algebra import (
     LinearMap,
     ValidationError,
     Vector,
+    exact,
     parity_sign,
 )
 from .coalgebra import (
@@ -128,7 +129,7 @@ def tau_tilde_series(algebra: AlgebraPresentation, cap: int) -> SMap:
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement(algebra, cap)
         for k in range(1, w.weight + 1):
-            scale = Fraction(1, math.factorial(k))
+            scale = exact(Fraction(1, math.factorial(k)))
             for coeff, parts in iterated_coproduct(w, k):
                 piece = None
                 for part in parts:

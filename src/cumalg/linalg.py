@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import ValidationError
+from .algebra import ValidationError, exact
 
 
 def _echelon(rows, width):
@@ -15,7 +15,7 @@ def _echelon(rows, width):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
+        inv = exact(Fraction(1, rows[r][col]))
         rows[r] = [inv * x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col] != 0:
@@ -32,7 +32,7 @@ def rank(matrix) -> int:
     """Rank of a list-of-rows rational matrix."""
     if not matrix:
         return 0
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = [[exact(x) for x in row] for row in matrix]
     return len(_echelon(rows, len(rows[0])))
 
 
@@ -45,14 +45,14 @@ def solve(matrix, rhs):
     if m == 0:
         return []
     n = len(matrix[0])
-    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    rows = [[exact(x) for x in row] + [exact(b)] for row, b in zip(matrix, rhs)]
     if len(rhs) != m:
         raise ValidationError("rhs length mismatch")
     pivots = _echelon(rows, n)
     for i in range(len(pivots), m):
         if rows[i][n] != 0:
             return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for r, col in enumerate(pivots):
         x[col] = rows[r][n]
     return x

@@ -9,7 +9,6 @@ machinery serves as the independent oracle.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
@@ -17,6 +16,7 @@ from .algebra import (
     LinearMap,
     SchemaError,
     ValidationError,
+    exact,
     field,
     reader,
     scalar_at,
@@ -80,7 +80,7 @@ def cumulants_from_moments(moments) -> list:
 
 def oracle_cumulants(moments) -> list:
     """The classical moment-cumulant recursion, free of coalgebra machinery."""
-    moments = [Fraction(m) for m in moments]
+    moments = [exact(m) for m in moments]
     kappa = []
     for j in range(1, len(moments) + 1):
         value = moments[j - 1]

@@ -98,6 +98,29 @@ def test_scalars_normalize_to_lowest_terms():
     assert alg.multiply(u, u) == Fraction(1, 2) * u
 
 
+class _Float(float):
+    """A float subclass, as NumPy's `float64` is one."""
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, _Float(0.5)],
+                         ids=["tenth", "half", "integral", "subclass"])
+def test_floats_are_refused_wherever_a_scalar_enters(e2, value):
+    """A float is binary digits, not the rational it was written as, so a
+    coefficient, a scale, a map entry or a family value that is one is
+    refused with its type named."""
+    name = type(value).__name__
+    with pytest.raises(cm.ValidationError, match=name):
+        cm.Vector(e2, {0: value})
+    with pytest.raises(cm.ValidationError, match=name):
+        value * e2.generator(0)
+    with pytest.raises(cm.ValidationError, match=name):
+        cm.LinearMap(e2, e2, 0, {0: {0: value}})
+    family = cm.TaylorFamily(e2, e2, 0, cap=1,
+                             fn=lambda w: cm.Vector(e2, {w.indices[0]: value}))
+    with pytest.raises(cm.ValidationError, match=name):
+        family.coefficient(cm.monomial(e2, (0,)))
+
+
 @pytest.mark.parametrize("value", [
     0, -7, Fraction(-3, 4), 10**5000 + 1, -(10**5000) + 3, Fraction(10**5000 + 1, 3),
     Fraction(2, 3 * 10**5000 + 1), Fraction(-(7**6000), 11**5000),

@@ -4,7 +4,10 @@ Each algebra is a tensor product of truncated polynomial algebras (one even
 generator, whose powers repeat in wedge words) and exterior algebras (one
 odd generator, which never repeats), with mixed degrees.
 """
+import copy
 import itertools
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cumalg as cm
+from cumalg.algebra import Rational, exact
 from cumalg.coalgebra import _wedge_in
 
 from conftest import (
@@ -429,3 +433,54 @@ def test_defect_tables_equal_the_corestricted_conjugate(kind, degree, A, seed, c
     fresh = cm.defect_family(m, kind, cap)
     for w in cm.monomials_up_to(m.source, cap):
         assert fresh.coefficient(w) == family.coefficient(w)
+
+
+# the operands of exact arithmetic: ints (zero and negatives among them),
+# plain Fractions, integral ones too, and Rationals
+rationals = st.fractions().filter(lambda q: q.denominator != 1).map(exact)
+operands = st.one_of(st.integers(-(10**20), 10**20), st.fractions(), rationals)
+OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def assert_same_scalar(got, want):
+    """`got` is the exact scalar of the Fraction `want`: equal, with equal
+    hash and str, an int exactly when integral and a Rational otherwise, and
+    so after copy, deepcopy and a pickle round trip."""
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    assert type(got) is (int if want.denominator == 1 else Rational)
+    for again in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+        assert again == got and type(again) is type(got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rationals, operands, st.sampled_from(sorted(OPERATIONS)), st.booleans())
+def test_rational_arithmetic_is_fraction_arithmetic(q, other, op, rational_left):
+    # with a plain Fraction on the left, only the subclass rule, which tries
+    # Rational's reflected method first, makes the result an int or a Rational
+    left, right = (q, other) if rational_left else (other, q)
+    assert_same_scalar(OPERATIONS[op](left, right), OPERATIONS[op](Fraction(left), Fraction(right)))
+    assert_same_scalar(-q, -Fraction(q))
+
+
+@settings(max_examples=25, deadline=None)
+@given(algebras, st.integers(0, 2**32))
+def test_rational_coefficients_never_fall_back_to_plain_fractions(A, seed):
+    # after a rational change of basis, every coefficient that tau_tilde, its
+    # inverse, both defect recursions and a comorphism check memoize is an
+    # int or a Rational: no hot loop runs on Fraction's own arithmetic
+    B = rational_change_of_basis(A, seed)
+    ctx = cm.cumulant_context(B, CAP)
+    operators = [ctx.tau_tilde, ctx.tau_tilde_inverse]
+    for op in operators:
+        for _ in coefficients(op, CAP):
+            pass
+    families = [ctx.products] + [
+        cm.defect_family(random_map(seed, B, 0), kind, CAP) for kind in ("hom", "der")
+    ]
+    for family in families:
+        family.tables  # computes every value up to the cap
+    extension = cm.extend_coalgebra_map(random_family(seed, B, 0, range(1, CAP + 1)), CAP)
+    assert cm.check_comorphism(extension).ok
+    memos = [op._cache for op in operators + [extension]] + [f._memo for f in families]
+    kinds = {type(c) for memo in memos for value in memo.values() for c in value.terms.values()}
+    assert kinds <= {int, Rational}, kinds

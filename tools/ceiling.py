@@ -4,13 +4,15 @@
     python3 tools/ceiling.py
 
 Runs `lift` and `invert` on the truncated polynomial algebra p6 at caps 6, 8
-and 10, `lift` on e4c (the 15-generator exterior algebra after a rational
-change of basis) at cap 5, and `defects --kind hom` (on e4) and
-`--kind der` (on e4c) at cap 5, each through `cumalg.cli.run` with its report
-written to a temporary file.  Prints one JSON line: for each job, the seconds
-spent parsing documents (`parse`), emitting the report (`emit`) and in the
-rest of the job (`compute`).  The documents come from the benchmark's input
-generators with a fixed seed.
+and 10, and on p6c (p6 after a rational change of basis, so that its
+structure constants are dense rationals) at caps 4 and 6; `lift` on e4c (the
+15-generator exterior algebra after a rational change of basis, whose
+products carry few terms) at cap 5; and `defects --kind hom` (on e4) and
+`--kind der` (on e4c) at cap 5.  Each job runs through `cumalg.cli.run` with
+its report written to a temporary file.  Prints one JSON line: for each job,
+the seconds spent parsing documents (`parse`), emitting the report (`emit`)
+and in the rest of the job (`compute`).  The documents come from the
+benchmark's input generators with a fixed seed.
 """
 from __future__ import annotations
 
@@ -36,12 +38,14 @@ def documents(work: Path) -> dict:
     rng = random.Random(f"ceiling:{SEED}")
     e4 = inputs.exterior_algebra(4)
     e4c = inputs.change_basis(rng, e4, "f")
+    p6 = inputs.truncated_polynomial(6)
     docs = {
-        "p6": inputs.truncated_polynomial(6),
+        "p6": p6,
         "e4c": e4c,
         "hom_e4": inputs.degree_zero_map(rng, e4),
         "der_e4c": inputs.degree_zero_map(rng, e4c),
     }
+    docs["p6c"] = inputs.change_basis(rng, p6, "y")
     paths = {}
     for name, doc in docs.items():
         paths[name] = work / f"{name}.json"
@@ -55,6 +59,10 @@ def jobs(paths: dict) -> dict:
         for command in ("lift", "invert"):
             out[f"{command} p6 cap {cap}"] = [
                 command, "--weight-cap", str(cap), "--input", f"algebra={paths['p6']}"]
+    for cap in (4, 6):
+        for command in ("lift", "invert"):
+            out[f"{command} p6c cap {cap}"] = [
+                command, "--weight-cap", str(cap), "--input", f"algebra={paths['p6c']}"]
     out["lift e4c cap 5"] = ["lift", "--weight-cap", "5", "--input", f"algebra={paths['e4c']}"]
     out["defects hom e4 cap 5"] = ["defects", "--kind", "hom", "--weight-cap", "5",
                                    "--input", f"map={paths['hom_e4']}"]
