@@ -178,7 +178,7 @@ def exact(value):
     `Fraction(2) == 2` with equal hashes and equal `str`, so which type a
     value has never shows in a comparison or a report.
     """
-    if type(value) is int or type(value) is Rational:
+    if type(value) is int or type(value) is Rational and value._denominator != 1:
         return value
     if isinstance(value, float):
         raise ValidationError(f"a {type(value).__name__} is not an exact scalar: {value!r}")
@@ -374,8 +374,11 @@ class LinearCombination:
 
         Only for an element the calling routine has just created: a value
         handed out elsewhere (a product table entry, a cached image) must
-        never be the receiver.
+        never be the receiver.  A scale that is not an `int` goes through
+        `exact` first.
         """
+        if type(scale) is not int:
+            scale = exact(scale)
         if not scale:
             return self
         scaled = scale != 1

@@ -15,8 +15,8 @@ import json
 import sys
 
 from .algebra import (
-    DEFAULT_WEIGHT_CAP, AlgebraError, field, format_scalar, parse_algebra, parse_linear_map,
-    reader,
+    DEFAULT_WEIGHT_CAP, AlgebraError, Vector, field, format_scalar, parse_algebra,
+    parse_linear_map, reader,
 )
 
 WEIGHT_CAP_CEILING = 10
@@ -125,42 +125,90 @@ def cmd_validate(args, inputs):
     return {"results": results}, ok
 
 
+class _Table:
+    """The rows of a table report, each value computed by the handler: a
+    list of (monomial, value) pairs in canonical monomial order, or a dict of
+    such lists keyed by arity as a string, a value being an `SElement` over
+    `target` or a `Vector` of it.  `to_doc` gives the rows as `SMap.to_doc`
+    does, or the "arities" of `TaylorFamily.to_doc`; `_json_text` writes the
+    same text from the rows themselves."""
+
+    __slots__ = ("source", "target", "rows")
+
+    def __init__(self, source, target, rows):
+        self.source = source
+        self.target = target
+        self.rows = rows
+
+    def to_doc(self):
+        def doc(rows):
+            return [{"monomial": w.names(self.source), "value": value.to_doc()}
+                    for w, value in rows]
+
+        if type(self.rows) is dict:
+            return {key: doc(rows) for key, rows in self.rows.items()}
+        return doc(self.rows)
+
+
 def cmd_lift(args, inputs, inverse=False):
+    from .coalgebra import monomials_up_to
     from .cumulant import cumulant_context
 
     algebra = parse_algebra(_load_json(inputs["algebra"]))
     ctx = cumulant_context(algebra, args.weight_cap)
     op = ctx.tau_tilde_inverse if inverse else ctx.tau_tilde
-    return {"table": op.to_doc()}, True
+    rows = [(w, op.on_monomial(w)) for w in monomials_up_to(algebra, args.weight_cap)]
+    return {"table": _Table(algebra, algebra, rows)}, True
 
 
 def cmd_defects(args, inputs):
+    from .coalgebra import WedgeMonomial
     from .cumulant import defect_family, vanishes_above_one
 
     m = _read_map(_load_json(inputs["map"]))
     family = defect_family(m, args.kind, cap=args.weight_cap)
+    arities = {
+        str(arity): [(mono, table[mono]) for mono in sorted(table, key=WedgeMonomial.sort_key)]
+        for arity, table in family.tables.items()
+    }
     payload = {
         "kind": args.kind,
-        "tables": family.to_doc(),
+        "tables": {"degree": family.degree, "arities": _Table(m.source, m.target, arities)},
         "vanishes_above_1": vanishes_above_one(family),
     }
     if args.kind == "der" and args.weight_cap >= 3:
-        payload["arity3_comparison"] = _arity3_comparison(m, family, args.weight_cap)
+        payload["arity3_comparison"] = _arity3_comparison(m, family)
     return payload, True
 
 
-def _arity3_comparison(d, family, cap):
-    """Computed arity-3 table next to the seven-term variant expression."""
+def _arity3_comparison(d, family):
+    """Computed arity-3 table next to the seven-term variant expression
+    (`h3_seven_term_variant`) at each word x·y·z of generators.  The pair
+    products x·y are the product table's entries; each generator's image
+    d(x) and each pair's image d(x·y) is computed once per report, so a row
+    takes one `apply` and at most seven products, summed into one vector."""
     from .coalgebra import canonical_monomials
-    from .cumulant import h3_seven_term_variant
 
     A = d.source
+    multiply, table = A.multiply, A.products
+    generators = A.generators()
+    images = [d.apply(x) for x in generators]
+    pair_images = [[d.apply(xy) for xy in row] for row in table]
     rows = []
     all_match = True
     for mono in canonical_monomials(A, 3):
         computed = family.coefficient(mono)
-        factors = [A.generator(i) for i in mono.indices]
-        variant = h3_seven_term_variant(d, A, *factors)
+        i, j, k = mono[0]
+        x, y, z = generators[i], generators[j], generators[k]
+        xy = table[i][j]
+        variant = d.apply(multiply(xy, z))
+        for scale, u, v in (
+            (-1, pair_images[i][j], z), (1, xy, images[k]),
+            (-1, pair_images[j][k], x), (1, table[j][i], images[i]),
+            (-1, pair_images[k][i], y), (1, table[k][i], images[j]),
+        ):
+            if u.terms and v.terms:
+                variant.accumulate(multiply(u, v), scale)
         match = computed == variant
         all_match = all_match and match
         rows.append(
@@ -207,6 +255,8 @@ def cmd_cumulants(args, inputs):
 
 
 def _render_text(value, indent=0, key=None):
+    if type(value) is _Table:
+        value = value.to_doc()
     pad = "  " * indent
     label = f"{key}: " if key is not None else ""
     if isinstance(value, dict):
@@ -231,11 +281,11 @@ _quote = json.encoder.encode_basestring_ascii
 
 def _json_text(value, pad="\n") -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` for str-keyed dicts,
-    lists, strings, ints, booleans and None, byte for byte.  CPython's C
-    encoder does not take `indent`, so json.dumps with it runs the
-    pure-Python encoder; this joins the same pieces with far fewer
-    Python-level calls.  `pad` is the newline and indentation that precede
-    `value`'s closing bracket."""
+    lists, strings, ints, booleans and None, byte for byte, and for a
+    `_Table` the same of its `to_doc()`.  CPython's C encoder does not take
+    `indent`, so json.dumps with it runs the pure-Python encoder; this joins
+    the same pieces with far fewer Python-level calls.  `pad` is the newline
+    and indentation that precede `value`'s closing bracket."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -259,7 +309,69 @@ def _json_text(value, pad="\n") -> str:
         return "true" if value else "false"
     if kind is int:
         return str(value)
+    if kind is _Table:
+        return _table_text(value, pad)
     raise TypeError(f"report value of type {kind.__name__} is not JSON")
+
+
+def _table_text(table: _Table, pad: str) -> str:
+    """`_json_text(table.to_doc(), pad)`, written from the rows: each basis
+    name is quoted once, each value term's monomial name list is built once,
+    and no row dict is built."""
+    from .coalgebra import WedgeMonomial
+
+    source = [_quote(name) for name in table.source.names]
+    target = [_quote(name) for name in table.target.names]
+    names: dict = {}  # monomial of `target` -> its name list as a value term's
+
+    def name_list(w, quoted, at):
+        inner = at + "  "
+        return "[" + inner + ("," + inner).join([quoted[i] for i in w[0]]) + at + "]"
+
+    def rows_text(rows, pad):
+        if not rows:
+            return "[]"
+        row = pad + "  "       # each row's braces
+        field = row + "  "     # "monomial" and "value"
+        term = field + "  "    # each term's braces
+        entry = term + "  "    # "coeff" and "gen" or "monomial"
+        head, close = "{" + entry + '"coeff": "', term + "}"
+        gen, mono = '",' + entry + '"gen": ', '",' + entry + '"monomial": '
+
+        def term_names(w):
+            text = names.get(w)
+            if text is None:
+                text = names[w] = name_list(w, target, entry)
+            return text
+
+        texts = []
+        for w, value in rows:
+            terms = value.terms
+            if not terms:
+                value_text = "[]"
+            elif type(value) is Vector:
+                value_text = "[" + term + ("," + term).join(
+                    [head + format_scalar(c) + gen + target[i] + close
+                     for i, c in sorted(terms.items())]
+                ) + field + "]"
+            else:
+                value_text = "[" + term + ("," + term).join(
+                    [head + format_scalar(terms[u]) + mono + term_names(u) + close
+                     for u in sorted(terms, key=WedgeMonomial.sort_key)]
+                ) + field + "]"
+            texts.append("{" + field + '"monomial": ' + name_list(w, source, field) + ","
+                         + field + '"value": ' + value_text + row + "}")
+        return "[" + row + ("," + row).join(texts) + pad + "]"
+
+    arities = table.rows
+    if type(arities) is not dict:
+        return rows_text(arities, pad)
+    if not arities:
+        return "{}"
+    inner = pad + "  "
+    return "{" + inner + ("," + inner).join(
+        [_quote(key) + ": " + rows_text(arities[key], inner) for key in sorted(arities)]
+    ) + pad + "}"
 
 
 def _emit(report: dict, args) -> None:

@@ -25,6 +25,7 @@ from .algebra import (
     SchemaError,
     ValidationError,
     Vector,
+    exact,
     field,
     format_scalar,
     name_at,
@@ -410,7 +411,10 @@ def _wedge_in(out: SElement, value: Vector, tail, scale=1) -> None:
     """Add scale * (value ∧ t) into `out` for the (monomial t, coefficient)
     pairs of `tail`, `value` being of weight one: each generator is bisected
     into t's sorted indices, an odd one changes sign per odd factor it passes
-    and gives zero if t holds it already.  Refuses a product past the cap."""
+    and gives zero if t holds it already.  Refuses a product past the cap.
+    A scale that is not an `int` goes through `exact` first."""
+    if type(scale) is not int:
+        scale = exact(scale)
     degrees, cap, add = out.basis.degrees, out.cap, out.add_term
     heads = [(i, degrees[i], a) for i, a in value.terms.items()]
     for (indices, degs), c in tail:

@@ -338,21 +338,30 @@ def triangular_inverse(op: SMap, law: str = "triangular inverse") -> SMap:
     """Invert an operator of the form identity plus weight-lowering remainder.
 
     The recursion inv(w) = w - inv(op(w) - w) terminates because the
-    remainder strictly drops weight; a remainder term at or above the input
-    weight is reported as a validation failure with the witness monomial.
+    remainder strictly drops weight.  It is summed straight from the terms
+    of op(w), as inv(w) = w - sum over u != w of c_u inv(u), into one fresh
+    element.  Every term of the remainder is checked before any inv(u) is
+    evaluated: a term at or above the input weight (a u != w that heavy, or
+    a coefficient of w other than 1) is reported as a validation failure
+    with the witness monomial, whichever word was asked for first.
     """
     if op.source is not op.target:
         raise ValidationError("triangular inversion needs an endo-operator")
     basis, cap = op.source, op.cap
 
     def fn(w: WedgeMonomial) -> SElement:
-        word = SElement(basis, cap, {w: 1})
-        remainder = op.on_monomial(w) - word
-        if remainder.max_weight() >= w.weight and not remainder.is_zero():
+        image = op.on_monomial(w).terms
+        weight = len(w[0])
+        if image.get(w) != 1 or any(len(u[0]) >= weight for u in image if u != w):
             raise ValidationError(
                 f"{law}: operator is not triangular at {w.names(basis)}"
             )
-        return word - inverse(remainder)
+        out = SElement(basis, cap)
+        out.terms[w] = 1
+        for u, c in image.items():
+            if u != w:
+                out.accumulate(inverse.on_monomial(u), -c)
+        return out
 
     inverse = SMap(basis, basis, cap, 0, fn, "inv")
     return inverse

@@ -296,3 +296,20 @@ def defect_operator(m, kind, cap):
     family = cm.TaylorFamily.from_linear_map(m)
     extend = {"hom": cm.extend_coalgebra_map, "der": cm.extend_coderivation}[kind]
     return cm.conjugate(extend(family, cap), "pull")
+
+
+def reference_inverse(op, law="triangular inverse"):
+    """`triangular_inverse`'s reference route: inv(w) = w - inv(op(w) - w)
+    on whole elements, each word's remainder checked before its inverse is
+    taken."""
+    basis, cap = op.source, op.cap
+
+    def fn(w):
+        word = cm.SElement(basis, cap, {w: 1})
+        remainder = op.on_monomial(w) - word
+        if remainder.max_weight() >= w.weight and not remainder.is_zero():
+            raise cm.ValidationError(f"{law}: operator is not triangular at {w.names(basis)}")
+        return word - inverse(remainder)
+
+    inverse = cm.SMap(basis, basis, cap, 0, fn, "inv")
+    return inverse

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import cumalg as cm
-from cumalg.algebra import read_vector
+from cumalg.algebra import Rational, exact, read_vector
+from cumalg.coalgebra import _wedge_in
 
 from conftest import E2_DOC, random_vector
 
@@ -119,6 +120,31 @@ def test_floats_are_refused_wherever_a_scalar_enters(e2, value):
                              fn=lambda w: cm.Vector(e2, {w.indices[0]: value}))
     with pytest.raises(cm.ValidationError, match=name):
         family.coefficient(cm.monomial(e2, (0,)))
+    with pytest.raises(cm.ValidationError, match=name):
+        cm.Vector(e2).accumulate(e2.generator(0), value)
+    with pytest.raises(cm.ValidationError, match=name):
+        _wedge_in(cm.SElement(e2, 2), e2.generator(0), [(cm.monomial(e2, (2,)), 1)], value)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(-4, 2), Rational(4, 2)],
+                         ids=["half", "integral", "integral-rational"])
+def test_scales_enter_as_exact_scalars(e2, scale):
+    """A scale that is a plain Fraction, or an integral Rational, is stored
+    as an int when integral and as a Rational otherwise."""
+    want = int if scale.denominator == 1 else Rational
+    stored = cm.Vector(e2).accumulate(e2.generator(0), scale).terms[0]
+    assert stored == scale and type(stored) is want
+    out = cm.SElement(e2, 2)
+    _wedge_in(out, e2.generator(0), [(cm.monomial(e2, (2,)), 1)], scale)
+    (stored,) = out.terms.values()
+    assert stored == scale and type(stored) is want
+
+
+def test_exact_gives_the_int_of_an_integral_rational():
+    for value in (Rational(4, 2), Rational(-3), Rational(0), Fraction(6, 3)):
+        assert exact(value) == value and type(exact(value)) is int
+    half = exact(Rational(1, 2))
+    assert half == Fraction(1, 2) and type(half) is Rational
 
 
 @pytest.mark.parametrize("value", [

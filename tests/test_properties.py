@@ -6,16 +6,18 @@ odd generator, which never repeats), with mixed degrees.
 """
 import copy
 import itertools
+import json
 import operator
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cumalg as cm
+from cumalg import cli
 from cumalg.algebra import Rational, exact
 from cumalg.coalgebra import _wedge_in
 
@@ -23,6 +25,7 @@ from conftest import (
     defect_operator,
     random_selement,
     random_vector,
+    reference_inverse,
     subset_coproduct,
     tensor_law_report,
 )
@@ -484,3 +487,150 @@ def test_rational_coefficients_never_fall_back_to_plain_fractions(A, seed):
     memos = [op._cache for op in operators + [extension]] + [f._memo for f in families]
     kinds = {type(c) for memo in memos for value in memo.values() for c in value.terms.values()}
     assert kinds <= {int, Rational}, kinds
+
+
+def assert_rows_written_as_their_doc(table):
+    """The row writer gives `_json_text` of the table's `to_doc()`, also
+    nested, which is json.dumps of it."""
+    doc = table.to_doc()
+    assert cli._json_text(table) == cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    nested = {"report": [table, {"again": table}]}
+    assert cli._json_text(nested) == json.dumps(
+        {"report": [doc, {"again": doc}]}, sort_keys=True, indent=2
+    )
+
+
+def arity_table(family):
+    """A family's nonzero values as a table node filed by arity, checked to
+    give the "arities" of the family's `to_doc`."""
+    rows = {}
+    for w in cm.monomials_up_to(family.source, max(family.arities(), default=1)):
+        if family.coefficient(w).terms:
+            rows.setdefault(str(w.weight), []).append((w, family.coefficient(w)))
+    table = cli._Table(family.source, family.target, rows)
+    assert table.to_doc() == family.to_doc()["arities"]
+    return table
+
+
+def operator_rows(op, cap):
+    return [(w, op.on_monomial(w)) for w in cm.monomials_up_to(op.source, cap)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(algebras, st.integers(0, 2**32), st.integers(1, 3))
+def test_table_rows_are_written_as_their_doc(A, seed, cap):
+    # tau_tilde, its inverse and an operator that vanishes in weight one,
+    # whose rows hold zero values; defect tables filed by arity
+    B = rational_change_of_basis(A, seed)
+    ctx = cm.cumulant_context(B, cap)
+    shifted = ctx.tau_tilde - cm.SMap.identity(B, cap)
+    for op in (ctx.tau_tilde, ctx.tau_tilde_inverse, shifted):
+        assert_rows_written_as_their_doc(cli._Table(B, B, operator_rows(op, cap)))
+    for kind in ("hom", "der"):
+        family = cm.defect_family(random_map(seed, B, 0), kind, cap)
+        assert_rows_written_as_their_doc(arity_table(family))
+    assert_rows_written_as_their_doc(cli._Table(B, B, []))
+    assert_rows_written_as_their_doc(cli._Table(B, B, {}))
+
+
+def test_table_rows_escape_names_and_sort_arity_keys_as_strings():
+    # a quote, a backslash and non-ASCII names
+    A = cm.AlgebraPresentation(
+        [('q"1', 1), ("b\\s", 1), ("\u00e9\u2603", 2)], {(0, 1): {2: 1}, (1, 0): {2: -1}}
+    )
+    ctx = cm.cumulant_context(A, 3)
+    for op in (ctx.tau_tilde, ctx.tau_tilde_inverse):
+        assert_rows_written_as_their_doc(cli._Table(A, A, operator_rows(op, 3)))
+    # two moments at cap 10 have defect tables at arities 1..10: "10" sorts
+    # before "2"
+    family = cm.defect_family(cm.expectation_map([Fraction(1, 2), Fraction(2, 3)]), "hom", 10)
+    assert "10" in family.to_doc()["arities"]
+    assert_rows_written_as_their_doc(arity_table(family))
+
+
+def near_identity(basis, cap, seed, bad=frozenset()):
+    """An operator w -> w + random lower-weight terms with rational
+    coefficients.  At a word of `bad` it is not triangular: the coefficient
+    of w is 0, 2 or 1/2, or a term of w's weight joins in; its lower terms
+    come first either way."""
+    def fn(w):
+        rng = random.Random(f"{seed}:{w!r}")
+        terms = {
+            u: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            for u in cm.monomials_up_to(basis, w.weight - 1) if rng.random() < 0.4
+        }
+        if w in bad:
+            same = [u for u in cm.canonical_monomials(basis, w.weight) if u != w]
+            fault = rng.choice(["drop", 2, Fraction(1, 2)] + (["same"] if same else []))
+            if fault == "same":
+                terms[rng.choice(same)] = 1
+                terms[w] = 1
+            elif fault != "drop":
+                terms[w] = fault
+        else:
+            terms[w] = 1
+        return cm.SElement(basis, cap, terms)
+
+    return cm.SMap(basis, basis, cap, 0, fn)
+
+
+def inverse_at(inverse, w):
+    """The inverse's value at w, or the message of its refusal."""
+    try:
+        return inverse.on_monomial(w)
+    except cm.ValidationError as err:
+        return str(err)
+
+
+@settings(max_examples=25, deadline=None)
+@given(algebras, st.integers(0, 2**32), st.integers(1, CAP))
+def test_triangular_inverse_equals_the_whole_element_recursion(A, seed, cap):
+    B = rational_change_of_basis(A, seed)
+    op = near_identity(B, cap, seed)
+    inverse, reference = cm.triangular_inverse(op), reference_inverse(op)
+    words = list(cm.monomials_up_to(B, cap))
+    random.Random(seed).shuffle(words)
+    for w in words:
+        assert inverse.on_monomial(w) == reference.on_monomial(w)
+    assert inverse.compose(op).equal_up_to(cm.SMap.identity(B, cap))
+
+
+@pytest.mark.parametrize("density", [0.3, 1.0], ids=["some-words", "every-word"])
+@settings(max_examples=25, deadline=None)
+@given(algebras, st.integers(0, 2**32), st.integers(2, CAP))
+def test_triangular_inverse_refuses_with_the_reference_witness(density, A, seed, cap):
+    # each word is asked for first, heaviest words first, of fresh operators:
+    # the refusal names the word whose own remainder is at fault, not a
+    # lower one that its remainder reaches
+    rng = random.Random(seed)
+    words = list(cm.monomials_up_to(A, cap))
+    bad = frozenset(w for w in words if rng.random() < density)
+    for w in reversed(words):
+        op = near_identity(A, cap, seed, bad)
+        got = inverse_at(cm.triangular_inverse(op, "law"), w)
+        assert got == inverse_at(reference_inverse(op, "law"), w)
+        if w in bad:
+            assert got == f"law: operator is not triangular at {w.names(A)}"
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1])
+@settings(max_examples=20, deadline=None)
+@given(algebras, st.integers(0, 2**32))
+# two odd generators x, y with x·y·d(x) != 0, which tells y·x from x·y
+@example(tensor_algebra([(1, 1), (1, 1), (0, 1)]), 1)
+@example(tensor_algebra([(1, 1), (3, 1), (2, 1)]), 1)
+def test_arity3_comparison_rows_equal_the_seven_term_variant(degree, A, seed):
+    B = rational_change_of_basis(A, seed)
+    d = random_map(seed, B, degree)
+    family = cm.defect_family(d, "der", 3)
+    comparison = cli._arity3_comparison(d, family)
+    monomials = cm.canonical_monomials(B, 3)
+    assert [row["monomial"] for row in comparison["rows"]] == [w.names(B) for w in monomials]
+    for w, row in zip(monomials, comparison["rows"]):
+        variant = cm.h3_seven_term_variant(d, B, *(B.generator(i) for i in w.indices))
+        assert row["variant"] == variant.to_doc()
+        assert row["computed"] == family.coefficient(w).to_doc()
+        assert row["match"] == (family.coefficient(w) == variant)
+    assert comparison["variant_matches_everywhere"] == all(
+        row["match"] for row in comparison["rows"]
+    )
