@@ -287,6 +287,9 @@ class GradedBasis:
             raise SchemaError("duplicate generator names")
         self.names = names
         self.degrees = degrees
+        # the degrees some generator has: a homogeneous element of any other
+        # degree is 0, so no value of such a degree needs computing
+        self.degree_set = frozenset(degrees)
         self._index = {name: i for i, name in enumerate(names)}
         # used to key per-basis caches; bases compare by identity
         self.uid = next(_basis_counter)
@@ -497,8 +500,9 @@ class AlgebraPresentation(GradedBasis):
     """A graded commutative associative algebra given by basis-pair products.
 
     The full product table is validated eagerly: degree homogeneity of every
-    entry, graded commutativity on basis pairs, and associativity on all
-    basis triples.  Later modules assume these laws hold.
+    entry, graded commutativity on basis pairs, and associativity on the
+    basis triples whose degree some generator has (on the others both sides
+    are 0 by homogeneity).  Later modules assume these laws hold.
     """
 
     def __init__(self, generators, products):
@@ -541,14 +545,17 @@ class AlgebraPresentation(GradedBasis):
                         witness={"kind": "commutativity", "pair": [self.names[i], self.names[j]]},
                     )
         # (e_i e_j) e_k and e_i (e_j e_k) straight from the table; both
-        # vanish when e_i e_j and e_j e_k do
-        P = self.products
+        # vanish when e_i e_j and e_j e_k do, and, the table being
+        # homogeneous, when no generator has the degree |i|+|j|+|k| (which a
+        # pair degree alone does not decide)
+        P, degrees, present = self.products, self.degrees, self.degree_set
         for i in range(n):
             for j in range(n):
                 ij = P[i][j].terms
+                e = degrees[i] + degrees[j]
                 for k in range(n):
                     jk = P[j][k].terms
-                    if not ij and not jk:
+                    if not ij and not jk or e + degrees[k] not in present:
                         continue
                     left = {}
                     for m, c in ij.items():

@@ -186,11 +186,16 @@ def _arity3_comparison(d, family):
     (`h3_seven_term_variant`) at each word x·y·z of generators.  The pair
     products x·y are the product table's entries; each generator's image
     d(x) and each pair's image d(x·y) is computed once per report, so a row
-    takes one `apply` and at most seven products, summed into one vector."""
+    takes one `apply` and at most seven products, summed into one vector.
+
+    Every term but the garbled y·x·d(x) is of degree |x·y·z| + |d|.  When A
+    has no generator of that degree (the word is outside the family's
+    window), the computed value and those terms are 0, and the row takes
+    that one product alone."""
     from .coalgebra import canonical_monomials
 
     A = d.source
-    multiply, table = A.multiply, A.products
+    multiply, table, present = A.multiply, A.products, A.degree_set
     generators = A.generators()
     images = [d.apply(x) for x in generators]
     pair_images = [[d.apply(xy) for xy in row] for row in table]
@@ -199,16 +204,22 @@ def _arity3_comparison(d, family):
     for mono in canonical_monomials(A, 3):
         computed = family.coefficient(mono)
         i, j, k = mono[0]
-        x, y, z = generators[i], generators[j], generators[k]
-        xy = table[i][j]
-        variant = d.apply(multiply(xy, z))
-        for scale, u, v in (
-            (-1, pair_images[i][j], z), (1, xy, images[k]),
-            (-1, pair_images[j][k], x), (1, table[j][i], images[i]),
-            (-1, pair_images[k][i], y), (1, table[k][i], images[j]),
-        ):
-            if u.terms and v.terms:
-                variant.accumulate(multiply(u, v), scale)
+        yx = table[j][i]
+        if sum(mono[1]) + d.degree in present:
+            x, y, z = generators[i], generators[j], generators[k]
+            xy = table[i][j]
+            variant = d.apply(multiply(xy, z))
+            for scale, u, v in (
+                (-1, pair_images[i][j], z), (1, xy, images[k]),
+                (-1, pair_images[j][k], x), (1, yx, images[i]),
+                (-1, pair_images[k][i], y), (1, table[k][i], images[j]),
+            ):
+                if u.terms and v.terms:
+                    variant.accumulate(multiply(u, v), scale)
+        elif yx.terms and images[i].terms:
+            variant = multiply(yx, images[i])
+        else:
+            variant = computed
         match = computed == variant
         all_match = all_match and match
         rows.append(

@@ -148,20 +148,34 @@ def _normalize(indices, degrees):
     return WedgeMonomial(sorted_idx, sorted_deg), sign
 
 
+def _monomial_levels(basis: GradedBasis, top: int):
+    """The canonical monomials of weights 0, 1, ..., top, one sorted list per
+    weight, each built from the last: a word is extended by every index from
+    its last one on, past it when that factor is odd."""
+    degrees = basis.degrees
+    n = len(degrees)
+    level = [WedgeMonomial((), ())]
+    yield level
+    for _ in range(top):
+        level = [
+            as_monomial((indices + (j,), degs + (degrees[j],)))
+            for indices, degs in level
+            for j in range(indices[-1] + degs[-1] % 2 if indices else 0, n)
+        ]
+        yield level
+
+
 def canonical_monomials(basis: GradedBasis, weight: int):
     """All canonical monomials of the given weight, in sorted order."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(len(basis)), weight):
-        degrees = tuple(basis.degrees[i] for i in combo)
-        if _sort_sign(combo, degrees) is None:
-            continue
-        out.append(WedgeMonomial(combo, degrees))
-    return out
+    *_, level = _monomial_levels(basis, weight)
+    return level
 
 
 def monomials_up_to(basis: GradedBasis, cap: int):
-    for weight in range(1, cap + 1):
-        yield from canonical_monomials(basis, weight)
+    levels = _monomial_levels(basis, cap)
+    next(levels)  # weight 0
+    for level in levels:
+        yield from level
 
 
 class SElement(LinearCombination):
@@ -255,6 +269,11 @@ class TaylorFamily:
     computes the rest up to the cap, after which the family is tabulated.
     Evaluation at an arbitrary factor tuple normalizes first and applies the
     Koszul sign.
+
+    The window: a value at w is of degree |w| + degree, so it is 0 unless
+    the target has a generator of that degree.  `fn` must return values of
+    that degree, and is called only at words inside the window; a word
+    outside it enters as `_zero`, and `tables` computes no such word.
     """
 
     def __init__(self, source: GradedBasis, target: GradedBasis, degree: int,
@@ -266,6 +285,8 @@ class TaylorFamily:
         self._memo: dict = {}
         self._cap = int(cap)
         self._fn = fn
+        # the word degrees that the family degree shifts onto a target degree
+        self._window = frozenset(e - self.degree for e in target.degree_set)
         for arity, table in (tables or {}).items():
             arity = int(arity)
             if arity < 1:
@@ -304,15 +325,20 @@ class TaylorFamily:
         if value is None:
             if self._fn is None or len(mono[0]) > self._cap:
                 return self._zero
-            value = self._enter(mono, self._fn(mono))
+            if sum(mono[1]) in self._window:
+                value = self._enter(mono, self._fn(mono))
+            else:
+                value = self._memo[mono] = self._zero
         return value
 
     @property
     def tables(self) -> dict:
         """The nonzero values by arity, each table keyed by monomial."""
         if self._fn is not None:
+            window = self._window
             for mono in monomials_up_to(self.source, self._cap):
-                self.coefficient(mono)
+                if sum(mono[1]) in window:
+                    self.coefficient(mono)
             self._fn = None
         tables: dict = {}
         for mono, value in self._memo.items():

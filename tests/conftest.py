@@ -313,3 +313,22 @@ def reference_inverse(op, law="triangular inverse"):
 
     inverse = cm.SMap(basis, basis, cap, 0, fn, "inv")
     return inverse
+
+
+def associativity_reference(names, table):
+    """The associativity check's reference route: every triple (i, j, k) in
+    that order, (e_i e_j) e_k against e_i (e_j e_k) summed straight from
+    `table[i][j]` (a dict of generator index to coefficient).  The names of
+    the first triple at which they differ, or None."""
+    n = len(names)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        left, right = {}, {}
+        for m, c in table[i][j].items():
+            for t, x in table[m][k].items():
+                left[t] = left.get(t, 0) + c * x
+        for m, c in table[j][k].items():
+            for t, x in table[i][m].items():
+                right[t] = right.get(t, 0) + c * x
+        if {t: c for t, c in left.items() if c} != {t: c for t, c in right.items() if c}:
+            return [names[i], names[j], names[k]]
+    return None

@@ -135,6 +135,36 @@ def test_taylor_family_rejects_inhomogeneous_values(e2):
             cm.TaylorFamily(e2, e2, 0, {1: {key: e2.generator(0)}})
 
 
+def test_a_computed_family_checks_values_in_its_window_and_computes_none_outside(e2):
+    # e2's degrees are 1 and 2: a degree-0 value is 0 at a word of degree 3
+    asked = []
+
+    def fn(w):
+        asked.append(w)
+        return e2.generator(2)  # of degree 2: right at a∧b, off degree at a
+
+    family = cm.TaylorFamily(e2, e2, 0, cap=3, fn=fn)
+    a, a_b, a_g = (cm.monomial(e2, w) for w in ((0,), (0, 1), (0, 2)))
+    assert family.coefficient(a_b) == e2.generator(2)
+    with pytest.raises(cm.ValidationError, match="not homogeneous of degree 1"):
+        family.coefficient(a)
+    assert family.coefficient(a_g).is_zero()
+    assert asked == [a_b, a]
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1])
+def test_tables_compute_exactly_the_words_of_the_window(e2, degree):
+    # the window is shifted onto the target: |w| + degree must be 1 or 2
+    asked = []
+
+    def fn(w):
+        asked.append(w)
+        return cm.Vector(e2)
+
+    assert cm.TaylorFamily(e2, e2, degree, cap=3, fn=fn).tables == {}
+    assert asked == [w for w in cm.monomials_up_to(e2, 3) if w.degree + degree in (1, 2)]
+
+
 def test_taylor_family_doc_normalizes_monomials(e2):
     doc = {
         "degree": 0,

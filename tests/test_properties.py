@@ -13,15 +13,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cumalg as cm
 from cumalg import cli
 from cumalg.algebra import Rational, exact
-from cumalg.coalgebra import _wedge_in
+from cumalg.coalgebra import WedgeMonomial, _sort_sign, _wedge_in
 
 from conftest import (
+    associativity_reference,
     defect_operator,
     random_selement,
     random_vector,
@@ -436,6 +437,98 @@ def test_defect_tables_equal_the_corestricted_conjugate(kind, degree, A, seed, c
     fresh = cm.defect_family(m, kind, cap)
     for w in cm.monomials_up_to(m.source, cap):
         assert fresh.coefficient(w) == family.coefficient(w)
+
+
+def square_zero_algebra(factors):
+    """One generator per factor, of its degree, and every product 0: a sum
+    of two of its degrees is one of them only when it equals one."""
+    return cm.AlgebraPresentation([(f"a{p}", d) for p, (d, _) in enumerate(factors)], {})
+
+
+@settings(max_examples=25, deadline=None)
+@given(factor_lists, st.integers(0, 2**32), st.integers(2, CAP))
+# source degrees {1}, target degrees {1, 2}: g(a0∧a1) = -f(a0)f(a1) is of a
+# degree only the target has
+@example([(1, 1), (1, 1)], 1, 3)
+@example([(2, 3)], 1, 3)
+def test_hom_defects_into_a_target_with_degrees_the_source_lacks(factors, seed, cap):
+    A = square_zero_algebra(factors)
+    B = rational_change_of_basis(tensor_algebra(factors), seed)
+    rng = random.Random(seed)
+    f = cm.LinearMap(A, B, 0, {p: random_vector(rng, B, d).terms for p, d in enumerate(A.degrees)})
+    family = cm.defect_family(f, "hom", cap)
+    assert family == cm.extract_family(defect_operator(f, "hom", cap), cap)
+    x = A.generators()
+    for w in cm.canonical_monomials(A, 2):
+        assert family.coefficient(w) == cm.g2_closed_form(f, A, *(x[i] for i in w.indices))
+    for w in cm.canonical_monomials(A, 3) if cap >= 3 else ():
+        assert family.coefficient(w) == cm.g3_closed_form(f, A, *(x[i] for i in w.indices))
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras)
+def test_canonical_monomials_equal_the_filtered_combinations(A):
+    # weights 0 to 5, past the number of generators too (2 to 7 of them)
+    for weight in range(6):
+        want = []
+        for combo in itertools.combinations_with_replacement(range(len(A)), weight):
+            degrees = tuple(A.degrees[i] for i in combo)
+            if _sort_sign(combo, degrees) is not None:
+                want.append(WedgeMonomial(combo, degrees))
+        got = cm.canonical_monomials(A, weight)
+        assert got == want and all(type(w) is WedgeMonomial for w in got)
+    assert list(cm.monomials_up_to(A, 5)) == [
+        w for weight in range(1, 6) for w in cm.canonical_monomials(A, weight)
+    ]
+
+
+def perturbed_table(A, i, j, k, c):
+    """A's product table as term dicts, with c·e_k added to e_i·e_j and its
+    graded reflection to e_j·e_i, so that homogeneity (|k| = |i| + |j|) and
+    graded commutativity still hold."""
+    table = [[dict(value.terms) for value in row] for row in A.products]
+    table[i][j][k] = table[i][j].get(k, 0) + c
+    if i != j:
+        table[j][i][k] = table[j][i].get(k, 0) + cm.parity_sign(A.degrees[i], A.degrees[j]) * c
+    return table
+
+
+def assert_refused_with_the_reference_witness(A, table):
+    """The presentation of `table` is refused with the reference's first
+    failing triple as its witness, or accepted when there is none; returns
+    that triple."""
+    want = associativity_reference(A.names, table)
+    products = {(i, j): terms for i, row in enumerate(table) for j, terms in enumerate(row)}
+    generators = list(zip(A.names, A.degrees))
+    if want is None:
+        cm.AlgebraPresentation(generators, products)
+    else:
+        with pytest.raises(cm.ValidationError) as err:
+            cm.AlgebraPresentation(generators, products)
+        assert err.value.witness == {"kind": "associativity", "triple": want}
+    return want
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras, st.integers(0, 2**32))
+def test_associativity_check_refuses_with_the_reference_witness(A, seed):
+    rng = random.Random(seed)
+    n, degrees = len(A), A.degrees
+    entries = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)
+               if degrees[k] == degrees[i] + degrees[j] and not (i == j and degrees[i] % 2)]
+    assume(entries)
+    c = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+    assert_refused_with_the_reference_witness(A, perturbed_table(A, *rng.choice(entries), c))
+
+
+def test_associativity_witness_whose_pair_degree_no_generator_has():
+    # g1 of degree -2, g0 of degree 2 and g0·g1 of degree 0; g1·(g0·g1) gains
+    # a g1 term, so (g1·g1)·g0 = 0 differs from g1·(g1·g0) = g1·(g0·g1)
+    A = tensor_algebra([(2, 1), (-2, 1)])
+    assert A.names == ("g1^1", "g0^1", "g0^1g1^1")
+    want = assert_refused_with_the_reference_witness(A, perturbed_table(A, 0, 2, 0, 1))
+    assert want == ["g1^1", "g1^1", "g0^1"]
+    assert -4 not in A.degree_set  # the degree of the pair g1·g1
 
 
 # the operands of exact arithmetic: ints (zero and negatives among them),
