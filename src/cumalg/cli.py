@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .algebra import (
@@ -37,6 +38,9 @@ READS = {
 
 class UsageError(Exception):
     pass
+
+
+_STDOUT_UNWRITABLE = "cannot write the report to standard output"
 
 
 @functools.cache
@@ -397,7 +401,10 @@ def _emit(report: dict, args) -> None:
         except OSError as err:
             raise UsageError(f"cannot write {args.output}: {err}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except OSError as err:
+            raise UsageError(f"{_STDOUT_UNWRITABLE}: {err}") from None
 
 
 HANDLERS = {
@@ -447,7 +454,23 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The `cumalg` command: `run`, then end the process once the report and
+    any message are flushed.  Skipping interpreter teardown is safe then: it
+    would only free each memo object one by one and unload every module,
+    which took about 10 ms per process at cap 3 and 0.25 s at cap 10.  An
+    exception that escapes `run` takes the normal exit, with its traceback."""
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as err:
+        if code != 2:  # exit 2 after a failed stdout write has said so already
+            print(f"usage error: {_STDOUT_UNWRITABLE}: {err}", file=sys.stderr)
+            code = 2
+    try:
+        sys.stderr.flush()
+    except OSError:
+        code = 120  # what the interpreter exits with when it cannot flush
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -148,15 +148,28 @@ def _normalize(indices, degrees):
     return WedgeMonomial(sorted_idx, sorted_deg), sign
 
 
-def _monomial_levels(basis: GradedBasis, top: int):
+def _monomial_levels(basis: GradedBasis, top: int, window=None):
     """The canonical monomials of weights 0, 1, ..., top, one sorted list per
     weight, each built from the last: a word is extended by every index from
-    its last one on, past it when that factor is odd."""
+    its last one on, past it when that factor is odd.
+
+    With a set `window` of degrees, a word is extended only while a longer
+    word within `top` may still have a degree in it, so each level holds
+    (at least) its words of those degrees, in the same order.  t more
+    factors add between t·lo and t·hi to a word's degree, where lo and hi
+    are the least and greatest generator degrees, and 1 <= t <= top - weight."""
     degrees = basis.degrees
     n = len(degrees)
     level = [WedgeMonomial((), ())]
     yield level
-    for _ in range(top):
+    if window is not None:
+        lo, hi = min(degrees, default=0), max(degrees, default=0)
+        least, most = min(window, default=0), max(window, default=0)
+    for weight in range(top):
+        if window is not None:
+            more = top - weight
+            low, high = min(lo, more * lo), max(hi, more * hi)
+            level = [w for w in level if least - high <= sum(w[1]) <= most - low]
         level = [
             as_monomial((indices + (j,), degs + (degrees[j],)))
             for indices, degs in level
@@ -336,9 +349,12 @@ class TaylorFamily:
         """The nonzero values by arity, each table keyed by monomial."""
         if self._fn is not None:
             window = self._window
-            for mono in monomials_up_to(self.source, self._cap):
-                if sum(mono[1]) in window:
-                    self.coefficient(mono)
+            levels = _monomial_levels(self.source, self._cap, window)
+            next(levels)  # weight 0
+            for level in levels:
+                for mono in level:
+                    if sum(mono[1]) in window:
+                        self.coefficient(mono)
             self._fn = None
         tables: dict = {}
         for mono, value in self._memo.items():

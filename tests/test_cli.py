@@ -318,17 +318,80 @@ def test_consecutive_runs_share_one_parser_and_match_fresh_processes(tmp_path, c
         ["lift", "--weight-cap", "3"],
         ["validate", "--input", f"algebra={algebra}"],
     ]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
     for argv in runs:
         code = cli.run(argv)
         got = capfd.readouterr()
-        fresh = subprocess.run(
-            [sys.executable, "-m", "cumalg.cli", *argv],
-            capture_output=True, text=True, env=env,
-        )
+        fresh = _fresh_process(argv)
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert cli.build_parser() is cli.build_parser()
+
+
+def _fresh_process(argv, unbuffered=None, **streams):
+    """`argv` run by `python -m cumalg.cli` in a fresh process, its standard
+    streams read from pipes unless `streams` says otherwise.  `unbuffered`
+    sets or clears PYTHONUNBUFFERED; None keeps this process's setting."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, "-m", "cumalg.cli", *argv],
+                          text=True, env=env, **streams)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_process_ends_only_once_its_output_is_written(tmp_path, capfd, unbuffered):
+    """`main` ends the process without interpreter teardown, after the
+    report is flushed: a report larger than a pipe buffer, the large-cap
+    warning, `--help` and every exit code arrive as the same run writes them
+    in-process, and an `--output` file is complete once the process exits."""
+    algebra = write(tmp_path, "p5.json", p_doc(5))
+    moments = write(tmp_path, "m.json", {"moments": ["1/2", "1/3", "1/4"]})
+    lift = ["lift", "--weight-cap", "5", "--input", f"algebra={algebra}"]
+    runs = {
+        "lift": (lift, 0),
+        "warning": (["cumulants", "--weight-cap", "8", "--input", f"moments={moments}"], 0),
+        "failed": (["cumulants", "--weight-cap", "2", "--input", f"moments={moments}"], 1),
+        "usage": (["lift", "--weight-cap", "11", "--input", f"algebra={algebra}"], 2),
+        "help": (["--help"], 0),
+    }
+    seen = {}
+    for name, (argv, expected) in runs.items():
+        code = cli.run(argv)
+        got = capfd.readouterr()
+        fresh = _fresh_process(argv, unbuffered)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), name
+        assert code == expected, name
+        seen[name] = got
+    assert len(seen["lift"].out.encode()) > 64 * 1024
+    assert json.loads(seen["lift"].out)["ok"] is True
+    assert seen["warning"].err.startswith("warning: weight cap 8 is large; ")
+    assert seen["help"].out.startswith("usage: cumalg ") and not seen["help"].err
+
+    report = tmp_path / "report.json"
+    fresh = _fresh_process(lift + ["--output", str(report)], unbuffered)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "", "")
+    assert report.read_text(encoding="utf-8") == seen["lift"].out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_an_unwritable_stdout_is_a_usage_error(tmp_path, unbuffered, size):
+    """A report that cannot be written to standard output gets one usage
+    error line and exit 2, whether the write or the final flush fails."""
+    if size == "small":
+        argv = ["cumulants", "--input",
+                "moments=" + write(tmp_path, "m.json", {"moments": ["1/2", "1/3"]})]
+    else:  # larger than the stdout buffer, so the write itself fails
+        argv = ["lift", "--weight-cap", "5", "--input",
+                "algebra=" + write(tmp_path, "p5.json", p_doc(5))]
+    with open("/dev/full", "w") as full:
+        fresh = _fresh_process(argv, unbuffered, stdout=full)
+    assert fresh.returncode == 2
+    assert fresh.stderr == ("usage error: cannot write the report to standard output: "
+                            "[Errno 28] No space left on device\n")
 
 
 def test_text_format_renders_and_stays_deterministic(tmp_path, capsys):

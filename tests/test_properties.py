@@ -727,3 +727,35 @@ def test_arity3_comparison_rows_equal_the_seven_term_variant(degree, A, seed):
     assert comparison["variant_matches_everywhere"] == all(
         row["match"] for row in comparison["rows"]
     )
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1])
+@settings(max_examples=40, deadline=None)
+@given(algebras, st.integers(1, 5))
+# degrees 2, -2 and 0: a word's degree can leave the window and come back
+@example(tensor_algebra([(2, 1), (-2, 1)]), 5)
+@example(tensor_algebra([(1, 1), (-1, 1), (2, 2)]), 5)
+def test_tables_compute_the_window_words_in_canonical_order(degree, A, cap):
+    asked = []
+
+    def fn(w):
+        asked.append(w)
+        return cm.Vector(A)
+
+    assert cm.TaylorFamily(A, A, degree, cap=cap, fn=fn).tables == {}
+    window = {e - degree for e in A.degrees}
+    assert asked == [w for w in cm.monomials_up_to(A, cap) if w.degree in window]
+
+
+@pytest.mark.parametrize("kind, degree", [("hom", 0), ("der", -1), ("der", 0), ("der", 1)])
+@settings(max_examples=25, deadline=None)
+@given(algebras, st.integers(0, 2**32))
+def test_arity3_defects_equal_their_closed_forms(kind, degree, A, seed):
+    B = rational_change_of_basis(A, seed)
+    m = random_map(seed, B, degree)
+    family = cm.defect_family(m, kind, 3)
+    closed_form = cm.g3_closed_form if kind == "hom" else cm.h3_closed_form
+    x = B.generators()
+    for triple in itertools.product(range(len(B)), repeat=3):
+        want = closed_form(m, B, *(x[i] for i in triple))
+        assert family.evaluate(triple) == want, [B.names[i] for i in triple]

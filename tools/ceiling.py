@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the CLI near its weight-cap ceiling, in one process, per phase.
+"""Time the CLI near its weight-cap ceiling: per phase in one process, and as
+processes of their own.
 
     python3 tools/ceiling.py
 
@@ -9,15 +10,20 @@ structure constants are dense rationals) at caps 4 and 6; `lift` on e4c (the
 15-generator exterior algebra after a rational change of basis, whose
 products carry few terms) at cap 5; and `defects --kind hom` (on e4) and
 `--kind der` (on e4c) at cap 5.  Each job runs through `cumalg.cli.run` with
-its report written to a temporary file.  Prints one JSON line: for each job,
-the seconds spent parsing documents (`parse`), emitting the report (`emit`)
-and in the rest of the job (`compute`).  The documents come from the
-benchmark's input generators with a fixed seed.
+its report written to a temporary file, and then once more as its own
+`python3 -m cumalg.cli` process.  Prints one JSON line: for each job, the
+seconds spent in-process parsing documents (`parse`), emitting the report
+(`emit`) and in the rest of the job (`compute`); and the process's seconds
+from spawn to reap (`process`) and its peak resident set (`peak_rss_mib`,
+`ru_maxrss` from `os.wait4`).  The documents come from the benchmark's input
+generators with a fixed seed.
 """
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -71,6 +77,30 @@ def jobs(paths: dict) -> dict:
     return out
 
 
+# Spawns each job from a small `python3 -S` process and prints, per job, its
+# seconds from spawn to reap, exit code and `ru_maxrss` in KiB.  Linux keeps
+# the peak RSS of the process a child was forked from as the child's starting
+# peak, and this one holds the in-process jobs' memory.
+LAUNCHER = """
+import json, os, sys, time
+for argv in json.loads(sys.argv[1]):
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "cumalg.cli", *argv], os.environ)
+    _, status, usage = os.wait4(pid, 0)
+    print(json.dumps([time.perf_counter() - start, os.waitstatus_to_exitcode(status),
+                      usage.ru_maxrss]))
+"""
+
+
+def in_processes(argvs: list) -> list:
+    """(seconds, exit code, peak RSS in MiB) of each argv run as its own
+    CLI process."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, json.dumps(argvs)],
+                         env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
+    return [(seconds, code, kib / 1024) for seconds, code, kib in map(json.loads, out.splitlines())]
+
+
 def timed(phase: str, fn, spent: dict):
     def call(*args, **kwargs):
         if spent["open"]:  # inside a timed call, which counts this one
@@ -93,10 +123,12 @@ def main() -> int:
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for label, argv in jobs(documents(work)).items():
+        argvs = {label: argv + ["--output", str(work / "report.json")]
+                 for label, argv in jobs(documents(work)).items()}
+        for label, argv in argvs.items():
             spent.update(parse=0.0, emit=0.0)
             start = time.perf_counter()
-            code = cli.run(argv + ["--output", str(work / "report.json")])
+            code = cli.run(argv)
             total = time.perf_counter() - start
             if code != 0:
                 raise SystemExit(f"{label}: exit {code}")
@@ -105,6 +137,10 @@ def main() -> int:
                 "compute": round(total - spent["parse"] - spent["emit"], 3),
                 "emit": round(spent["emit"], 3),
             }
+        for label, (seconds, code, mib) in zip(argvs, in_processes(list(argvs.values()))):
+            if code != 0:
+                raise SystemExit(f"{label}: process exit {code}")
+            result[label].update(process=round(seconds, 3), peak_rss_mib=round(mib, 1))
     print(json.dumps(result))
     return 0
 
