@@ -740,12 +740,6 @@ class LinearMap:
         }
 
 
-def linear_bracket(m1: LinearMap, m2: LinearMap) -> LinearMap:
-    """Graded commutator m1∘m2 - (-1)^(|m1||m2|) m2∘m1 of endomorphism maps."""
-    sign = parity_sign(m1.degree, m2.degree)
-    return m1.compose(m2) - sign * m2.compose(m1)
-
-
 @reader(dict)
 def parse_linear_map(doc, source: GradedBasis, target: GradedBasis) -> LinearMap:
     columns = {}
@@ -755,42 +749,3 @@ def parse_linear_map(doc, source: GradedBasis, target: GradedBasis) -> LinearMap
             raise SchemaError("duplicate map entry", entry, "gen")
         columns[i] = read_vector(field(entry, "value", list, []), target)
     return LinearMap(source, target, field(doc, "degree", int, 0), columns)
-
-
-class ChainComplex(GradedBasis):
-    """A finite graded basis with a degree -1 differential and no product.
-
-    Used for the retract side of the transfer pipeline: keeping the product
-    out of the type guarantees nothing downstream can multiply in it.
-    """
-
-    def __init__(self, generators, differential_columns=None):
-        super().__init__(generators)
-        self.differential = LinearMap(self, self, -1, differential_columns or {})
-        _require_square_zero(self.differential)
-
-    def to_doc(self):
-        gens = [{"name": n, "degree": d} for n, d in zip(self.names, self.degrees)]
-        return {"generators": gens, "differential": self.differential.to_doc()}
-
-
-@reader(dict)
-def parse_chain_complex(doc) -> ChainComplex:
-    cx = ChainComplex(_generators(doc))
-    if doc.get("differential") is not None:
-        diff = parse_linear_map(field(doc, "differential", dict), cx, cx)
-        if diff.degree != -1:
-            raise SchemaError("complex differential must have degree -1", doc, "differential")
-        _require_square_zero(diff)
-        cx.differential = diff
-    return cx
-
-
-def _require_square_zero(diff: LinearMap):
-    square = diff.compose(diff)
-    if square.columns:
-        bad = sorted(diff.source.names[i] for i in square.columns)
-        raise ValidationError(
-            "differential does not square to zero",
-            witness={"kind": "square_zero", "generators": bad},
-        )

@@ -6,6 +6,8 @@ error.
 
 Each handler imports the layers its command runs, so a process loads (and
 compiles) only those; this module imports only what every command shares.
+It reads and parses every input document; the table commands' jobs and
+their row writer are in `cumalg.tables`.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import os
 import sys
 
 from .algebra import (
-    DEFAULT_WEIGHT_CAP, AlgebraError, Vector, field, format_scalar, parse_algebra,
+    DEFAULT_WEIGHT_CAP, AlgebraError, field, format_scalar, parse_algebra,
     parse_linear_map, reader,
 )
 
@@ -43,8 +45,29 @@ class UsageError(Exception):
 _STDOUT_UNWRITABLE = "cannot write the report to standard output"
 
 
+def _say(message: str) -> None:
+    """Write one line to standard error, best effort: what run writes there
+    is the large-cap warning or a usage error, whose exit code 2 says so
+    already, so a message that cannot be written changes neither the
+    report nor the exit code."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        """argparse's help printer ignores a failed write; here a help text
+        that cannot be written is the usage error of an unwritable report."""
+        try:
+            (sys.stdout if file is None else file).write(self.format_help())
+        except OSError as err:
+            raise UsageError(f"{_STDOUT_UNWRITABLE}: {err}") from None
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The command-line parser, built once per process: parsing keeps no
     state in it, and `--input` appends to a fresh copy of its default."""
     common = argparse.ArgumentParser(add_help=False)
@@ -59,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH", help="report destination (default stdout)")
     common.add_argument("--format", choices=("json", "text"), default="json")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cumalg",
         description="Exact cumulant bijections on graded commutative algebras.",
     )
@@ -129,112 +152,18 @@ def cmd_validate(args, inputs):
     return {"results": results}, ok
 
 
-class _Table:
-    """The rows of a table report, each value computed by the handler: a
-    list of (monomial, value) pairs in canonical monomial order, or a dict of
-    such lists keyed by arity as a string, a value being an `SElement` over
-    `target` or a `Vector` of it.  `to_doc` gives the rows as `SMap.to_doc`
-    does, or the "arities" of `TaylorFamily.to_doc`; `_json_text` writes the
-    same text from the rows themselves."""
-
-    __slots__ = ("source", "target", "rows")
-
-    def __init__(self, source, target, rows):
-        self.source = source
-        self.target = target
-        self.rows = rows
-
-    def to_doc(self):
-        def doc(rows):
-            return [{"monomial": w.names(self.source), "value": value.to_doc()}
-                    for w, value in rows]
-
-        if type(self.rows) is dict:
-            return {key: doc(rows) for key, rows in self.rows.items()}
-        return doc(self.rows)
-
-
 def cmd_lift(args, inputs, inverse=False):
-    from .coalgebra import monomials_up_to
-    from .cumulant import cumulant_context
+    from .tables import lift
 
     algebra = parse_algebra(_load_json(inputs["algebra"]))
-    ctx = cumulant_context(algebra, args.weight_cap)
-    op = ctx.tau_tilde_inverse if inverse else ctx.tau_tilde
-    rows = [(w, op.on_monomial(w)) for w in monomials_up_to(algebra, args.weight_cap)]
-    return {"table": _Table(algebra, algebra, rows)}, True
+    return lift(algebra, args.weight_cap, inverse)
 
 
 def cmd_defects(args, inputs):
-    from .coalgebra import WedgeMonomial
-    from .cumulant import defect_family, vanishes_above_one
+    from .tables import defects
 
     m = _read_map(_load_json(inputs["map"]))
-    family = defect_family(m, args.kind, cap=args.weight_cap)
-    arities = {
-        str(arity): [(mono, table[mono]) for mono in sorted(table, key=WedgeMonomial.sort_key)]
-        for arity, table in family.tables.items()
-    }
-    payload = {
-        "kind": args.kind,
-        "tables": {"degree": family.degree, "arities": _Table(m.source, m.target, arities)},
-        "vanishes_above_1": vanishes_above_one(family),
-    }
-    if args.kind == "der" and args.weight_cap >= 3:
-        payload["arity3_comparison"] = _arity3_comparison(m, family)
-    return payload, True
-
-
-def _arity3_comparison(d, family):
-    """Computed arity-3 table next to the seven-term variant expression
-    (`h3_seven_term_variant`) at each word x·y·z of generators.  The pair
-    products x·y are the product table's entries; each generator's image
-    d(x) and each pair's image d(x·y) is computed once per report, so a row
-    takes one `apply` and at most seven products, summed into one vector.
-
-    Every term but the garbled y·x·d(x) is of degree |x·y·z| + |d|.  When A
-    has no generator of that degree (the word is outside the family's
-    window), the computed value and those terms are 0, and the row takes
-    that one product alone."""
-    from .coalgebra import canonical_monomials
-
-    A = d.source
-    multiply, table, present = A.multiply, A.products, A.degree_set
-    generators = A.generators()
-    images = [d.apply(x) for x in generators]
-    pair_images = [[d.apply(xy) for xy in row] for row in table]
-    rows = []
-    all_match = True
-    for mono in canonical_monomials(A, 3):
-        computed = family.coefficient(mono)
-        i, j, k = mono[0]
-        yx = table[j][i]
-        if sum(mono[1]) + d.degree in present:
-            x, y, z = generators[i], generators[j], generators[k]
-            xy = table[i][j]
-            variant = d.apply(multiply(xy, z))
-            for scale, u, v in (
-                (-1, pair_images[i][j], z), (1, xy, images[k]),
-                (-1, pair_images[j][k], x), (1, yx, images[i]),
-                (-1, pair_images[k][i], y), (1, table[k][i], images[j]),
-            ):
-                if u.terms and v.terms:
-                    variant.accumulate(multiply(u, v), scale)
-        elif yx.terms and images[i].terms:
-            variant = multiply(yx, images[i])
-        else:
-            variant = computed
-        match = computed == variant
-        all_match = all_match and match
-        rows.append(
-            {
-                "monomial": mono.names(A),
-                "computed": computed.to_doc(),
-                "variant": variant.to_doc(),
-                "match": match,
-            }
-        )
-    return {"variant_matches_everywhere": all_match, "rows": rows}
+    return defects(m, args.kind, args.weight_cap)
 
 
 def cmd_transfer(args, inputs):
@@ -269,8 +198,13 @@ def cmd_cumulants(args, inputs):
     return payload, agree
 
 
+# the types of a JSON report value; a value of any other type is a node that
+# writes itself, by `to_doc()` and `json_text(pad)`, such as a table's rows
+_JSON_TYPES = frozenset((dict, list, str, int, bool, type(None)))
+
+
 def _render_text(value, indent=0, key=None):
-    if type(value) is _Table:
+    if type(value) not in _JSON_TYPES:
         value = value.to_doc()
     pad = "  " * indent
     label = f"{key}: " if key is not None else ""
@@ -296,8 +230,8 @@ _quote = json.encoder.encode_basestring_ascii
 
 def _json_text(value, pad="\n") -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` for str-keyed dicts,
-    lists, strings, ints, booleans and None, byte for byte, and for a
-    `_Table` the same of its `to_doc()`.  CPython's C encoder does not take
+    lists, strings, ints, booleans and None, byte for byte, and for a node
+    that writes itself its `json_text(pad)`.  CPython's C encoder does not take
     `indent`, so json.dumps with it runs the pure-Python encoder; this joins
     the same pieces with far fewer Python-level calls.  `pad` is the newline
     and indentation that precede `value`'s closing bracket."""
@@ -324,69 +258,10 @@ def _json_text(value, pad="\n") -> str:
         return "true" if value else "false"
     if kind is int:
         return str(value)
-    if kind is _Table:
-        return _table_text(value, pad)
-    raise TypeError(f"report value of type {kind.__name__} is not JSON")
-
-
-def _table_text(table: _Table, pad: str) -> str:
-    """`_json_text(table.to_doc(), pad)`, written from the rows: each basis
-    name is quoted once, each value term's monomial name list is built once,
-    and no row dict is built."""
-    from .coalgebra import WedgeMonomial
-
-    source = [_quote(name) for name in table.source.names]
-    target = [_quote(name) for name in table.target.names]
-    names: dict = {}  # monomial of `target` -> its name list as a value term's
-
-    def name_list(w, quoted, at):
-        inner = at + "  "
-        return "[" + inner + ("," + inner).join([quoted[i] for i in w[0]]) + at + "]"
-
-    def rows_text(rows, pad):
-        if not rows:
-            return "[]"
-        row = pad + "  "       # each row's braces
-        field = row + "  "     # "monomial" and "value"
-        term = field + "  "    # each term's braces
-        entry = term + "  "    # "coeff" and "gen" or "monomial"
-        head, close = "{" + entry + '"coeff": "', term + "}"
-        gen, mono = '",' + entry + '"gen": ', '",' + entry + '"monomial": '
-
-        def term_names(w):
-            text = names.get(w)
-            if text is None:
-                text = names[w] = name_list(w, target, entry)
-            return text
-
-        texts = []
-        for w, value in rows:
-            terms = value.terms
-            if not terms:
-                value_text = "[]"
-            elif type(value) is Vector:
-                value_text = "[" + term + ("," + term).join(
-                    [head + format_scalar(c) + gen + target[i] + close
-                     for i, c in sorted(terms.items())]
-                ) + field + "]"
-            else:
-                value_text = "[" + term + ("," + term).join(
-                    [head + format_scalar(terms[u]) + mono + term_names(u) + close
-                     for u in sorted(terms, key=WedgeMonomial.sort_key)]
-                ) + field + "]"
-            texts.append("{" + field + '"monomial": ' + name_list(w, source, field) + ","
-                         + field + '"value": ' + value_text + row + "}")
-        return "[" + row + ("," + row).join(texts) + pad + "]"
-
-    arities = table.rows
-    if type(arities) is not dict:
-        return rows_text(arities, pad)
-    if not arities:
-        return "{}"
-    inner = pad + "  "
-    return "{" + inner + ("," + inner).join(
-        [_quote(key) + ": " + rows_text(arities[key], inner) for key in sorted(arities)]
-    ) + pad + "}"
+    json_text = getattr(value, "json_text", None)
+    if json_text is None:
+        raise TypeError(f"report value of type {kind.__name__} is not JSON")
+    return json_text(pad)
 
 
 def _emit(report: dict, args) -> None:
@@ -423,6 +298,9 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return int(exit_.code or 0)
+    except UsageError as err:
+        _say(f"usage error: {err}")
+        return 2
 
     try:
         if args.weight_cap < 1:
@@ -430,10 +308,10 @@ def run(argv) -> int:
         if args.weight_cap > WEIGHT_CAP_CEILING:
             raise UsageError(f"--weight-cap above {WEIGHT_CAP_CEILING} is refused: {_LARGE_CAP}")
         if args.weight_cap >= 8:
-            print(f"warning: weight cap {args.weight_cap} is large; {_LARGE_CAP}", file=sys.stderr)
+            _say(f"warning: weight cap {args.weight_cap} is large; {_LARGE_CAP}")
         inputs = _parse_inputs(args.command, args.input)
     except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
+        _say(f"usage error: {err}")
         return 2
 
     # true by construction: every wedge refuses a product past the weight cap
@@ -448,7 +326,7 @@ def run(argv) -> int:
                 payload["error"]["witness"] = witness
         _emit({**base, "ok": ok, **payload}, args)
     except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
+        _say(f"usage error: {err}")
         return 2
     return 0 if ok else 1
 
@@ -464,12 +342,12 @@ def main() -> None:
         sys.stdout.flush()
     except OSError as err:
         if code != 2:  # exit 2 after a failed stdout write has said so already
-            print(f"usage error: {_STDOUT_UNWRITABLE}: {err}", file=sys.stderr)
+            _say(f"usage error: {_STDOUT_UNWRITABLE}: {err}")
             code = 2
     try:
         sys.stderr.flush()
     except OSError:
-        code = 120  # what the interpreter exits with when it cannot flush
+        pass  # every message is best effort (`_say`)
     os._exit(code)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from functools import lru_cache, partial
 from operator import itemgetter
 
@@ -25,7 +24,6 @@ from .algebra import (
     SchemaError,
     ValidationError,
     Vector,
-    exact,
     field,
     format_scalar,
     name_at,
@@ -33,18 +31,6 @@ from .algebra import (
     reader,
     scalar_at,
 )
-
-
-def koszul_sign(degrees, permutation) -> int:
-    """Sign picked up when graded factors are rearranged.
-
-    `permutation[i]` is the position factor i moves to; each pair of factors
-    that crosses contributes (-1)^(d_i*d_j).
-    """
-    n = len(permutation)
-    if sorted(permutation) != list(range(n)) or len(degrees) != n:
-        raise ValidationError("malformed permutation")
-    return _sort_sign(permutation, degrees)
 
 
 def _sort_sign(indices, degrees):
@@ -449,31 +435,6 @@ def wedge(u: SElement, v: SElement) -> SElement:
     return out
 
 
-def _wedge_in(out: SElement, value: Vector, tail, scale=1) -> None:
-    """Add scale * (value ∧ t) into `out` for the (monomial t, coefficient)
-    pairs of `tail`, `value` being of weight one: each generator is bisected
-    into t's sorted indices, an odd one changes sign per odd factor it passes
-    and gives zero if t holds it already.  Refuses a product past the cap.
-    A scale that is not an `int` goes through `exact` first."""
-    if type(scale) is not int:
-        scale = exact(scale)
-    degrees, cap, add = out.basis.degrees, out.cap, out.add_term
-    heads = [(i, degrees[i], a) for i, a in value.terms.items()]
-    for (indices, degs), c in tail:
-        if len(indices) >= cap:
-            raise ValidationError(f"wedge product exceeds weight cap {cap}")
-        c = scale * c
-        for i, d, a in heads:
-            p = bisect_left(indices, i)
-            if d % 2:
-                if p < len(indices) and indices[p] == i:
-                    continue
-                if sum(e % 2 for e in degs[:p]) % 2:
-                    a = -a
-            mono = WedgeMonomial(indices[:p] + (i,) + indices[p:], degs[:p] + (d,) + degs[p:])
-            add(mono, a * c)
-
-
 # shared by every job in a process, keyed by word shape; past the bound the
 # oldest entry goes
 COPRODUCT_MEMO_ENTRIES = 2048
@@ -558,53 +519,6 @@ def coproduct(w: WedgeMonomial) -> LinearCombination:
         for _, _, c, _, take, leave in splits(w)
     }
     return out
-
-
-def coproduct_element(v: SElement) -> LinearCombination:
-    out = LinearCombination()
-    for w, c in v.terms.items():
-        out.accumulate(coproduct(w), c)
-    return out
-
-
-def _ordered_splits(positions, k):
-    """Ordered partitions of `positions` (a tuple) into k nonempty blocks."""
-    if k == 1:
-        yield (positions,)
-        return
-    n = len(positions)
-    # first block is any nonempty subset leaving enough elements behind
-    for size in range(1, n - k + 2):
-        for block in itertools.combinations(positions, size):
-            rest = tuple(p for p in positions if p not in set(block))
-            for tail in _ordered_splits(rest, k - 1):
-                yield (block,) + tail
-
-
-def _rearrangement_sign(mono: WedgeMonomial, blocks) -> int:
-    """Koszul sign of listing the factors block by block: the sign of sorting
-    the listed positions back into order."""
-    order = [p for block in blocks for p in block]
-    return _sort_sign(order, [mono.factor_degrees[p] for p in order])
-
-
-def iterated_coproduct(w: WedgeMonomial, k: int):
-    """Sweedler iterate: signed k-tuples of monomials splitting w.
-
-    k = 1 is the identity; k = weight(w) lists all factor orderings.  The
-    result is normalized (duplicate tuples accumulate) and independent of
-    the parenthesization used to compute it.
-    """
-    if not 1 <= k <= w.weight:
-        raise ValidationError(f"iterate count {k} out of range for weight {w.weight}")
-    acc = LinearCombination()
-    for blocks in _ordered_splits(tuple(range(w.weight)), k):
-        parts = tuple(w.part(block) for block in blocks)
-        acc.add_term(parts, _rearrangement_sign(w, blocks))
-    return sorted(
-        ((c, parts) for parts, c in acc.terms.items()),
-        key=lambda item: tuple(p.sort_key() for p in item[1]),
-    )
 
 
 def repetition_pattern(indices) -> tuple:

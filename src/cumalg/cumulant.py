@@ -11,9 +11,7 @@ function: each word is computed on first lookup and memoized.
 """
 from __future__ import annotations
 
-import math
 import weakref
-from fractions import Fraction
 
 from .algebra import (
     DEFAULT_WEIGHT_CAP,
@@ -21,18 +19,8 @@ from .algebra import (
     LinearMap,
     ValidationError,
     Vector,
-    exact,
-    parity_sign,
 )
-from .coalgebra import (
-    SElement,
-    TaylorFamily,
-    WedgeMonomial,
-    as_monomial,
-    iterated_coproduct,
-    splits,
-    wedge,
-)
+from .coalgebra import TaylorFamily, WedgeMonomial, as_monomial, splits
 
 # `cumalg.morphisms` is imported where its operators are built, so that the
 # cumulants and the defect recursion run without loading it
@@ -115,51 +103,6 @@ def cumulant_context(algebra: AlgebraPresentation, cap: int = DEFAULT_WEIGHT_CAP
     return ctx
 
 
-def tau_tilde_series(algebra: AlgebraPresentation, cap: int) -> SMap:
-    """Independent route to tau_tilde: the exponential-style series.
-
-    Sums, over k, the k-fold coproduct with tau applied to every block and
-    the blocks wedged back together, divided by k! because ordered splits
-    overcount each unordered partition once per block ordering.
-    """
-    from .morphisms import SMap
-
-    ctx = cumulant_context(algebra, cap)
-
-    def fn(w: WedgeMonomial) -> SElement:
-        out = SElement(algebra, cap)
-        for k in range(1, w.weight + 1):
-            scale = exact(Fraction(1, math.factorial(k)))
-            for coeff, parts in iterated_coproduct(w, k):
-                piece = None
-                for part in parts:
-                    value = tau(algebra, part)
-                    if value.is_zero():
-                        piece = None
-                        break
-                    head = SElement.from_vector(value, cap)
-                    piece = head if piece is None else wedge(piece, head)
-                if piece is not None:
-                    out.accumulate(piece, scale * coeff)
-        return out
-
-    return SMap(algebra, algebra, ctx.cap, 0, fn, "series")
-
-
-def mobius_inverse_family(algebra: AlgebraPresentation, max_arity: int) -> TaylorFamily:
-    """Taylor coefficients of the inverse bijection in closed form.
-
-    The arity-n coefficient is (-1)^(n-1) (n-1)! times the n-fold product;
-    extending it as a coalgebra map gives a second, recursion-free route to
-    the inverse.
-    """
-    def coefficient(mono: WedgeMonomial) -> Vector:
-        n = mono.weight
-        return (-1) ** (n - 1) * math.factorial(n - 1) * tau(algebra, mono)
-
-    return TaylorFamily(algebra, algebra, 0, cap=max_arity, fn=coefficient)
-
-
 def conjugate(op: SMap, direction: str = "pull") -> SMap:
     """Conjugate an operator by the cumulant bijections of its two algebras.
 
@@ -223,90 +166,3 @@ def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> Tay
 
 def vanishes_above_one(family: TaylorFamily) -> bool:
     return all(arity == 1 for arity in family.tables)
-
-
-def _deg(v: Vector) -> int:
-    d = v.degree()
-    if d is None and not v.is_zero():
-        raise ValidationError("closed forms need homogeneous arguments")
-    return 0 if d is None else d
-
-
-def g2_closed_form(f: LinearMap, A: AlgebraPresentation, x: Vector, y: Vector) -> Vector:
-    """f(xy) - f(x)f(y), the arity-2 homomorphism defect."""
-    return f.apply(A.multiply(x, y)) - f.target.multiply(f.apply(x), f.apply(y))
-
-
-def g3_closed_form(f: LinearMap, A: AlgebraPresentation,
-                   x: Vector, y: Vector, z: Vector) -> Vector:
-    """The arity-3 homomorphism defect in closed form.
-
-    f(xyz) - f(xy)f(z) - e1 f(xz)f(y) - e2 f(yz)f(x) + 2 f(x)f(y)f(z), with
-    e1, e2 the Koszul signs of pulling z (resp. y and z) past y (resp. x).
-    """
-    e1 = parity_sign(_deg(y), _deg(z))
-    e2 = parity_sign(_deg(x), _deg(y) + _deg(z))
-    m = f.target.multiply
-
-    xyz = A.multiply(A.multiply(x, y), z)
-    return (
-        f.apply(xyz)
-        - m(f.apply(A.multiply(x, y)), f.apply(z))
-        - e1 * m(f.apply(A.multiply(x, z)), f.apply(y))
-        - e2 * m(f.apply(A.multiply(y, z)), f.apply(x))
-        + 2 * m(m(f.apply(x), f.apply(y)), f.apply(z))
-    )
-
-
-def h2_closed_form(d: LinearMap, A: AlgebraPresentation, x: Vector, y: Vector) -> Vector:
-    """d(xy) - d(x)y - (-1)^(|d||x|) x d(y), the arity-2 derivation defect."""
-    sx = parity_sign(d.degree, _deg(x))
-    return (
-        d.apply(A.multiply(x, y))
-        - A.multiply(d.apply(x), y)
-        - sx * A.multiply(x, d.apply(y))
-    )
-
-
-def h3_closed_form(d: LinearMap, A: AlgebraPresentation,
-                   x: Vector, y: Vector, z: Vector) -> Vector:
-    """The arity-3 derivation defect in closed form (ten Koszul-signed terms)."""
-
-    m = A.multiply
-    dx, dy, dz = d.apply(x), d.apply(y), d.apply(z)
-    e1 = parity_sign(_deg(y), _deg(z))
-    e2 = parity_sign(_deg(x), _deg(y) + _deg(z))
-    sx = parity_sign(d.degree, _deg(x))
-    sxy = parity_sign(d.degree, _deg(x) + _deg(y))
-    sxz = parity_sign(d.degree, _deg(x) + _deg(z))
-    syz = parity_sign(d.degree, _deg(y) + _deg(z))
-    xyz = m(m(x, y), z)
-    return (
-        d.apply(xyz)
-        - m(d.apply(m(x, y)), z) - sxy * m(m(x, y), dz)
-        - e1 * (m(d.apply(m(x, z)), y) + sxz * m(m(x, z), dy))
-        - e2 * (m(d.apply(m(y, z)), x) + syz * m(m(y, z), dx))
-        + 2 * (m(m(dx, y), z) + sx * m(m(x, dy), z) + sxy * m(m(x, y), dz))
-    )
-
-
-def h3_seven_term_variant(d: LinearMap, A: AlgebraPresentation,
-                          x: Vector, y: Vector, z: Vector) -> Vector:
-    """A circulating seven-term candidate for the arity-3 derivation defect.
-
-    Looks plausible but garbles one factor (y·x·d(x) where y·z·d(x) belongs),
-    so it fails on genuine derivations; kept so reports can show exactly
-    where it and the computed table part ways.
-    """
-
-    m = A.multiply
-
-    return (
-        d.apply(m(m(x, y), z))
-        - m(d.apply(m(x, y)), z)
-        + m(m(x, y), d.apply(z))
-        - m(d.apply(m(y, z)), x)
-        + m(m(y, x), d.apply(x))
-        - m(d.apply(m(z, x)), y)
-        + m(m(z, x), d.apply(y))
-    )

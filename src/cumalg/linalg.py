@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import ValidationError, exact
+from .algebra import exact
 
 
 def _echelon(rows, width):
@@ -34,25 +34,3 @@ def rank(matrix) -> int:
         return 0
     rows = [[exact(x) for x in row] for row in matrix]
     return len(_echelon(rows, len(rows[0])))
-
-
-def solve(matrix, rhs):
-    """One exact solution of matrix @ x = rhs, or None when inconsistent.
-
-    Free variables are set to zero.
-    """
-    m = len(matrix)
-    if m == 0:
-        return []
-    n = len(matrix[0])
-    rows = [[exact(x) for x in row] + [exact(b)] for row, b in zip(matrix, rhs)]
-    if len(rhs) != m:
-        raise ValidationError("rhs length mismatch")
-    pivots = _echelon(rows, n)
-    for i in range(len(pivots), m):
-        if rows[i][n] != 0:
-            return None
-    x = [0] * n
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][n]
-    return x

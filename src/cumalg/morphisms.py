@@ -8,6 +8,7 @@ Everything is lazy and memoized per monomial; all arithmetic is exact.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
 
 from .algebra import (
@@ -15,8 +16,8 @@ from .algebra import (
     LinearCombination,
     ValidationError,
     Vector,
+    exact,
     format_scalar,
-    parity_sign,
 )
 from .coalgebra import (
     SElement,
@@ -24,10 +25,9 @@ from .coalgebra import (
     WedgeMonomial,
     as_monomial,
     canonical_monomials,
-    coproduct_element,
+    coproduct,
     monomials_up_to,
     splits,
-    _wedge_in,
 )
 
 
@@ -136,6 +136,31 @@ def _walk(lhs: SMap, rhs: SMap, top: int | None = None):
     return None, walked
 
 
+def _wedge_in(out: SElement, value: Vector, tail, scale=1) -> None:
+    """Add scale * (value ∧ t) into `out` for the (monomial t, coefficient)
+    pairs of `tail`, `value` being of weight one: each generator is bisected
+    into t's sorted indices, an odd one changes sign per odd factor it passes
+    and gives zero if t holds it already.  Refuses a product past the cap.
+    A scale that is not an `int` goes through `exact` first."""
+    if type(scale) is not int:
+        scale = exact(scale)
+    degrees, cap, add = out.basis.degrees, out.cap, out.add_term
+    heads = [(i, degrees[i], a) for i, a in value.terms.items()]
+    for (indices, degs), c in tail:
+        if len(indices) >= cap:
+            raise ValidationError(f"wedge product exceeds weight cap {cap}")
+        c = scale * c
+        for i, d, a in heads:
+            p = bisect_left(indices, i)
+            if d % 2:
+                if p < len(indices) and indices[p] == i:
+                    continue
+                if sum(e % 2 for e in degs[:p]) % 2:
+                    a = -a
+            mono = WedgeMonomial(indices[:p] + (i,) + indices[p:], degs[:p] + (d,) + degs[p:])
+            add(mono, a * c)
+
+
 def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
     """The unique coderivation whose Taylor coefficients are `family`.
 
@@ -218,9 +243,12 @@ def extract_family(op: SMap, max_arity: int) -> TaylorFamily:
     return TaylorFamily(op.source, op.target, op.degree, tables)
 
 
-def bracket(d1: SMap, d2: SMap) -> SMap:
-    """Graded commutator d1∘d2 - (-1)^(|d1||d2|) d2∘d1."""
-    return d1.compose(d2) - parity_sign(d1.degree, d2.degree) * d2.compose(d1)
+def coproduct_element(v: SElement) -> LinearCombination:
+    """The reduced coproduct of an element, term by term."""
+    out = LinearCombination()
+    for w, c in v.terms.items():
+        out.accumulate(coproduct(w), c)
+    return out
 
 
 def _tensor_doc(pairs: LinearCombination, basis_l: GradedBasis, basis_r: GradedBasis):

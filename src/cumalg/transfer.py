@@ -14,12 +14,13 @@ from __future__ import annotations
 from .algebra import (
     AlgebraPresentation,
     AlgebraError,
-    ChainComplex,
+    GradedBasis,
     LinearMap,
+    SchemaError,
     ValidationError,
+    _generators,
     field,
     parse_algebra,
-    parse_chain_complex,
     parse_linear_map,
     reader,
 )
@@ -39,6 +40,45 @@ from .morphisms import (
     triangular_inverse,
 )
 from .cumulant import cumulant_context, defect_family
+
+
+class ChainComplex(GradedBasis):
+    """A finite graded basis with a degree -1 differential and no product.
+
+    Used for the retract side of the transfer pipeline: keeping the product
+    out of the type guarantees nothing downstream can multiply in it.
+    """
+
+    def __init__(self, generators, differential_columns=None):
+        super().__init__(generators)
+        self.differential = LinearMap(self, self, -1, differential_columns or {})
+        _require_square_zero(self.differential)
+
+    def to_doc(self):
+        gens = [{"name": n, "degree": d} for n, d in zip(self.names, self.degrees)]
+        return {"generators": gens, "differential": self.differential.to_doc()}
+
+
+@reader(dict)
+def parse_chain_complex(doc) -> ChainComplex:
+    cx = ChainComplex(_generators(doc))
+    if doc.get("differential") is not None:
+        diff = parse_linear_map(field(doc, "differential", dict), cx, cx)
+        if diff.degree != -1:
+            raise SchemaError("complex differential must have degree -1", doc, "differential")
+        _require_square_zero(diff)
+        cx.differential = diff
+    return cx
+
+
+def _require_square_zero(diff: LinearMap):
+    square = diff.compose(diff)
+    if square.columns:
+        bad = sorted(diff.source.names[i] for i in square.columns)
+        raise ValidationError(
+            "differential does not square to zero",
+            witness={"kind": "square_zero", "generators": bad},
+        )
 
 
 class TransferError(AlgebraError):

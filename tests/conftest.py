@@ -7,8 +7,9 @@ import pytest
 
 import cumalg as cm
 from cumalg.algebra import LinearCombination
-from cumalg.coalgebra import _rearrangement_sign, coproduct
+from cumalg.coalgebra import coproduct
 from cumalg.morphisms import _tensor_doc
+from cumalg.oracles import _rearrangement_sign
 
 E2_DOC = {
     "generators": [

@@ -8,7 +8,7 @@ import pytest
 
 import cumalg as cm
 from cumalg.algebra import Rational, exact, read_vector
-from cumalg.coalgebra import _wedge_in
+from cumalg.morphisms import _wedge_in
 
 from conftest import E2_DOC, random_vector
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cumalg.cli as cli
+import cumalg.tables as tables
 
 from conftest import E2_DOC, E2_MAP_DOC, k2_doc
 
@@ -394,6 +395,36 @@ def test_an_unwritable_stdout_is_a_usage_error(tmp_path, unbuffered, size):
                             "[Errno 28] No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["lift", "--help"]], ids=["main", "command"])
+def test_help_to_an_unwritable_stdout_is_a_usage_error(unbuffered, argv):
+    """argparse ignores a failed write of its help text; the CLI reports it
+    as it reports a report it cannot write."""
+    with open("/dev/full", "w") as full:
+        fresh = _fresh_process(argv, unbuffered, stdout=full)
+    assert fresh.returncode == 2
+    assert fresh.stderr == ("usage error: cannot write the report to standard output: "
+                            "[Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("cap, code", [(9, 0), (2, 1), (11, 2)], ids=["ok", "failed", "usage"])
+def test_an_unwritable_stderr_changes_no_report_and_no_exit_code(
+        tmp_path, capsys, unbuffered, cap, code):
+    """Messages are best effort: with standard error on a full device, a
+    job past the large-cap warning writes the report it writes in-process,
+    and every run exits as it would with a writable standard error."""
+    moments = write(tmp_path, "m.json", {"moments": ["1/2", "1/3", "1/4"]})
+    argv = ["cumulants", "--weight-cap", str(cap), "--input", f"moments={moments}"]
+    assert cli.run(argv) == code
+    report = capsys.readouterr().out
+    with open("/dev/full", "w") as full:
+        fresh = _fresh_process(argv, unbuffered, stderr=full)
+    assert (fresh.returncode, fresh.stdout) == (code, report)
+
+
 def test_text_format_renders_and_stays_deterministic(tmp_path, capsys):
     path = write(tmp_path, "e2.json", E2_DOC)
     argv = ["lift", "--weight-cap", "3", "--format", "text",
@@ -494,7 +525,7 @@ REPORT_KINDS = {
 
 def plain(value):
     """A report with each table node replaced by its `to_doc()`."""
-    if isinstance(value, cli._Table):
+    if isinstance(value, tables._Table):
         return value.to_doc()
     if isinstance(value, dict):
         return {key: plain(item) for key, item in value.items()}

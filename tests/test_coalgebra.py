@@ -11,13 +11,13 @@ import pytest
 import cumalg as cm
 from cumalg.algebra import LinearCombination
 from cumalg.coalgebra import (
-    _rearrangement_sign,
     _sort_sign,
     _split_table,
     as_monomial,
     repetition_pattern,
     splits,
 )
+from cumalg.oracles import _rearrangement_sign
 
 from conftest import random_selement
 

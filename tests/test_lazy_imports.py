@@ -20,8 +20,8 @@ SRC = str(Path(cm.__file__).resolve().parents[1])
 LOADED = str(Path(__file__).resolve().parents[1] / "tools" / "loaded.py")
 
 CUMULANTS = ["algebra", "cli", "coalgebra", "cumulant", "probability"]
-LIFTS = ["algebra", "cli", "coalgebra", "cumulant", "morphisms"]
-DEFECTS = ["algebra", "cli", "coalgebra", "cumulant"]
+LIFTS = ["algebra", "cli", "coalgebra", "cumulant", "morphisms", "tables"]
+DEFECTS = ["algebra", "cli", "coalgebra", "cumulant", "tables"]
 RETRACTS = ["algebra", "cli", "coalgebra", "cumulant", "linalg", "morphisms", "transfer"]
 
 COMMANDS = {
@@ -56,6 +56,27 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, role, doc, 
     code, loaded = fresh(LOADED, *argv)
     assert code == 0
     assert loaded == [f"cumalg.{name}" for name in modules]
+
+
+@pytest.mark.parametrize("command", ["cumulants", "lift"])
+def test_a_cli_process_compiles_no_module_twice(tmp_path, command):
+    """`python -m cumalg.cli` runs cli.py as `__main__`, so an import of
+    `cumalg.cli` (from `cumalg.tables`, say) would compile it a second time.
+    The import log of `-X importtime` lists each module a process imports;
+    it holds neither `cumalg.cli` nor `cumalg.oracles`."""
+    argv, role, doc, modules = COMMANDS[command]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = argv + ["--input", f"{role}={path}", "--output", str(tmp_path / "report.json")]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cumalg.cli", *argv],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {f"cumalg.{name}" for name in modules if name != "cli"} <= imported
+    assert not {"cumalg.cli", "cumalg.oracles"} & imported
 
 
 def test_importing_the_package_loads_no_layer_module():

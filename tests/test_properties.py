@@ -17,9 +17,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cumalg as cm
-from cumalg import cli
+from cumalg import cli, tables
 from cumalg.algebra import Rational, exact
-from cumalg.coalgebra import WedgeMonomial, _sort_sign, _wedge_in
+from cumalg.coalgebra import WedgeMonomial, _sort_sign
+from cumalg.morphisms import _wedge_in
 
 from conftest import (
     associativity_reference,
@@ -148,9 +149,10 @@ def integer_map(seed, basis):
     return cm.LinearMap(basis, basis, 0, columns)
 
 
-def rational_change_of_basis(A, seed):
-    """A in the basis f_i = sum_r M[r][i] e_r, for a random upper triangular
-    rational M with nonzero diagonal that mixes only equal degrees."""
+def change_of_basis(A, seed):
+    """(B, M): A in the basis f_i = sum_r M[r][i] e_r, for a random upper
+    triangular rational M with nonzero diagonal that mixes only equal
+    degrees, and that M."""
     rng = random.Random(seed)
     n = len(A)
     M = [[Fraction(0)] * n for _ in range(n)]
@@ -167,9 +169,12 @@ def rational_change_of_basis(A, seed):
                 value.accumulate(A.products[r][s], M[r][i] * M[s][j])
         coords = cm.solve(M, [value.get(k) for k in range(n)])
         products[(i, j)] = {k: c for k, c in enumerate(coords) if c}
-    return cm.AlgebraPresentation(
-        [(f"f{i}", d) for i, d in enumerate(A.degrees)], products
-    )
+    B = cm.AlgebraPresentation([(f"f{i}", d) for i, d in enumerate(A.degrees)], products)
+    return B, M
+
+
+def rational_change_of_basis(A, seed):
+    return change_of_basis(A, seed)[0]
 
 
 def coefficients(op, cap):
@@ -392,10 +397,18 @@ def random_map(seed, basis, degree):
     return cm.LinearMap(basis, basis, degree, columns)
 
 
-def multigrading(A, factors, scale):
-    """The diagonal map e -> scale(e)·e on the monomial basis of
-    `tensor_algebra(factors)`, e being an exponent vector."""
-    return cm.LinearMap(A, A, 0, {n: {n: scale(e)} for n, e in enumerate(exponents(factors))})
+def multigrading(B, M, factors, scale):
+    """The map e -> scale(e)·e on the monomial basis of
+    `tensor_algebra(factors)`, e being an exponent vector, written in the
+    basis f_i = sum_r M[r][i] e_r of B (`change_of_basis`): column i solves
+    M·x = (M[r][i]·scale(e_r))_r."""
+    scales = [scale(e) for e in exponents(factors)]
+    n = len(scales)
+    columns = {}
+    for i in range(n):
+        coords = cm.solve(M, [M[r][i] * scales[r] for r in range(n)])
+        columns[i] = {k: c for k, c in enumerate(coords) if c}
+    return cm.LinearMap(B, B, 0, columns)
 
 
 def weighing(lam):
@@ -403,26 +416,31 @@ def weighing(lam):
     return lambda e: sum(l * a for l, a in zip(lam, e))
 
 
-ORDER_FACTORS = [(0, 3), (1, 1), (2, 2)]
-
-
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_composite_of_multigrading_derivations_has_defects_through_its_order(order):
+@settings(max_examples=20, deadline=None)
+@given(factor_lists, st.integers(0, 2**32))
+def test_composite_of_multigrading_derivations_has_defects_through_its_order(
+        order, factors, seed):
     # e -> (λ·e)·e is a derivation for every λ; a composite of `order` of
-    # them is an operator of that order, with der tables at 1..order exactly
-    A = tensor_algebra(ORDER_FACTORS)
-    rng = random.Random(order)
-    weights = [[rng.randint(1, 3) for _ in ORDER_FACTORS] for _ in range(order)]
-    d = cm.LinearMap.identity(A)
-    for lam in weights:
-        d = d.compose(multigrading(A, ORDER_FACTORS, weighing(lam)))
-    assert cm.defect_family(d, "der", CAP).arities() == list(range(1, order + 1))
+    # them, with every λ_i >= 1, has der tables at 1..order exactly, up to
+    # the longest word with a nonzero product: its arity-n value at
+    # x_1 ∧ ... ∧ x_n is x_1···x_n times a sum, over the maps of the order
+    # factors onto the n words, of positive weights
+    B, M = change_of_basis(tensor_algebra(factors), seed)
+    rng = random.Random(seed)
+    d = cm.LinearMap.identity(B)
+    for _ in range(order):
+        d = d.compose(multigrading(B, M, factors, weighing([rng.randint(1, 3) for _ in factors])))
+    longest = sum(top for _, top in factors)
+    assert cm.defect_family(d, "der", CAP).arities() == list(range(1, min(order, longest) + 1))
 
 
-def test_multigrading_scaling_is_a_homomorphism():
-    A = tensor_algebra(ORDER_FACTORS)
-    weight = weighing((1, 2, 3))
-    scaling = multigrading(A, ORDER_FACTORS, lambda e: 2 ** weight(e))
+@settings(max_examples=20, deadline=None)
+@given(factor_lists, st.integers(0, 2**32))
+def test_multigrading_scaling_is_a_homomorphism(factors, seed):
+    B, M = change_of_basis(tensor_algebra(factors), seed)
+    weight = weighing([random.Random(seed).randint(-3, 3) for _ in factors])
+    scaling = multigrading(B, M, factors, lambda e: Fraction(2) ** weight(e))
     assert cm.defect_family(scaling, "hom", CAP).arities() == [1]
 
 
@@ -600,7 +618,7 @@ def arity_table(family):
     for w in cm.monomials_up_to(family.source, max(family.arities(), default=1)):
         if family.coefficient(w).terms:
             rows.setdefault(str(w.weight), []).append((w, family.coefficient(w)))
-    table = cli._Table(family.source, family.target, rows)
+    table = tables._Table(family.source, family.target, rows)
     assert table.to_doc() == family.to_doc()["arities"]
     return table
 
@@ -618,12 +636,12 @@ def test_table_rows_are_written_as_their_doc(A, seed, cap):
     ctx = cm.cumulant_context(B, cap)
     shifted = ctx.tau_tilde - cm.SMap.identity(B, cap)
     for op in (ctx.tau_tilde, ctx.tau_tilde_inverse, shifted):
-        assert_rows_written_as_their_doc(cli._Table(B, B, operator_rows(op, cap)))
+        assert_rows_written_as_their_doc(tables._Table(B, B, operator_rows(op, cap)))
     for kind in ("hom", "der"):
         family = cm.defect_family(random_map(seed, B, 0), kind, cap)
         assert_rows_written_as_their_doc(arity_table(family))
-    assert_rows_written_as_their_doc(cli._Table(B, B, []))
-    assert_rows_written_as_their_doc(cli._Table(B, B, {}))
+    assert_rows_written_as_their_doc(tables._Table(B, B, []))
+    assert_rows_written_as_their_doc(tables._Table(B, B, {}))
 
 
 def test_table_rows_escape_names_and_sort_arity_keys_as_strings():
@@ -633,7 +651,7 @@ def test_table_rows_escape_names_and_sort_arity_keys_as_strings():
     )
     ctx = cm.cumulant_context(A, 3)
     for op in (ctx.tau_tilde, ctx.tau_tilde_inverse):
-        assert_rows_written_as_their_doc(cli._Table(A, A, operator_rows(op, 3)))
+        assert_rows_written_as_their_doc(tables._Table(A, A, operator_rows(op, 3)))
     # two moments at cap 10 have defect tables at arities 1..10: "10" sorts
     # before "2"
     family = cm.defect_family(cm.expectation_map([Fraction(1, 2), Fraction(2, 3)]), "hom", 10)
@@ -716,7 +734,7 @@ def test_arity3_comparison_rows_equal_the_seven_term_variant(degree, A, seed):
     B = rational_change_of_basis(A, seed)
     d = random_map(seed, B, degree)
     family = cm.defect_family(d, "der", 3)
-    comparison = cli._arity3_comparison(d, family)
+    comparison = tables._arity3_comparison(d, family)
     monomials = cm.canonical_monomials(B, 3)
     assert [row["monomial"] for row in comparison["rows"]] == [w.names(B) for w in monomials]
     for w, row in zip(monomials, comparison["rows"]):

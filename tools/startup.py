@@ -9,8 +9,12 @@ benchmark's caps), together with `python3 -c pass`, for nine rounds.  Each
 process time is divided by the mean of the reference computation
 (`perfbench/reference.py`) run just before and just after it.  A separate
 run of each command through `tools/loaded.py` lists the `cumalg` modules it
-loaded.  Prints one JSON line: for each job, the median process time in
-reference units (`median_ref`) and, for the commands, the modules loaded.
+loaded, and each of those files is compiled in this process, as a process
+without a bytecode cache compiles it, for nine rounds.  Prints one JSON
+line: for each job, the median process time in reference units
+(`median_ref`) and, for the commands, the modules loaded, their summed line
+count (`lines`) and the sum of their median `compile()` times in
+milliseconds (`compile_ms`).
 """
 from __future__ import annotations
 
@@ -83,6 +87,23 @@ def in_ref(command: list, env: dict) -> float:
     return spent / ((before + reference()) / 2)
 
 
+def compile_costs(modules) -> dict:
+    """Each module's line count and median milliseconds of `compile()` of
+    its source file, the files taken in turn in every round."""
+    sources = {}
+    for module in modules:
+        path = SRC.joinpath(*module.split(".")).with_suffix(".py")
+        sources[module] = (path.read_text(encoding="utf-8"), str(path))
+    samples = {module: [] for module in sources}
+    for _ in range(RUNS):
+        for module, (text, path) in sources.items():
+            start = time.perf_counter()
+            compile(text, path, "exec", dont_inherit=True)
+            samples[module].append((time.perf_counter() - start) * 1000)
+    return {module: (len(sources[module][0].splitlines()), statistics.median(values))
+            for module, values in samples.items()}
+
+
 def main() -> int:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -102,6 +123,11 @@ def main() -> int:
             proc = subprocess.run([sys.executable, str(ROOT / "tools" / "loaded.py"), *argv],
                                   capture_output=True, text=True, check=True)
             result[label]["modules"] = json.loads(proc.stdout)[1]
+        costs = compile_costs(sorted({m for label in argvs for m in result[label]["modules"]}))
+        for label in argvs:
+            modules = result[label]["modules"]
+            result[label]["lines"] = sum(costs[m][0] for m in modules)
+            result[label]["compile_ms"] = round(sum(costs[m][1] for m in modules), 2)
     print(json.dumps({"runs": RUNS, "jobs": result}))
     return 0
 
