@@ -594,21 +594,6 @@ class AlgebraPresentation(GradedBasis):
                     acc[k] = c * x if old is None else old + c * x
         return u._new(dict(filter(_coefficient, acc.items())))
 
-    def to_doc(self):
-        gens = [{"name": n, "degree": d} for n, d in zip(self.names, self.degrees)]
-        prods = []
-        for i in range(len(self)):
-            for j in range(i, len(self)):
-                if not self.products[i][j].is_zero():
-                    prods.append(
-                        {
-                            "left": self.names[i],
-                            "right": self.names[j],
-                            "value": self.products[i][j].to_doc(),
-                        }
-                    )
-        return {"generators": gens, "products": prods}
-
 
 @reader(dict)
 def parse_algebra(doc) -> AlgebraPresentation:
@@ -729,15 +714,6 @@ class LinearMap:
 
     def __hash__(self):
         return hash((self.source.uid, self.target.uid, self.degree))
-
-    def to_doc(self):
-        return {
-            "degree": self.degree,
-            "entries": [
-                {"gen": self.source.names[i], "value": col.to_doc()}
-                for i, col in sorted(self.columns.items())
-            ],
-        }
 
 
 @reader(dict)

@@ -198,14 +198,8 @@ def cmd_cumulants(args, inputs):
     return payload, agree
 
 
-# the types of a JSON report value; a value of any other type is a node that
-# writes itself, by `to_doc()` and `json_text(pad)`, such as a table's rows
-_JSON_TYPES = frozenset((dict, list, str, int, bool, type(None)))
-
-
 def _render_text(value, indent=0, key=None):
-    if type(value) not in _JSON_TYPES:
-        value = value.to_doc()
+    """The text report's lines for a JSON value, as `json.loads` gives it."""
     pad = "  " * indent
     label = f"{key}: " if key is not None else ""
     if isinstance(value, dict):
@@ -216,13 +210,12 @@ def _render_text(value, indent=0, key=None):
     if isinstance(value, list):
         lines = [f"{pad}{key}: ({len(value)} entries)"] if key is not None else []
         for item in value:
-            sub = _render_text(item, indent + 1)
-            if sub and not isinstance(item, (dict, list)):
-                lines.append("  " * (indent + 1) + "- " + json.dumps(item))
+            if isinstance(item, (dict, list)):
+                lines.extend(_render_text(item, indent + 1))
             else:
-                lines.extend(sub)
+                lines.append("  " * (indent + 1) + "- " + _json_text(item))
         return lines
-    return [f"{pad}{label}{json.dumps(value)}"]
+    return [f"{pad}{label}{_json_text(value)}"]
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -268,7 +261,7 @@ def _emit(report: dict, args) -> None:
     if args.format == "json":
         text = _json_text(report) + "\n"
     else:
-        text = "\n".join(_render_text(report)) + "\n"
+        text = "\n".join(_render_text(json.loads(_json_text(report)))) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

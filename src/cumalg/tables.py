@@ -1,14 +1,15 @@
 """The table reports: `lift`, `invert` and `defects`, from parsed inputs.
 
-Each job computes every row of its table and returns the report payload
-with the rows in a `_Table` node, which writes them as JSON text straight
-from the rows (`json_text`) or gives them as a document (`to_doc`).  The
-CLI reads and parses the input documents, and its writers hand the node
-these two calls; only the table commands load this module.
+Each job computes every row of its tables and returns the report payload
+with each table's rows in a `_Table` node, which writes them as JSON text
+straight from the rows (`json_text`).  The CLI reads and parses the input
+documents, and its writer hands the node that call; only the table commands
+load this module.
 """
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .algebra import Vector, format_scalar
 from .coalgebra import WedgeMonomial, canonical_monomials, monomials_up_to
@@ -18,86 +19,79 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 class _Table:
-    """The rows of a table report, each value computed by the job: a list of
-    (monomial, value) pairs in canonical monomial order, or a dict of such
-    lists keyed by arity as a string, a value being an `SElement` over
-    `target` or a `Vector` of it.  `to_doc` gives the rows as `SMap.to_doc`
-    does, or the "arities" of `TaylorFamily.to_doc`; `json_text` writes
-    `json.dumps` of that document from the rows themselves."""
+    """The rows of a table, in canonical monomial order: tuples (monomial,
+    value, ...) with one value per name in `fields`, the monomial over
+    `source` and each value an `SElement` or a `Vector` over `target`, or a
+    bool.  `json_text` writes `json.dumps` of the list of row objects, each
+    with the monomial's name list under "monomial" and each value, as its
+    `to_doc()` or as itself, under its field: for ("value",) that is
+    `SMap.to_doc` of an operator's rows, or an arity of
+    `TaylorFamily.to_doc()["arities"]`."""
 
-    __slots__ = ("source", "target", "rows")
+    __slots__ = ("source", "target", "rows", "fields")
 
-    def __init__(self, source, target, rows):
+    def __init__(self, source, target, rows, fields=("value",)):
         self.source = source
         self.target = target
         self.rows = rows
-
-    def to_doc(self):
-        def doc(rows):
-            return [{"monomial": w.names(self.source), "value": value.to_doc()}
-                    for w, value in rows]
-
-        if type(self.rows) is dict:
-            return {key: doc(rows) for key, rows in self.rows.items()}
-        return doc(self.rows)
+        self.fields = fields
 
     def json_text(self, pad: str) -> str:
-        """`json.dumps(self.to_doc(), sort_keys=True, indent=2)` nested after
+        """The rows' `json.dumps(..., sort_keys=True, indent=2)` nested after
         `pad`, the newline and indentation before the closing bracket,
         written from the rows: each basis name is quoted once, each value
-        term's monomial name list is built once, and no row dict is built."""
+        term's monomial name list is built once, each row fills a layout
+        built once per table, and no row dict is built."""
+        if not self.rows:
+            return "[]"
         source = [_quote(name) for name in self.source.names]
         target = [_quote(name) for name in self.target.names]
         names: dict = {}  # monomial of `target` -> its name list as a value term's
+        row = pad + "  "       # each row's braces
+        field = row + "  "     # "monomial" and each value's field
+        term = field + "  "    # each term's braces
+        entry = term + "  "    # "coeff" and "gen" or "monomial"
+        head, close = "{" + entry + '"coeff": "', term + "}"
+        gen, mono = '",' + entry + '"gen": ', '",' + entry + '"monomial": '
 
         def name_list(w, quoted, at):
             inner = at + "  "
             return "[" + inner + ("," + inner).join([quoted[i] for i in w[0]]) + at + "]"
 
-        def rows_text(rows, pad):
-            if not rows:
+        def term_names(w):
+            text = names.get(w)
+            if text is None:
+                text = names[w] = name_list(w, target, entry)
+            return text
+
+        def value_text(value):
+            if type(value) is bool:
+                return "true" if value else "false"
+            terms = value.terms
+            if not terms:
                 return "[]"
-            row = pad + "  "       # each row's braces
-            field = row + "  "     # "monomial" and "value"
-            term = field + "  "    # each term's braces
-            entry = term + "  "    # "coeff" and "gen" or "monomial"
-            head, close = "{" + entry + '"coeff": "', term + "}"
-            gen, mono = '",' + entry + '"gen": ', '",' + entry + '"monomial": '
+            if type(value) is Vector:
+                return "[" + term + ("," + term).join(
+                    [head + format_scalar(c) + gen + target[i] + close
+                     for i, c in sorted(terms.items())]
+                ) + field + "]"
+            return "[" + term + ("," + term).join(
+                [head + format_scalar(terms[u]) + mono + term_names(u) + close
+                 for u in sorted(terms, key=WedgeMonomial.sort_key)]
+            ) + field + "]"
 
-            def term_names(w):
-                text = names.get(w)
-                if text is None:
-                    text = names[w] = name_list(w, target, entry)
-                return text
-
-            texts = []
-            for w, value in rows:
-                terms = value.terms
-                if not terms:
-                    value_text = "[]"
-                elif type(value) is Vector:
-                    value_text = "[" + term + ("," + term).join(
-                        [head + format_scalar(c) + gen + target[i] + close
-                         for i, c in sorted(terms.items())]
-                    ) + field + "]"
-                else:
-                    value_text = "[" + term + ("," + term).join(
-                        [head + format_scalar(terms[u]) + mono + term_names(u) + close
-                         for u in sorted(terms, key=WedgeMonomial.sort_key)]
-                    ) + field + "]"
-                texts.append("{" + field + '"monomial": ' + name_list(w, source, field) + ","
-                             + field + '"value": ' + value_text + row + "}")
-            return "[" + row + ("," + row).join(texts) + pad + "]"
-
-        arities = self.rows
-        if type(arities) is not dict:
-            return rows_text(arities, pad)
-        if not arities:
-            return "{}"
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join(
-            [_quote(key) + ": " + rows_text(arities[key], inner) for key in sorted(arities)]
-        ) + pad + "}"
+        # a row object's keys in sorted order, as places in the row tuple
+        keys = ("monomial",) + self.fields
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        layout = "{" + ",".join([field + _quote(keys[i]) + ": %s" for i in order]) + row + "}"
+        if order == [0, 1]:  # (monomial, value), as the large tables are: no list per row
+            texts = [layout % (name_list(w, source, field), value_text(value))
+                     for w, value in self.rows]
+        else:
+            pick = itemgetter(*order)
+            texts = [layout % pick([name_list(w, source, field), *map(value_text, values)])
+                     for w, *values in self.rows]
+        return "[" + row + ("," + row).join(texts) + pad + "]"
 
 
 def lift(algebra, cap: int, inverse: bool = False):
@@ -114,12 +108,14 @@ def defects(m, kind: str, cap: int):
     cap and, for "der" from cap 3, the arity-3 comparison; and true."""
     family = defect_family(m, kind, cap=cap)
     arities = {
-        str(arity): [(mono, table[mono]) for mono in sorted(table, key=WedgeMonomial.sort_key)]
+        str(arity): _Table(m.source, m.target, [
+            (mono, table[mono]) for mono in sorted(table, key=WedgeMonomial.sort_key)
+        ])
         for arity, table in family.tables.items()
     }
     payload = {
         "kind": kind,
-        "tables": {"degree": family.degree, "arities": _Table(m.source, m.target, arities)},
+        "tables": {"degree": family.degree, "arities": arities},
         "vanishes_above_1": vanishes_above_one(family),
     }
     if kind == "der" and cap >= 3:
@@ -167,12 +163,8 @@ def _arity3_comparison(d, family):
             variant = computed
         match = computed == variant
         all_match = all_match and match
-        rows.append(
-            {
-                "monomial": mono.names(A),
-                "computed": computed.to_doc(),
-                "variant": variant.to_doc(),
-                "match": match,
-            }
-        )
-    return {"variant_matches_everywhere": all_match, "rows": rows}
+        rows.append((mono, computed, match, variant))
+    return {
+        "variant_matches_everywhere": all_match,
+        "rows": _Table(A, d.target, rows, ("computed", "match", "variant")),
+    }

@@ -54,10 +54,6 @@ class ChainComplex(GradedBasis):
         self.differential = LinearMap(self, self, -1, differential_columns or {})
         _require_square_zero(self.differential)
 
-    def to_doc(self):
-        gens = [{"name": n, "degree": d} for n, d in zip(self.names, self.degrees)]
-        return {"generators": gens, "differential": self.differential.to_doc()}
-
 
 @reader(dict)
 def parse_chain_complex(doc) -> ChainComplex:

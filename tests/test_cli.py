@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, reports, determinism."""
 import copy
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -53,6 +54,37 @@ def euler_map_doc():
             for k in range(1, 5)
         ],
     }
+
+
+def xyt_doc():
+    """Λ(x, y) ⊗ k[t]/t² on the basis of its nonunit monomials: x and y odd of
+    degree 1, t even of degree 0.  A product adds exponents, vanishes past
+    x, y or t squared, and changes sign when y passes x."""
+    monomials = {"x": (1, 0, 0), "y": (0, 1, 0), "t": (0, 0, 1), "xy": (1, 1, 0),
+                 "xt": (1, 0, 1), "yt": (0, 1, 1), "xyt": (1, 1, 1)}
+    names = {e: name for name, e in monomials.items()}
+    prods = []
+    for (left, u), (right, v) in itertools.product(monomials.items(), repeat=2):
+        w = tuple(a + b for a, b in zip(u, v))
+        if w in names:
+            prods.append({"left": left, "right": right,
+                          "value": [{"gen": names[w], "coeff": "-1" if u[1] * v[0] else "1"}]})
+    gens = [{"name": name, "degree": e[0] + e[1]} for name, e in monomials.items()]
+    return {"generators": gens, "products": prods}
+
+
+# x -> -t, xyt -> 2x, of degree -1: its arity-3 comparison at cap 3 has
+# nonzero computed values, words where the seven-term variant differs, and
+# words outside the degree window, whose computed value is 0 while the
+# variant's garbled y·x·d(x) term is not
+XYT_MAP_DOC = {
+    "source": xyt_doc(),
+    "degree": -1,
+    "entries": [
+        {"gen": "x", "value": [{"gen": "t", "coeff": "-1"}]},
+        {"gen": "xyt", "value": [{"gen": "x", "coeff": "2"}]},
+    ],
+}
 
 
 def write(tmp_path, name, doc):
@@ -449,6 +481,11 @@ PINNED_REPORTS = {
                     "571a72eb79832e93f7c9d6eb23c79741fae2e10f86f1ad5ae4e35444bab0f567"),
     "defects-der": (["defects", "--kind", "der", "--weight-cap", "3"], "map", E2_MAP_DOC,
                     "64ffbfda528906a06bec7c8fbb27b0bc1c768d05161eb8758ec93de6a5d0aabd"),
+    "defects-der-xyt": (["defects", "--kind", "der", "--weight-cap", "3"], "map", XYT_MAP_DOC,
+                        "fad7c4c255f1402a190937bf7179d6d965e8971fc40c60b80ceeae4e32205608"),
+    "defects-der-xyt-text": (["defects", "--kind", "der", "--weight-cap", "3", "--format", "text"],
+                             "map", XYT_MAP_DOC,
+                             "70acf0a08e850fc839089e82ab9b76bf13a68581979e28b9392cbd4b7a42aae4"),
     "transfer-k2": (["transfer", "--weight-cap", "5"], "transfer", k2_doc(),
                     "782103a6744265429e9e8a24a71ea771e776bf83ebdbe6d3e562c2b2441e814b"),
     "cumulants-6": (["cumulants"], "moments",
@@ -524,9 +561,15 @@ REPORT_KINDS = {
 
 
 def plain(value):
-    """A report with each table node replaced by its `to_doc()`."""
+    """A report with each table node replaced by its rows as dicts: the
+    monomial's names, and under each field the value's `to_doc()`, or the
+    value itself for a bool."""
     if isinstance(value, tables._Table):
-        return value.to_doc()
+        return [
+            {"monomial": w.names(value.source),
+             **{key: v if type(v) is bool else v.to_doc() for key, v in zip(value.fields, values)}}
+            for w, *values in value.rows
+        ]
     if isinstance(value, dict):
         return {key: plain(item) for key, item in value.items()}
     if isinstance(value, list):

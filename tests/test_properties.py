@@ -457,6 +457,41 @@ def test_defect_tables_equal_the_corestricted_conjugate(kind, degree, A, seed, c
         assert fresh.coefficient(w) == family.coefficient(w)
 
 
+@pytest.mark.parametrize("direction", ["pull", "push"])
+@settings(max_examples=10, deadline=None)
+@given(algebras, st.integers(0, 2**32), st.sampled_from([-1, 0, 1]))
+def test_conjugation_preserves_brackets_after_a_change_of_basis(direction, A, seed, degree):
+    B = rational_change_of_basis(A, seed)
+    D1 = cm.extend_coderivation(random_family(seed, B, 0, [1, 2]), 3)
+    D2 = cm.extend_coderivation(random_family(seed + 1, B, degree, [1, 2, 3]), 3)
+    lhs = cm.conjugate(cm.bracket(D1, D2), direction)
+    rhs = cm.bracket(cm.conjugate(D1, direction), cm.conjugate(D2, direction))
+    assert lhs.equal_up_to(rhs)
+
+
+@pytest.mark.parametrize("direction", ["pull", "push"])
+@settings(max_examples=10, deadline=None)
+@given(algebras, st.integers(0, 2**32))
+def test_conjugate_of_a_square_zero_coderivation_squares_to_zero(direction, A, seed):
+    # d of odd degree δ sends the generators of one degree k into those of
+    # degree k + δ and every other generator to 0, so d∘d = 0 and its
+    # coderivation squares to 0
+    B = rational_change_of_basis(A, seed)
+    rng = random.Random(seed)
+    degrees = sorted(set(B.degrees))
+    shifts = [(k, delta) for delta in (-1, 1) for k in degrees if k + delta in degrees]
+    assume(shifts)
+    k, delta = rng.choice(shifts)
+    columns = {i: random_vector(rng, B, k + delta).terms for i, e in enumerate(B.degrees) if e == k}
+    assume(any(columns.values()))
+    d = cm.LinearMap(B, B, delta, columns)
+    D = cm.extend_coderivation(cm.TaylorFamily.from_linear_map(d), 3)
+    conjugated = cm.conjugate(D, direction)
+    square = conjugated.compose(conjugated)
+    for w in cm.monomials_up_to(B, 3):
+        assert square.on_monomial(w).is_zero()
+
+
 def square_zero_algebra(factors):
     """One generator per factor, of its degree, and every product 0: a sum
     of two of its degrees is one of them only when it equals one."""
@@ -600,27 +635,24 @@ def test_rational_coefficients_never_fall_back_to_plain_fractions(A, seed):
     assert kinds <= {int, Rational}, kinds
 
 
-def assert_rows_written_as_their_doc(table):
-    """The row writer gives `_json_text` of the table's `to_doc()`, also
-    nested, which is json.dumps of it."""
-    doc = table.to_doc()
-    assert cli._json_text(table) == cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
-    nested = {"report": [table, {"again": table}]}
+def assert_written_as(value, doc):
+    """The JSON writer gives json.dumps of `doc` for a report value holding
+    table nodes, also nested."""
+    assert cli._json_text(value) == json.dumps(doc, sort_keys=True, indent=2)
+    nested = {"report": [value, {"again": value}]}
     assert cli._json_text(nested) == json.dumps(
         {"report": [doc, {"again": doc}]}, sort_keys=True, indent=2
     )
 
 
-def arity_table(family):
-    """A family's nonzero values as a table node filed by arity, checked to
-    give the "arities" of the family's `to_doc`."""
+def arity_tables(family):
+    """A family's nonzero values as one table node per arity, keyed by the
+    arity as a string."""
     rows = {}
     for w in cm.monomials_up_to(family.source, max(family.arities(), default=1)):
         if family.coefficient(w).terms:
             rows.setdefault(str(w.weight), []).append((w, family.coefficient(w)))
-    table = tables._Table(family.source, family.target, rows)
-    assert table.to_doc() == family.to_doc()["arities"]
-    return table
+    return {key: tables._Table(family.source, family.target, table) for key, table in rows.items()}
 
 
 def operator_rows(op, cap):
@@ -631,17 +663,17 @@ def operator_rows(op, cap):
 @given(algebras, st.integers(0, 2**32), st.integers(1, 3))
 def test_table_rows_are_written_as_their_doc(A, seed, cap):
     # tau_tilde, its inverse and an operator that vanishes in weight one,
-    # whose rows hold zero values; defect tables filed by arity
+    # whose rows hold zero values, as `SMap.to_doc`; defect tables by arity
+    # as the "arities" of `TaylorFamily.to_doc`
     B = rational_change_of_basis(A, seed)
     ctx = cm.cumulant_context(B, cap)
     shifted = ctx.tau_tilde - cm.SMap.identity(B, cap)
     for op in (ctx.tau_tilde, ctx.tau_tilde_inverse, shifted):
-        assert_rows_written_as_their_doc(tables._Table(B, B, operator_rows(op, cap)))
+        assert_written_as(tables._Table(B, B, operator_rows(op, cap)), op.to_doc())
     for kind in ("hom", "der"):
         family = cm.defect_family(random_map(seed, B, 0), kind, cap)
-        assert_rows_written_as_their_doc(arity_table(family))
-    assert_rows_written_as_their_doc(tables._Table(B, B, []))
-    assert_rows_written_as_their_doc(tables._Table(B, B, {}))
+        assert_written_as(arity_tables(family), family.to_doc()["arities"])
+    assert_written_as(tables._Table(B, B, []), [])
 
 
 def test_table_rows_escape_names_and_sort_arity_keys_as_strings():
@@ -651,12 +683,12 @@ def test_table_rows_escape_names_and_sort_arity_keys_as_strings():
     )
     ctx = cm.cumulant_context(A, 3)
     for op in (ctx.tau_tilde, ctx.tau_tilde_inverse):
-        assert_rows_written_as_their_doc(tables._Table(A, A, operator_rows(op, 3)))
+        assert_written_as(tables._Table(A, A, operator_rows(op, 3)), op.to_doc())
     # two moments at cap 10 have defect tables at arities 1..10: "10" sorts
     # before "2"
     family = cm.defect_family(cm.expectation_map([Fraction(1, 2), Fraction(2, 3)]), "hom", 10)
     assert "10" in family.to_doc()["arities"]
-    assert_rows_written_as_their_doc(arity_table(family))
+    assert_written_as(arity_tables(family), family.to_doc()["arities"])
 
 
 def near_identity(basis, cap, seed, bad=frozenset()):
@@ -735,16 +767,16 @@ def test_arity3_comparison_rows_equal_the_seven_term_variant(degree, A, seed):
     d = random_map(seed, B, degree)
     family = cm.defect_family(d, "der", 3)
     comparison = tables._arity3_comparison(d, family)
+    table = comparison["rows"]
     monomials = cm.canonical_monomials(B, 3)
-    assert [row["monomial"] for row in comparison["rows"]] == [w.names(B) for w in monomials]
-    for w, row in zip(monomials, comparison["rows"]):
+    assert [row[0] for row in table.rows] == monomials
+    rows = []
+    for w in monomials:
         variant = cm.h3_seven_term_variant(d, B, *(B.generator(i) for i in w.indices))
-        assert row["variant"] == variant.to_doc()
-        assert row["computed"] == family.coefficient(w).to_doc()
-        assert row["match"] == (family.coefficient(w) == variant)
-    assert comparison["variant_matches_everywhere"] == all(
-        row["match"] for row in comparison["rows"]
-    )
+        rows.append({"monomial": w.names(B), "computed": family.coefficient(w).to_doc(),
+                     "match": family.coefficient(w) == variant, "variant": variant.to_doc()})
+    assert_written_as(table, rows)
+    assert comparison["variant_matches_everywhere"] == all(row["match"] for row in rows)
 
 
 @pytest.mark.parametrize("degree", [-1, 0, 1])

@@ -14,7 +14,8 @@ without a bytecode cache compiles it, for nine rounds.  Prints one JSON
 line: for each job, the median process time in reference units
 (`median_ref`) and, for the commands, the modules loaded, their summed line
 count (`lines`) and the sum of their median `compile()` times in
-milliseconds (`compile_ms`).
+milliseconds (`compile_ms`); and `src_lines`, the line count of all of
+`src/cumalg/*.py`, as `wc -l` gives it.
 """
 from __future__ import annotations
 
@@ -128,7 +129,8 @@ def main() -> int:
             modules = result[label]["modules"]
             result[label]["lines"] = sum(costs[m][0] for m in modules)
             result[label]["compile_ms"] = round(sum(costs[m][1] for m in modules), 2)
-    print(json.dumps({"runs": RUNS, "jobs": result}))
+    src_lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("cumalg/*.py"))
+    print(json.dumps({"runs": RUNS, "src_lines": src_lines, "jobs": result}))
     return 0
 
 
