@@ -16,8 +16,10 @@ from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 
-# the truncation weight of the coalgebra when a caller gives none
+# the truncation weight of the coalgebra when a caller gives none, and the
+# largest one the CLI accepts
 DEFAULT_WEIGHT_CAP = 6
+WEIGHT_CAP_CEILING = 10
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
@@ -322,13 +324,17 @@ class LinearCombination:
     for algebra elements, truncated coalgebra elements and coproduct pairs.
     A subclass fixes what differs: its key type and the check on keys from
     outside (`_check_key`), the space two operands must share (`_space`), and
-    the order of `items()`.  Its `__slots__` name the fields of that space,
+    what `items()`, `to_doc()` and `repr` read: the order of its keys
+    (`_key_order`), the document field of a term's key (`_field`) and how a
+    key reads (`_key_doc`).  Its `__slots__` name the fields of that space,
     which results copy.  The constructor coerces and cleans what callers
     pass; arithmetic trusts the exact coefficients it computes itself.
     """
 
     __slots__ = ("terms",)
     _mismatch = "operands over different spaces"
+    _key_order = None  # the sort key of `items()`; None sorts the keys themselves
+    _field = "key"
 
     def __init__(self, terms=None):
         clean = {}
@@ -345,6 +351,10 @@ class LinearCombination:
     def _space(self) -> tuple:
         """What two operands must share to be added or to compare equal."""
         return ()
+
+    def _key_doc(self, key):
+        """A key as a document and `repr` write it."""
+        return key
 
     def _check(self, other):
         if type(other) is not type(self) or self._space() != other._space():
@@ -407,6 +417,20 @@ class LinearCombination:
     def __len__(self):
         return len(self.terms)
 
+    def items(self):
+        """The (key, coefficient) terms, their keys in order."""
+        terms = self.terms
+        return [(key, terms[key]) for key in sorted(terms, key=self._key_order)]
+
+    def to_doc(self):
+        """The terms as a document: a list of {field: key, "coeff": scalar}."""
+        field, key_doc = self._field, self._key_doc
+        return [{field: key_doc(key), "coeff": format_scalar(c)} for key, c in self.items()]
+
+    def __repr__(self):
+        names = ((self._key_doc(key), c) for key, c in self.items())
+        return " + ".join(f"({c})*{'^'.join(n) if type(n) is list else n}" for n, c in names) or "0"
+
     def __add__(self, other):
         self._check(other)
         return self._new(dict(self.terms)).accumulate(other)
@@ -431,15 +455,13 @@ class LinearCombination:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self._space(), frozenset(self.terms.items())))
-
 
 class Vector(LinearCombination):
     """A sparse element of the span of a GradedBasis, keyed by generator index."""
 
     __slots__ = ("basis",)
     _mismatch = "vectors over different presentations"
+    _field = "gen"
 
     def __init__(self, basis: GradedBasis, coeffs: dict | None = None):
         self.basis = basis
@@ -452,8 +474,8 @@ class Vector(LinearCombination):
     def _space(self):
         return (self.basis,)
 
-    def items(self):
-        return sorted(self.terms.items())
+    def _key_doc(self, i):
+        return self.basis.names[i]
 
     def get(self, i):
         return self.terms.get(i, 0)
@@ -469,17 +491,6 @@ class Vector(LinearCombination):
         """Degree of a homogeneous vector; None for 0 or mixed terms."""
         degs = {self.basis.degrees[i] for i in self.terms}
         return degs.pop() if len(degs) == 1 else None
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*{self.basis.names[i]}" for i, c in self.items())
-
-    def to_doc(self):
-        return [
-            {"gen": self.basis.names[i], "coeff": format_scalar(c)}
-            for i, c in self.items()
-        ]
 
 
 @reader(list, dict)
@@ -711,9 +722,6 @@ class LinearMap:
             and self.degree == other.degree
             and self.columns == other.columns
         )
-
-    def __hash__(self):
-        return hash((self.source.uid, self.target.uid, self.degree))
 
 
 @reader(dict)

@@ -18,11 +18,10 @@ import os
 import sys
 
 from .algebra import (
-    DEFAULT_WEIGHT_CAP, AlgebraError, field, format_scalar, parse_algebra,
-    parse_linear_map, reader,
+    DEFAULT_WEIGHT_CAP, WEIGHT_CAP_CEILING, AlgebraError, field, format_scalar,
+    parse_algebra, parse_linear_map, reader,
 )
 
-WEIGHT_CAP_CEILING = 10
 # why a cap past the ceiling is refused and one of 8 or more warned about
 _LARGE_CAP = ("tables hold every canonical monomial up to the cap, and a word of n distinct "
               "factors sums over the 2^(n-1) blocks that hold its first factor")
@@ -45,6 +44,21 @@ class UsageError(Exception):
 _STDOUT_UNWRITABLE = "cannot write the report to standard output"
 
 
+def _write(text: str, path=None) -> None:
+    """Write a report or a help text to the file at `path`, or, with no
+    path, to standard output: the one way out of a job, where a write that
+    fails is a usage error."""
+    try:
+        if not path:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as err:
+        where = f"cannot write {path}" if path else _STDOUT_UNWRITABLE
+        raise UsageError(f"{where}: {err}") from None
+
+
 def _say(message: str) -> None:
     """Write one line to standard error, best effort: what run writes there
     is the large-cap warning or a usage error, whose exit code 2 says so
@@ -57,13 +71,11 @@ def _say(message: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None):
-        """argparse's help printer ignores a failed write; here a help text
-        that cannot be written is the usage error of an unwritable report."""
-        try:
-            (sys.stdout if file is None else file).write(self.format_help())
-        except OSError as err:
-            raise UsageError(f"{_STDOUT_UNWRITABLE}: {err}") from None
+    def print_help(self):
+        """argparse's help printer, which `--help` calls, ignores a failed
+        write; this one writes through `_write`, so a help text that cannot
+        be written is the usage error of an unwritable report."""
+        _write(self.format_help())
 
 
 @functools.cache
@@ -152,11 +164,12 @@ def cmd_validate(args, inputs):
     return {"results": results}, ok
 
 
-def cmd_lift(args, inputs, inverse=False):
+def cmd_lift(args, inputs):
+    """`lift`, or `invert` when that is the command."""
     from .tables import lift
 
     algebra = parse_algebra(_load_json(inputs["algebra"]))
-    return lift(algebra, args.weight_cap, inverse)
+    return lift(algebra, args.weight_cap, args.command == "invert")
 
 
 def cmd_defects(args, inputs):
@@ -262,23 +275,13 @@ def _emit(report: dict, args) -> None:
         text = _json_text(report) + "\n"
     else:
         text = "\n".join(_render_text(json.loads(_json_text(report)))) + "\n"
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise UsageError(f"cannot write {args.output}: {err}") from None
-    else:
-        try:
-            sys.stdout.write(text)
-        except OSError as err:
-            raise UsageError(f"{_STDOUT_UNWRITABLE}: {err}") from None
+    _write(text, args.output)
 
 
 HANDLERS = {
     "validate": cmd_validate,
-    "lift": lambda a, i: cmd_lift(a, i, inverse=False),
-    "invert": lambda a, i: cmd_lift(a, i, inverse=True),
+    "lift": cmd_lift,
+    "invert": cmd_lift,
     "defects": cmd_defects,
     "transfer": cmd_transfer,
     "cumulants": cmd_cumulants,
@@ -286,16 +289,11 @@ HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_:
-        return int(exit_.code or 0)
-    except UsageError as err:
-        _say(f"usage error: {err}")
-        return 2
-
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exit_:
+            return int(exit_.code or 0)
         if args.weight_cap < 1:
             raise UsageError("--weight-cap must be at least 1")
         if args.weight_cap > WEIGHT_CAP_CEILING:
@@ -303,13 +301,8 @@ def run(argv) -> int:
         if args.weight_cap >= 8:
             _say(f"warning: weight cap {args.weight_cap} is large; {_LARGE_CAP}")
         inputs = _parse_inputs(args.command, args.input)
-    except UsageError as err:
-        _say(f"usage error: {err}")
-        return 2
-
-    # true by construction: every wedge refuses a product past the weight cap
-    base = {"command": args.command, "weight_cap": args.weight_cap, "overflow": False}
-    try:
+        # true by construction: every wedge refuses a product past the weight cap
+        base = {"command": args.command, "weight_cap": args.weight_cap, "overflow": False}
         try:
             payload, ok = HANDLERS[args.command](args, inputs)
         except AlgebraError as err:

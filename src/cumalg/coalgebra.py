@@ -25,7 +25,6 @@ from .algebra import (
     ValidationError,
     Vector,
     field,
-    format_scalar,
     name_at,
     read_vector,
     reader,
@@ -185,6 +184,8 @@ class SElement(LinearCombination):
 
     __slots__ = ("basis", "cap")
     _mismatch = "elements over different presentations or caps"
+    _key_order = staticmethod(WedgeMonomial.sort_key)
+    _field = "monomial"
 
     def __init__(self, basis, cap, terms=None):
         self.basis = basis
@@ -200,6 +201,9 @@ class SElement(LinearCombination):
     def _space(self):
         return (self.basis, self.cap)
 
+    def _key_doc(self, w):
+        return w.names(self.basis)
+
     @classmethod
     def from_vector(cls, v: Vector, cap):
         out = cls(v.basis, cap)
@@ -207,9 +211,6 @@ class SElement(LinearCombination):
             WedgeMonomial((i,), (v.basis.degrees[i],)): c for i, c in v.terms.items()
         }
         return out
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def weight_project(self, n: int) -> "SElement":
         if n < 1:
@@ -224,21 +225,6 @@ class SElement(LinearCombination):
         out = Vector(self.basis)
         out.terms = {w.indices[0]: c for w, c in self.terms.items() if w.weight == 1}
         return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in self.items():
-            name = "^".join(w.names(self.basis))
-            bits.append(f"({c})*{name}")
-        return " + ".join(bits)
-
-    def to_doc(self):
-        return [
-            {"monomial": w.names(self.basis), "coeff": format_scalar(c)}
-            for w, c in self.items()
-        ]
 
     @staticmethod
     @reader(list, dict)

@@ -12,6 +12,7 @@ import math
 from functools import lru_cache
 
 from .algebra import (
+    WEIGHT_CAP_CEILING,
     AlgebraPresentation,
     LinearMap,
     SchemaError,
@@ -34,8 +35,8 @@ def parse_moments(doc) -> list:
 
 
 # one entry per moment count: the CLI refuses more moments than the weight
-# cap, whose ceiling is 10, so a process running CLI jobs asks for n <= 10
-@lru_cache(maxsize=10)
+# cap, so a process running CLI jobs asks for n <= WEIGHT_CAP_CEILING
+@lru_cache(maxsize=WEIGHT_CAP_CEILING)
 def truncated_polynomial_algebra(n: int) -> AlgebraPresentation:
     """Powers x^1..x^n of one even variable, products truncated past x^n."""
     if n < 1:

@@ -133,6 +133,34 @@ def k2_doc():
     }
 
 
+# the square-zero algebra on e (degree 1) and x (degree 0), with d(e) = x
+SQUARE_ZERO_EX_DOC = {"generators": [{"name": "e", "degree": 1}, {"name": "x", "degree": 0}]}
+_D_EX = {"degree": -1, "entries": [{"gen": "e", "value": [{"gen": "x", "coeff": "1"}]}]}
+_ID_EX = {"degree": 0,
+          "entries": [{"gen": g, "value": [{"gen": g, "coeff": "1"}]} for g in ("e", "x")]}
+
+
+def odd_retract_doc():
+    """The trivial retract (C = A, i = I = id, s = 0) of the square-zero
+    algebra on an odd e and an even x with d(e) = x, as a transfer document:
+    an odd generator and a nonzero complex differential, which k2 lacks.
+    `d_infinity` is d in arity 1 and `iota` the identity in arity 1."""
+    return {
+        "retract": {
+            "algebra": SQUARE_ZERO_EX_DOC,
+            "complex": {**SQUARE_ZERO_EX_DOC, "differential": _D_EX},
+            "d": _D_EX,
+            "i": _ID_EX,
+            "I": _ID_EX,
+            "s": {"degree": 1, "entries": []},
+        },
+        "d_infinity": {"degree": -1, "arities": {
+            "1": [{"monomial": ["e"], "value": [{"gen": "x", "coeff": "1"}]}]}},
+        "iota": {"degree": 0, "arities": {
+            "1": [{"monomial": [g], "value": [{"gen": g, "coeff": "1"}]} for g in ("e", "x")]}},
+    }
+
+
 def _matrix_inverse(m):
     n = len(m)
     cols = []

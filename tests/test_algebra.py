@@ -196,6 +196,25 @@ def test_vector_round_trip(e2):
     assert read_vector(v.to_doc(), e2) == v
 
 
+def test_elements_and_maps_are_not_hashable(e2):
+    """`accumulate` and `add_term` change an element in place, so no value
+    hash may key it in a set or a dict."""
+    for value in (e2.generator(0), cm.SElement.from_vector(e2.generator(0), 2),
+                  cm.LinearMap.identity(e2)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+
+
+def test_reprs_list_the_terms_in_order(e2):
+    a, b, g = e2.generators()
+    v = 2 * g + (-1) * a + Fraction(1, 3) * b
+    assert repr(v) == "(-1)*a + (1/3)*b + (2)*g"
+    assert repr(cm.wedge(cm.SElement.from_vector(v, 2), cm.SElement.from_vector(a, 2))) == (
+        "(-1/3)*a^b + (2)*a^g"
+    )
+    assert repr(cm.Vector(e2)) == repr(cm.SElement(e2, 2)) == "0"
+
+
 def test_vector_homogeneity(e2):
     a, b, g = e2.generators()
     assert (a + b).is_homogeneous(1)

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 import cumalg.cli as cli
 import cumalg.tables as tables
+from cumalg.oracles import g2_closed_form
 
-from conftest import E2_DOC, E2_MAP_DOC, k2_doc
+from conftest import E2_DOC, E2_MAP_DOC, SQUARE_ZERO_EX_DOC, k2_doc, odd_retract_doc
 
 
 def p_doc(n):
@@ -244,6 +245,47 @@ def test_defects_der_emits_the_variant_comparison(tmp_path, capsys):
     assert all(r["computed"] == [] for r in comparison["rows"])
 
 
+# a map into an algebra of its own: x, y even with x·x = y, onto u (u·u = u)
+# and v of degree 1 (u·v = v), with f(x) = 2u and f(y) = u/3
+OWN_TARGET_MAP_DOC = {
+    "source": {"generators": [{"name": "x", "degree": 0}, {"name": "y", "degree": 0}],
+               "products": [{"left": "x", "right": "x", "value": [{"gen": "y", "coeff": "1"}]}]},
+    "target": {"generators": [{"name": "u", "degree": 0}, {"name": "v", "degree": 1}],
+               "products": [{"left": "u", "right": "u", "value": [{"gen": "u", "coeff": "1"}]},
+                            {"left": "u", "right": "v", "value": [{"gen": "v", "coeff": "1"}]}]},
+    "degree": 0,
+    "entries": [{"gen": "x", "value": [{"gen": "u", "coeff": "2"}]},
+                {"gen": "y", "value": [{"gen": "u", "coeff": "1/3"}]}],
+}
+
+
+def test_defects_hom_reads_a_target_algebra_of_its_own(tmp_path, capsys):
+    """The arity-2 rows are f(ab) - f(a)f(b), multiplied in the target."""
+    path = write(tmp_path, "map.json", OWN_TARGET_MAP_DOC)
+    code, report = run_json(capsys, ["defects", "--kind", "hom", "--weight-cap", "2",
+                                     "--input", f"map={path}"])
+    assert code == 0
+    rows = report["tables"]["arities"]["2"]
+    assert [(row["monomial"], row["value"]) for row in rows] == [
+        (["x", "x"], [{"coeff": "-11/3", "gen": "u"}]),
+        (["x", "y"], [{"coeff": "-2/3", "gen": "u"}]),
+        (["y", "y"], [{"coeff": "-1/9", "gen": "u"}]),
+    ]
+    f = cli._read_map(json.dumps(OWN_TARGET_MAP_DOC))
+    assert f.target is not f.source
+    gens = f.source.generators()
+    for row in rows:
+        x, y = (gens[f.source.index(name)] for name in row["monomial"])
+        assert row["value"] == g2_closed_form(f, f.source, x, y).to_doc()
+
+
+def test_a_coderivation_refuses_a_target_of_its_own(tmp_path, capsys):
+    path = write(tmp_path, "map.json", OWN_TARGET_MAP_DOC)
+    code, report = run_json(capsys, ["defects", "--kind", "der", "--input", f"map={path}"])
+    assert code == 1 and report["ok"] is False
+    assert report["error"] == {"message": "a coderivation needs source and target to agree"}
+
+
 def test_defects_requires_the_map_role(tmp_path, capsys):
     assert cli.run(["defects", "--kind", "hom"]) == 2
     assert "usage error" in capsys.readouterr().err
@@ -274,6 +316,58 @@ def test_transfer_refuses_an_ablated_iota(tmp_path, capsys):
     failing = [c for c in checks if not c["ok"]]
     assert failing
     assert failing[0]["witness"]["monomial"] == ["c", "c"]
+
+
+@pytest.mark.parametrize("cap", [3, 5])
+def test_transfer_on_a_retract_with_an_odd_generator_and_a_differential(tmp_path, capsys, cap):
+    path = write(tmp_path, "odd.json", odd_retract_doc())
+    code, report = run_json(
+        capsys, ["transfer", "--weight-cap", str(cap), "--input", f"transfer={path}"]
+    )
+    assert code == 0 and report["ok"] is True
+    inner = report["report"]
+    hypotheses = inner["hypotheses"]["checks"]
+    assert len(hypotheses) == 5 and all(c["ok"] for c in hypotheses)
+    assert len(inner["certifications"]) == 4
+    assert all(c["ok"] for c in inner["certifications"])
+
+
+def test_validate_a_retract_with_an_odd_generator_and_a_differential(tmp_path, capsys):
+    path = write(tmp_path, "retract.json", odd_retract_doc()["retract"])
+    code, report = run_json(capsys, ["validate", "--input", f"retract={path}"])
+    assert code == 0 and report["ok"] is True
+    assert report["results"]["retract"]["ok"] is True
+
+
+def test_transfer_refuses_a_negated_d_infinity(tmp_path, capsys):
+    doc = odd_retract_doc()
+    doc["d_infinity"]["arities"]["1"][0]["value"][0]["coeff"] = "-1"
+    path = write(tmp_path, "odd.json", doc)
+    code, report = run_json(
+        capsys, ["transfer", "--weight-cap", "3", "--input", f"transfer={path}"]
+    )
+    assert code == 1 and report["ok"] is False
+    failing = [c for c in report["report"]["checks"] if not c["ok"]]
+    assert [c["law"] for c in failing] == ["iota extension intertwines the differentials"]
+    assert failing[0]["witness"]["monomial"] == ["e"]
+
+
+def test_transfer_refuses_a_complex_differential_that_does_not_square_to_zero(
+        tmp_path, capsys):
+    doc = odd_retract_doc()
+    doc["retract"]["complex"] = {
+        "generators": [{"name": "r", "degree": 2}, *SQUARE_ZERO_EX_DOC["generators"]],
+        "differential": {"degree": -1, "entries": [
+            {"gen": "r", "value": [{"gen": "e", "coeff": "1"}]},
+            {"gen": "e", "value": [{"gen": "x", "coeff": "1"}]},
+        ]},
+    }
+    path = write(tmp_path, "odd.json", doc)
+    code, report = run_json(
+        capsys, ["transfer", "--weight-cap", "3", "--input", f"transfer={path}"]
+    )
+    assert code == 1
+    assert report["error"]["witness"] == {"kind": "square_zero", "generators": ["r"]}
 
 
 def test_cumulants_agree_with_the_oracle(tmp_path, capsys):
@@ -488,6 +582,8 @@ PINNED_REPORTS = {
                              "70acf0a08e850fc839089e82ab9b76bf13a68581979e28b9392cbd4b7a42aae4"),
     "transfer-k2": (["transfer", "--weight-cap", "5"], "transfer", k2_doc(),
                     "782103a6744265429e9e8a24a71ea771e776bf83ebdbe6d3e562c2b2441e814b"),
+    "transfer-odd-retract": (["transfer", "--weight-cap", "5"], "transfer", odd_retract_doc(),
+                             "7b6f2c8ab94d8e727c0dbb58c08314b2a0770d19923ea402730b6b9bd70bc48e"),
     "cumulants-6": (["cumulants"], "moments",
                     {"moments": ["1/2", "1/3", "1/4", "1/5", "1/6", "1/7"]},
                     "b2b76f02ec6fe68249acdd3e5c5304d351700463435866337c248809c54d2aa9"),
@@ -609,6 +705,12 @@ def _complex_generator_without_degree():
     return doc
 
 
+def _odd_retract_with_a_degree_zero_differential():
+    doc = odd_retract_doc()
+    doc["retract"]["complex"]["differential"] = {"degree": 0, "entries": []}
+    return doc
+
+
 def _transfer_doc_with(change):
     doc = k2_doc()
     change(doc["iota"])
@@ -642,6 +744,9 @@ MALFORMED = {
     "complex-generator-without-degree": (
         ["validate"], "retract", _complex_generator_without_degree(),
         "/complex/generators/0"),
+    "complex-differential-of-degree-0": (
+        ["transfer"], "transfer", _odd_retract_with_a_degree_zero_differential(),
+        "/retract/complex/differential"),
     "moments-as-a-string": (["cumulants"], "moments", {"moments": "12"}, "/moments"),
     "iota-row-without-monomial": (
         ["transfer"], "transfer",

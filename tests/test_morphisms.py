@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import cumalg as cm
+from cumalg.morphisms import _wedge_in
 
 from conftest import random_family, random_selement, tensor_law_report
 
@@ -31,6 +32,16 @@ def test_arity_one_coderivation_obeys_the_signed_leibniz_rule(e2, dg_family):
     assert D.on_monomial(cm.monomial(e2, (0, 2))).is_zero()
     # -(b^d(g)) reorders to +(a^b)
     assert D.on_monomial(cm.monomial(e2, (1, 2))) == se(e2, CAP, (0, 1))
+
+
+def test_weight_one_insertion_refuses_a_tail_at_the_cap(e2):
+    """`_wedge_in` refuses to wedge a generator onto a word of the cap's
+    weight, so no extension drops a term past the cap (`"overflow": false`)."""
+    out = cm.SElement(e2, 2)
+    with pytest.raises(cm.ValidationError, match="exceeds weight cap 2"):
+        _wedge_in(out, e2.generator(2), [(cm.monomial(e2, (0, 1)), 1)])
+    _wedge_in(out, e2.generator(2), [(cm.monomial(e2, (0,)), 1)])
+    assert out.to_doc() == [{"monomial": ["a", "g"], "coeff": "1"}]
 
 
 def test_coderivation_eats_one_block_per_term(p8):

@@ -11,12 +11,14 @@ structure constants are dense rationals) at caps 4 and 6; `lift` on e4c (the
 products carry few terms) at cap 5; and `defects --kind hom` (on e4) and
 `--kind der` (on e4c) at cap 5.  Each job runs through `cumalg.cli.run` with
 its report written to a temporary file, and then once more as its own
-`python3 -m cumalg.cli` process.  Prints one JSON line: for each job, the
-seconds spent in-process parsing documents (`parse`), emitting the report
-(`emit`) and in the rest of the job (`compute`); and the process's seconds
-from spawn to reap (`process`) and its peak resident set (`peak_rss_mib`,
-`ru_maxrss` from `os.wait4`).  The documents come from the benchmark's input
-generators with a fixed seed.
+`python3 -m cumalg.cli` process; then both again with `--format text`.
+Prints one JSON line: for each job, the seconds spent in-process parsing
+documents (`parse`), emitting the report (`emit`) and in the rest of the job
+(`compute`); the process's seconds from spawn to reap (`process`) and its
+peak resident set (`peak_rss_mib`, `ru_maxrss` from `os.wait4`); and, for
+the text report, the in-process emit seconds (`text_emit`) and the
+process's peak resident set (`text_peak_rss_mib`).  The documents come from
+the benchmark's input generators with a fixed seed.
 """
 from __future__ import annotations
 
@@ -120,27 +122,41 @@ def main() -> int:
     for name in PHASED:
         setattr(cli, name, timed("parse", getattr(cli, name), spent))
     cli._emit = timed("emit", cli._emit, spent)
-    result = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        argvs = {label: argv + ["--output", str(work / "report.json")]
-                 for label, argv in jobs(documents(work)).items()}
-        for label, argv in argvs.items():
-            spent.update(parse=0.0, emit=0.0)
-            start = time.perf_counter()
-            code = cli.run(argv)
-            total = time.perf_counter() - start
-            if code != 0:
-                raise SystemExit(f"{label}: exit {code}")
-            result[label] = {
-                "parse": round(spent["parse"], 3),
-                "compute": round(total - spent["parse"] - spent["emit"], 3),
-                "emit": round(spent["emit"], 3),
-            }
+
+    def in_process(label, argv):
+        """(parse, compute, emit) seconds of one in-process run."""
+        spent.update(parse=0.0, emit=0.0)
+        start = time.perf_counter()
+        code = cli.run(argv)
+        total = time.perf_counter() - start
+        if code != 0:
+            raise SystemExit(f"{label}: exit {code}")
+        return spent["parse"], total - spent["parse"] - spent["emit"], spent["emit"]
+
+    def each_process(argvs):
         for label, (seconds, code, mib) in zip(argvs, in_processes(list(argvs.values()))):
             if code != 0:
                 raise SystemExit(f"{label}: process exit {code}")
-            result[label].update(process=round(seconds, 3), peak_rss_mib=round(mib, 1))
+            yield label, round(seconds, 3), round(mib, 1)
+
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        base = jobs(documents(work))
+        argvs = {label: argv + ["--output", str(work / "report.json")]
+                 for label, argv in base.items()}
+        texts = {label: argv + ["--format", "text", "--output", str(work / "report.txt")]
+                 for label, argv in base.items()}
+        for label, argv in argvs.items():
+            parse, compute, emit = in_process(label, argv)
+            result[label] = {"parse": round(parse, 3), "compute": round(compute, 3),
+                             "emit": round(emit, 3)}
+        for label, seconds, mib in each_process(argvs):
+            result[label].update(process=seconds, peak_rss_mib=mib)
+        for label, argv in texts.items():
+            result[label]["text_emit"] = round(in_process(label, argv)[2], 3)
+        for label, _, mib in each_process(texts):
+            result[label]["text_peak_rss_mib"] = mib
     print(json.dumps(result))
     return 0
 
