@@ -28,7 +28,6 @@ from .algebra import (
     name_at,
     read_vector,
     reader,
-    scalar_at,
 )
 
 
@@ -212,11 +211,6 @@ class SElement(LinearCombination):
         }
         return out
 
-    def weight_project(self, n: int) -> "SElement":
-        if n < 1:
-            raise ValidationError("weight must be >= 1")
-        return self._new({w: c for w, c in self.terms.items() if w.weight == n})
-
     def max_weight(self) -> int:
         return max(map(len, map(itemgetter(0), self.terms)), default=0)
 
@@ -224,21 +218,6 @@ class SElement(LinearCombination):
         """The weight-1 component as an algebra element."""
         out = Vector(self.basis)
         out.terms = {w.indices[0]: c for w, c in self.terms.items() if w.weight == 1}
-        return out
-
-    @staticmethod
-    @reader(list, dict)
-    def from_doc(entries, basis: GradedBasis, cap: int) -> "SElement":
-        """A coalgebra-element document: a list of {"monomial", "coeff"} terms."""
-        out = SElement(basis, cap)
-        for entry in entries:
-            coeff = scalar_at(entry, "coeff")
-            names = field(entry, "monomial", list)
-            norm = normalize_monomial(basis, [name_at(basis, names, k) for k in range(len(names))])
-            if norm is not None:
-                w, sign = norm
-                out._check_key(w)
-                out.add_term(w, sign * coeff)
         return out
 
 
@@ -337,11 +316,6 @@ class TaylorFamily:
     def arities(self):
         return list(self.tables)
 
-    def _block_arities(self):
-        """The block lengths an extension looks up, computing nothing: the
-        nonzero arities of a tabulated family, 1..cap of a computed one."""
-        return set(self.tables) if self._fn is None else set(range(1, self._cap + 1))
-
     def evaluate(self, factors) -> Vector:
         """Value at an arbitrary (possibly unsorted) factor index tuple."""
         norm = normalize_monomial(self.source, factors)
@@ -376,7 +350,9 @@ class TaylorFamily:
     @reader(dict)
     def from_doc(doc, source: GradedBasis, target: GradedBasis) -> "TaylorFamily":
         """A coefficient-family document: a degree (default 0) and, keyed by
-        arity, rows of a monomial and its value."""
+        arity, rows of a monomial and its value.  A monomial is stated once:
+        two rows that sort to one word are refused, whatever their order or
+        arity key."""
         arities = field(doc, "arities", dict, {})
         tables: dict = {}
         for arity_key in arities:
@@ -396,7 +372,9 @@ class TaylorFamily:
                 norm = normalize_monomial(source, indices)
                 if norm is not None:
                     mono, sign = norm
-                    table.setdefault(mono, Vector(target)).accumulate(value, sign)
+                    if mono in table:
+                        raise SchemaError("monomial stated more than once", row, "monomial")
+                    table[mono] = sign * value
         return TaylorFamily(source, target, field(doc, "degree", int, 0), tables)
 
 
@@ -430,9 +408,9 @@ _coproduct_memo: dict = {}
 def splits(w: WedgeMonomial) -> tuple:
     """The one place that splits a word: its signed splits into a nonempty
     block and a nonempty rest, up to permuting equal factors, as
-    (block, rest, coeff, first, take_block, take_rest) rows, block and rest
-    being tuples of sorted positions and the two getters picking those
-    positions out of the word's index or degree tuple, as tuples
+    (coeff, first, take_block, take_rest) rows, the two getters picking the
+    sorted positions of the block and of the rest out of the word's index or
+    degree tuple, as tuples
     (`w_B = WedgeMonomial(take_block(w[0]), take_block(w[1]))`).
 
     With repetition pattern (m_0, m_1, ...), a block takes the first c_k
@@ -476,8 +454,7 @@ def _split_table(pattern, parities) -> tuple:
         coeff = (-1) ** crossings * math.prod(
             math.comb(m, c) for m, c in zip(pattern, counts)
         )
-        table.append((block, rest, coeff, coeff * counts[0] // pattern[0],
-                      _getter(block), _getter(rest)))
+        table.append((coeff, coeff * counts[0] // pattern[0], _getter(block), _getter(rest)))
     return tuple(table)
 
 
@@ -502,7 +479,7 @@ def coproduct(w: WedgeMonomial) -> LinearCombination:
     out.terms = {
         (as_monomial((take(indices), take(degrees))),
          as_monomial((leave(indices), leave(degrees)))): c
-        for _, _, c, _, take, leave in splits(w)
+        for c, _, take, leave in splits(w)
     }
     return out
 

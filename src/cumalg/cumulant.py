@@ -149,7 +149,7 @@ def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> Tay
     def fn(w: WedgeMonomial) -> Vector:
         out = moment(w)
         indices, degrees = w
-        for _, _, coeff, first, take, leave in splits(w):
+        for coeff, first, take, leave in splits(w):
             n = first if hom else coeff
             if n:
                 value = family.coefficient(as_monomial((take(indices), take(degrees))))

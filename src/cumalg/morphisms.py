@@ -173,17 +173,15 @@ def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
     if family.source is not family.target:
         raise ValidationError("a coderivation needs source and target to agree")
     basis = family.source
-    arities = family._block_arities()
 
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.from_vector(family.coefficient(w), cap)
         indices, degrees = w
-        for block, _, coeff, _, take, leave in splits(w):
-            if len(block) in arities:
-                value = family.coefficient(as_monomial((take(indices), take(degrees))))
-                if value.terms:
-                    rest = as_monomial((leave(indices), leave(degrees)))
-                    _wedge_in(out, value, ((rest, coeff),))
+        for coeff, _, take, leave in splits(w):
+            value = family.coefficient(as_monomial((take(indices), take(degrees))))
+            if value.terms:
+                rest = as_monomial((leave(indices), leave(degrees)))
+                _wedge_in(out, value, ((rest, coeff),))
         return out
 
     return SMap(basis, basis, cap, family.degree, fn)
@@ -208,13 +206,12 @@ def extend_coalgebra_map(family: TaylorFamily, cap: int) -> SMap:
     if family.degree != 0:
         raise ValidationError("coalgebra-map extension needs a degree-zero family")
     source, target = family.source, family.target
-    arities = family._block_arities()
 
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.from_vector(family.coefficient(w), cap)
         indices, degrees = w
-        for block, _, _, first, take, leave in splits(w):
-            if first and len(block) in arities:
+        for _, first, take, leave in splits(w):
+            if first:
                 value = family.coefficient(as_monomial((take(indices), take(degrees))))
                 if value.terms:
                     tail = extension.on_monomial(as_monomial((leave(indices), leave(degrees))))

@@ -756,6 +756,10 @@ MALFORMED = {
         ["transfer"], "transfer",
         _transfer_doc_with(lambda iota: iota["arities"]["1"][0].pop("value")),
         "/iota/arities/1/0"),
+    "iota-states-a-word-twice": (
+        ["transfer"], "transfer",
+        _transfer_doc_with(lambda iota: iota["arities"]["2"].append(dict(iota["arities"]["2"][0]))),
+        "/iota/arities/2/1/monomial"),
     "arities-not-an-object": (
         ["transfer"], "transfer",
         _transfer_doc_with(lambda iota: iota.update(arities=[])),

@@ -187,6 +187,33 @@ def test_taylor_family_doc_normalizes_monomials(e2):
     assert fam.coefficient(cm.monomial(e2, (0, 1))) == (-1) * e2.generator(2)
 
 
+def family_row(names, gen, coeff):
+    return {"monomial": names, "value": [{"gen": gen, "coeff": coeff}]}
+
+
+@pytest.mark.parametrize(
+    "arities, pointer",
+    [
+        ({"2": [family_row(["a", "b"], "a", "1"), family_row(["b", "a"], "a", "1")]},
+         "/arities/2/1/monomial"),
+        ({"2": [family_row(["e", "f"], "g", "1"), family_row(["f", "e"], "g", "-1")]},
+         "/arities/2/1/monomial"),
+        ({"2": [family_row(["a", "b"], "a", "1")], "02": [family_row(["a", "b"], "a", "1")]},
+         "/arities/02/0/monomial"),
+    ],
+    ids=["even-pair-both-orders", "odd-pair-consistent-signs", "arity-keys-2-and-02"],
+)
+def test_taylor_family_doc_refuses_a_word_stated_twice(arities, pointer):
+    # two rows of one word would be summed: f(a,b) = a stated twice reads 2a
+    A = cm.parse_algebra({"generators": [
+        {"name": "a", "degree": 0}, {"name": "b", "degree": 0},
+        {"name": "e", "degree": 1}, {"name": "f", "degree": 1}, {"name": "g", "degree": 2},
+    ]})
+    with pytest.raises(cm.SchemaError, match="monomial stated more than once") as err:
+        cm.TaylorFamily.from_doc({"arities": arities}, A, A)
+    assert err.value.witness == {"kind": "schema", "pointer": pointer}
+
+
 def test_taylor_family_doc_round_trip(p8):
     rng = random.Random(23)
     fam = random_family(rng, p8, 0, 3)

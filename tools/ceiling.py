@@ -12,6 +12,9 @@ products carry few terms) at cap 5; and `defects --kind hom` (on e4) and
 `--kind der` (on e4c) at cap 5.  Each job runs through `cumalg.cli.run` with
 its report written to a temporary file, and then once more as its own
 `python3 -m cumalg.cli` process; then both again with `--format text`.
+The process-wide split tables (`coalgebra._coproduct_memo`) are cleared
+before each in-process job, so that no job reads tables an earlier one
+built.
 Prints one JSON line: for each job, the seconds spent in-process parsing
 documents (`parse`), emitting the report (`emit`) and in the rest of the job
 (`compute`); the process's seconds from spawn to reap (`process`) and its
@@ -35,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402
-from cumalg import cli  # noqa: E402
+from cumalg import cli, coalgebra  # noqa: E402
 
 SEED = 1
 # reading a file, and the readers that parse its bytes and build its objects
@@ -126,6 +129,7 @@ def main() -> int:
     def in_process(label, argv):
         """(parse, compute, emit) seconds of one in-process run."""
         spent.update(parse=0.0, emit=0.0)
+        coalgebra._coproduct_memo.clear()
         start = time.perf_counter()
         code = cli.run(argv)
         total = time.perf_counter() - start
