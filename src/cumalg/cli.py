@@ -6,8 +6,10 @@ error.
 
 Each handler imports the layers its command runs, so a process loads (and
 compiles) only those; this module imports only what every command shares.
-It reads and parses every input document; the table commands' jobs and
-their row writer are in `cumalg.tables`.
+It reads every input document, and keeps the last `KEPT_DOCUMENTS` parsed
+algebra, map, retract and transfer documents from one job to the next (see
+`_parsed`); the table commands' jobs and their row writer are in
+`cumalg.tables`.
 """
 from __future__ import annotations
 
@@ -147,18 +149,47 @@ def _read_map(doc):
     return parse_linear_map(doc, source, parse_algebra(field(doc, "target", dict)))
 
 
+# parsed documents kept from one job to the next, the least recently read
+# going first.  A session of the benchmark reads 13 distinct ones (5 algebras,
+# 5 maps, a retract and two transfer documents); 32 keeps that working set
+# with room to spare, and bounds what a long-lived process holds, since a kept
+# presentation keeps the cumulant contexts (tau-tilde memos) jobs filled in it.
+KEPT_DOCUMENTS = 32
+
+
+@functools.lru_cache(maxsize=KEPT_DOCUMENTS)
+def _parsed(role: str, data: bytes):
+    """The parsed document of `role` whose JSON text is `data`.  A later job
+    that reads the same bytes gets the same objects, with the tau-tilde memos
+    earlier jobs filled; a document that fails to parse is not kept, so it
+    fails the same way every time."""
+    if role == "algebra":
+        return parse_algebra(data)
+    if role == "map":
+        return _read_map(data)
+    from . import transfer
+
+    if role == "retract":
+        return transfer.parse_retract(data)
+    return transfer.parse_transfer_input(data)
+
+
+def _read(inputs: dict, role: str):
+    """The document given for `role`, read from its file on every job and
+    parsed unless its bytes are among those kept."""
+    return _parsed(role, _load_json(inputs[role]))
+
+
 def cmd_validate(args, inputs):
     results = {}
     ok = True
     if "algebra" in inputs:
-        doc = _load_json(inputs["algebra"])
-        algebra = parse_algebra(doc)
+        algebra = _read(inputs, "algebra")
         results["algebra"] = {"ok": True, "generators": len(algebra)}
     if "retract" in inputs:
-        from .transfer import parse_retract, validate_retract
+        from .transfer import validate_retract
 
-        retract = parse_retract(_load_json(inputs["retract"]))
-        report = validate_retract(retract)
+        report = validate_retract(_read(inputs, "retract"))
         results["retract"] = report.to_doc()
         ok = ok and report.ok
     return {"results": results}, ok
@@ -168,23 +199,20 @@ def cmd_lift(args, inputs):
     """`lift`, or `invert` when that is the command."""
     from .tables import lift
 
-    algebra = parse_algebra(_load_json(inputs["algebra"]))
-    return lift(algebra, args.weight_cap, args.command == "invert")
+    return lift(_read(inputs, "algebra"), args.weight_cap, args.command == "invert")
 
 
 def cmd_defects(args, inputs):
     from .tables import defects
 
-    m = _read_map(_load_json(inputs["map"]))
-    return defects(m, args.kind, args.weight_cap)
+    return defects(_read(inputs, "map"), args.kind, args.weight_cap)
 
 
 def cmd_transfer(args, inputs):
-    from .transfer import TransferError, induced_cumulant_bijection, parse_transfer_input
+    from .transfer import TransferError, induced_cumulant_bijection
 
-    t = parse_transfer_input(_load_json(inputs["transfer"]))
     try:
-        result = induced_cumulant_bijection(t, args.weight_cap)
+        result = induced_cumulant_bijection(_read(inputs, "transfer"), args.weight_cap)
     except TransferError as err:
         report = err.report.to_doc() if err.report is not None else {}
         return {"error": str(err), "report": report}, False

@@ -352,9 +352,11 @@ class TaylorFamily:
         """A coefficient-family document: a degree (default 0) and, keyed by
         arity, rows of a monomial and its value.  A monomial is stated once:
         two rows that sort to one word are refused, whatever their order or
-        arity key."""
+        arity key.  A word that repeats an odd generator is 0, and so must
+        its row's value be."""
         arities = field(doc, "arities", dict, {})
         tables: dict = {}
+        zeros = set()  # the zero words stated, by their sorted factors
         for arity_key in arities:
             try:
                 arity = int(arity_key) if str(arity_key).isdecimal() else 0
@@ -370,11 +372,16 @@ class TaylorFamily:
                     raise SchemaError(f"monomial filed under arity {arity}", row, "monomial")
                 value = read_vector(field(row, "value", list), target)
                 norm = normalize_monomial(source, indices)
-                if norm is not None:
-                    mono, sign = norm
-                    if mono in table:
-                        raise SchemaError("monomial stated more than once", row, "monomial")
+                if norm is None and value.terms:
+                    raise SchemaError("an odd generator repeats: the word and its value are 0",
+                                      row, "value")
+                mono, sign = norm or (tuple(sorted(indices)), 0)
+                if mono in table or mono in zeros:
+                    raise SchemaError("monomial stated more than once", row, "monomial")
+                if sign:
                     table[mono] = sign * value
+                else:
+                    zeros.add(mono)
         return TaylorFamily(source, target, field(doc, "degree", int, 0), tables)
 
 

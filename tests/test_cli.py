@@ -1,17 +1,20 @@
 """End-to-end command-line runs: exit codes, reports, determinism."""
 import copy
+import gc
 import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cumalg as cm
 import cumalg.cli as cli
 import cumalg.tables as tables
 from cumalg.oracles import g2_closed_form
@@ -453,6 +456,125 @@ def test_consecutive_runs_share_one_parser_and_match_fresh_processes(tmp_path, c
     assert cli.build_parser() is cli.build_parser()
 
 
+@pytest.fixture
+def kept():
+    """`cli._parsed`, the parsed documents a process keeps across jobs,
+    emptied before and after the test."""
+    cli._parsed.cache_clear()
+    yield cli._parsed
+    cli._parsed.cache_clear()
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of the reader `cli.<name>`, which `_parsed` calls."""
+    calls = []
+    reader = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda data: calls.append(data) or reader(data))
+    return calls
+
+
+def test_invert_after_lift_reads_the_kept_presentation_and_its_tau_tilde(
+        tmp_path, capfd, monkeypatch, kept):
+    """`invert` after `lift` on one file parses nothing: it gets the same
+    presentation, whose context already holds the tau-tilde `lift` built, and
+    both write what fresh processes write."""
+    path = write(tmp_path, "p4.json", p_doc(4))
+    parses = _counting(monkeypatch, "parse_algebra")
+    lift = ["lift", "--weight-cap", "4", "--input", f"algebra={path}"]
+    assert cli.run(lift) == 0
+    lifted = capfd.readouterr().out
+    algebra = kept("algebra", (tmp_path / "p4.json").read_bytes())
+    context = cm.cumulant_context(algebra, 4)
+    tau_tilde = context._tau_tilde
+    assert tau_tilde is not None and context._inverse is None
+    assert cli.run(["invert", *lift[1:]]) == 0
+    inverted = capfd.readouterr().out
+    assert len(parses) == 1
+    assert cm.cumulant_context(algebra, 4) is context and context.tau_tilde is tau_tilde
+    assert context._inverse is not None
+    for argv, out in ((lift, lifted), (["invert", *lift[1:]], inverted)):
+        assert _fresh_process(argv).stdout == out
+
+
+def test_a_rewritten_file_is_parsed_again(tmp_path, capfd, monkeypatch, kept):
+    """Documents are kept by their bytes, and a file is read on every job: a
+    file rewritten between two jobs gives the new document's report."""
+    parses = _counting(monkeypatch, "_read_map")
+    path = tmp_path / "map.json"
+    argv = ["defects", "--kind", "hom", "--weight-cap", "4", "--input", f"map={path}"]
+    reports = []
+    for doc in (doubling_map_doc(), euler_map_doc(), doubling_map_doc()):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.run(argv) == 0
+        reports.append(capfd.readouterr().out)
+        assert reports[-1] == _fresh_process(argv).stdout
+    assert reports[0] != reports[1] and reports[0] == reports[2]
+    assert len(parses) == 2  # the doubling map's bytes were kept
+
+
+def test_a_document_that_fails_to_parse_is_not_kept(tmp_path, capsys, kept):
+    path = write(tmp_path, "bad.json", _corrupted_e2_doc())
+    outs = []
+    for _ in range(2):
+        assert cli.run(["validate", "--input", f"algebra={path}"]) == 1
+        outs.append(capsys.readouterr().out)
+        assert kept.cache_info().currsize == 0
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["error"]["witness"]["pair"] == ["a", "b"]
+
+
+def test_a_process_keeps_at_most_the_bound_of_documents(tmp_path, capsys, monkeypatch, kept):
+    """One more document than the bound leaves the bound kept: the first
+    read is parsed again, and the last read is not."""
+    parses = _counting(monkeypatch, "parse_algebra")
+    paths = [write(tmp_path, f"a{k}.json", {"generators": [{"name": f"x{k}", "degree": 0}]})
+             for k in range(cli.KEPT_DOCUMENTS + 1)]
+    for path in paths:
+        assert cli.run(["validate", "--input", f"algebra={path}"]) == 0
+    assert kept.cache_info().currsize == cli.KEPT_DOCUMENTS
+    assert len(parses) == len(paths)
+    for path in (paths[-1], paths[0]):
+        assert cli.run(["validate", "--input", f"algebra={path}"]) == 0
+    assert parses[len(paths):] == [(tmp_path / "a0.json").read_bytes()]
+    assert kept.cache_info().currsize == cli.KEPT_DOCUMENTS
+    capsys.readouterr()
+
+
+def test_repeated_cli_jobs_keep_live_memory_flat(tmp_path, kept):
+    """The kept documents hold their tau-tilde memos, and nothing more
+    builds up: once a round of jobs has filled them, ten more rounds of the
+    same jobs on the same files hold no more live memory."""
+    algebra = write(tmp_path, "e2.json", E2_DOC)
+    the_map = write(tmp_path, "map.json", E2_MAP_DOC)
+    transfer = write(tmp_path, "k2.json", k2_doc())
+    retract = write(tmp_path, "retract.json", k2_doc()["retract"])
+    out = ["--weight-cap", "3", "--output", str(tmp_path / "report.json")]
+    jobs = [
+        ["lift", "--input", f"algebra={algebra}"],
+        ["invert", "--input", f"algebra={algebra}"],
+        ["defects", "--kind", "hom", "--input", f"map={the_map}"],
+        ["defects", "--kind", "der", "--input", f"map={the_map}"],
+        ["transfer", "--input", f"transfer={transfer}"],
+        ["validate", "--input", f"retract={retract}", "--format", "text"],
+    ]
+
+    def live_after(rounds):
+        for _ in range(rounds):
+            for argv in jobs:
+                assert cli.run(argv + out) == 0
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        first = live_after(1)  # fills the kept documents and the split tables
+        later = live_after(10)
+    finally:
+        tracemalloc.stop()
+    assert kept.cache_info().currsize == 4
+    assert later - first < 16 * 1024, (first, later)
+
+
 def _fresh_process(argv, unbuffered=None, **streams):
     """`argv` run by `python -m cumalg.cli` in a fresh process, its standard
     streams read from pipes unless `streams` says otherwise.  `unbuffered`
@@ -760,6 +882,12 @@ MALFORMED = {
         ["transfer"], "transfer",
         _transfer_doc_with(lambda iota: iota["arities"]["2"].append(dict(iota["arities"]["2"][0]))),
         "/iota/arities/2/1/monomial"),
+    # e is odd, so e∧e is 0 and cannot be given the value 7x
+    "iota-gives-a-zero-word-a-value": (
+        ["transfer"], "transfer",
+        {**odd_retract_doc(), "iota": {"degree": 0, "arities": {
+            "2": [{"monomial": ["e", "e"], "value": [{"gen": "x", "coeff": "7"}]}]}}},
+        "/iota/arities/2/0/value"),
     "arities-not-an-object": (
         ["transfer"], "transfer",
         _transfer_doc_with(lambda iota: iota.update(arities=[])),

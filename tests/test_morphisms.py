@@ -191,6 +191,12 @@ def family_row(names, gen, coeff):
     return {"monomial": names, "value": [{"gen": gen, "coeff": coeff}]}
 
 
+ABEFG = cm.parse_algebra({"generators": [
+    {"name": "a", "degree": 0}, {"name": "b", "degree": 0},
+    {"name": "e", "degree": 1}, {"name": "f", "degree": 1}, {"name": "g", "degree": 2},
+]})
+
+
 @pytest.mark.parametrize(
     "arities, pointer",
     [
@@ -200,18 +206,44 @@ def family_row(names, gen, coeff):
          "/arities/2/1/monomial"),
         ({"2": [family_row(["a", "b"], "a", "1")], "02": [family_row(["a", "b"], "a", "1")]},
          "/arities/02/0/monomial"),
+        # a word that repeats an odd generator is 0, and is stated once too
+        ({"2": [family_row(["e", "e"], "g", "0")], "02": [family_row(["e", "e"], "g", "0")]},
+         "/arities/02/0/monomial"),
     ],
-    ids=["even-pair-both-orders", "odd-pair-consistent-signs", "arity-keys-2-and-02"],
+    ids=["even-pair-both-orders", "odd-pair-consistent-signs", "arity-keys-2-and-02",
+         "zero-word-twice"],
 )
 def test_taylor_family_doc_refuses_a_word_stated_twice(arities, pointer):
     # two rows of one word would be summed: f(a,b) = a stated twice reads 2a
-    A = cm.parse_algebra({"generators": [
-        {"name": "a", "degree": 0}, {"name": "b", "degree": 0},
-        {"name": "e", "degree": 1}, {"name": "f", "degree": 1}, {"name": "g", "degree": 2},
-    ]})
     with pytest.raises(cm.SchemaError, match="monomial stated more than once") as err:
-        cm.TaylorFamily.from_doc({"arities": arities}, A, A)
+        cm.TaylorFamily.from_doc({"arities": arities}, ABEFG, ABEFG)
     assert err.value.witness == {"kind": "schema", "pointer": pointer}
+
+
+@pytest.mark.parametrize(
+    "arities, pointer",
+    [
+        ({"2": [family_row(["e", "e"], "g", "7")]}, "/arities/2/0/value"),
+        # a zero value at a zero word is read, and the next row still checked
+        ({"3": [family_row(["f", "e", "f"], "g", "0"), family_row(["e", "a", "e"], "b", "1/2")]},
+         "/arities/3/1/value"),
+    ],
+    ids=["e-e-of-value-7g", "e-a-e-after-a-zero-row"],
+)
+def test_taylor_family_doc_refuses_a_value_at_a_zero_word(arities, pointer):
+    # a row at a word that is 0 was dropped unread: e∧e = 7g was accepted
+    with pytest.raises(cm.SchemaError, match="an odd generator repeats") as err:
+        cm.TaylorFamily.from_doc({"arities": arities}, ABEFG, ABEFG)
+    assert err.value.witness == {"kind": "schema", "pointer": pointer}
+
+
+def test_taylor_family_doc_reads_a_zero_word_of_value_zero():
+    doc = {"arities": {"2": [{"monomial": ["e", "e"], "value": []},
+                             family_row(["e", "a"], "e", "1")],
+                       "3": [family_row(["f", "a", "f"], "g", "0")]}}
+    fam = cm.TaylorFamily.from_doc(doc, ABEFG, ABEFG)
+    assert fam == cm.TaylorFamily.from_doc(
+        {"arities": {"2": [family_row(["e", "a"], "e", "1")], "3": []}}, ABEFG, ABEFG)
 
 
 def test_taylor_family_doc_round_trip(p8):

@@ -12,9 +12,10 @@ products carry few terms) at cap 5; and `defects --kind hom` (on e4) and
 `--kind der` (on e4c) at cap 5.  Each job runs through `cumalg.cli.run` with
 its report written to a temporary file, and then once more as its own
 `python3 -m cumalg.cli` process; then both again with `--format text`.
-The process-wide split tables (`coalgebra._coproduct_memo`) are cleared
-before each in-process job, so that no job reads tables an earlier one
-built.
+The process-wide split tables (`coalgebra._coproduct_memo`) and the parsed
+documents the CLI keeps across jobs (`cli._parsed`, with the tau-tilde memos
+in them) are cleared before each in-process job, so that no job reads
+tables, documents or memos an earlier one built.
 Prints one JSON line: for each job, the seconds spent in-process parsing
 documents (`parse`), emitting the report (`emit`) and in the rest of the job
 (`compute`); the process's seconds from spawn to reap (`process`) and its
@@ -41,7 +42,8 @@ import inputs  # noqa: E402
 from cumalg import cli, coalgebra  # noqa: E402
 
 SEED = 1
-# reading a file, and the readers that parse its bytes and build its objects
+# reading a file, and the readers that `cli._parsed` calls to parse its bytes
+# and build its objects
 PHASED = ("_load_json", "parse_algebra", "_read_map")
 
 
@@ -130,6 +132,7 @@ def main() -> int:
         """(parse, compute, emit) seconds of one in-process run."""
         spent.update(parse=0.0, emit=0.0)
         coalgebra._coproduct_memo.clear()
+        cli._parsed.cache_clear()
         start = time.perf_counter()
         code = cli.run(argv)
         total = time.perf_counter() - start
