@@ -81,10 +81,13 @@ class Rational(Fraction):
     `int`, a `Fraction` or a `Rational` read the two integers of each operand
     and reduce with `math.gcd`, as `Fraction`'s own `_add` and `_mul` do, but
     without its Python-level operand dispatch and constructor.  Their result
-    is an `int` when it is integral and a `Rational` otherwise.  Every other
-    operand type and every other operation (division, powers, comparisons,
-    `hash`, `str`, copy and pickle) is `Fraction`'s own.  Make one with
-    `exact`, never with the constructor: so made, no `Rational` is integral."""
+    is an `int` when it is integral and a `Rational` otherwise.  `==` with an
+    `int`, a `Fraction` or a `Rational` compares the two reduced integers,
+    skipping `Fraction`'s `numbers.Rational` check and properties; the hash
+    stays `Fraction`'s.  Every other operand type and every other operation
+    (division, powers, ordering, `str`, copy and pickle) is `Fraction`'s
+    own.  Make one with `exact`, never with the constructor: so made, no
+    `Rational` is integral."""
 
     __slots__ = ()
 
@@ -132,6 +135,15 @@ class Rational(Fraction):
 
     def __neg__(a):
         return _rational(-a._numerator, a._denominator)
+
+    def __eq__(a, b):
+        if type(b) is Rational or type(b) is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if type(b) is int:
+            return a._denominator == 1 and a._numerator == b
+        return Fraction.__eq__(a, b)
+
+    __hash__ = Fraction.__hash__
 
 
 # a bare Rational, for `_rational` to fill in: the bound call is quicker than

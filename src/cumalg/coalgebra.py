@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, partial
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .algebra import (
     DEFAULT_WEIGHT_CAP,  # noqa: F401 (public here too)
@@ -96,6 +96,8 @@ class WedgeMonomial(tuple):
 # an (indices, degrees) pair as a monomial, with no Python-level call: how the
 # split loops build blocks and rests from the getters of `splits`
 as_monomial = partial(tuple.__new__, WedgeMonomial)
+# a degree's parity, d % 2, as a C-level call for `map`
+parity = (2).__rmod__
 
 
 def monomial(basis: GradedBasis, indices) -> WedgeMonomial:
@@ -206,9 +208,8 @@ class SElement(LinearCombination):
     @classmethod
     def from_vector(cls, v: Vector, cap):
         out = cls(v.basis, cap)
-        out.terms = {
-            WedgeMonomial((i,), (v.basis.degrees[i],)): c for i, c in v.terms.items()
-        }
+        degrees = v.basis.degrees
+        out.terms = {as_monomial(((i,), (degrees[i],))): c for i, c in v.terms.items()}
         return out
 
     def max_weight(self) -> int:
@@ -428,14 +429,19 @@ def splits(w: WedgeMonomial) -> tuple:
     first = coeff · c_0 / m_0 = sign · C(m_0 - 1, c_0 - 1) · prod_{k>=1} C(m_k, c_k)
     of them hold the first factor in the block (for (n,) these are the
     C(n-1, k-1) of the moment recursion).  The table depends only on the
-    pattern and the factor parities, which key it in `_coproduct_memo`.
+    pattern and the factor parities.  It is keyed in `_coproduct_memo` by
+    which neighbouring indices are equal, which gives the pattern, and by
+    the parities, both built by C-level maps; the pattern itself is counted
+    only on a miss.
     """
-    key = (repetition_pattern(w[0]), tuple(d % 2 for d in w[1]))
+    indices, degrees = w
+    parities = tuple(map(parity, degrees))
+    key = (tuple(map(eq, indices, indices[1:])), parities)
     table = _coproduct_memo.get(key)
     if table is None:
         if len(_coproduct_memo) >= COPRODUCT_MEMO_ENTRIES:
             del _coproduct_memo[next(iter(_coproduct_memo))]
-        table = _coproduct_memo[key] = _split_table(*key)
+        table = _coproduct_memo[key] = _split_table(repetition_pattern(indices), parities)
     return table
 
 

@@ -27,6 +27,7 @@ from .coalgebra import (
     canonical_monomials,
     coproduct,
     monomials_up_to,
+    parity,
     splits,
 )
 
@@ -141,24 +142,40 @@ def _wedge_in(out: SElement, value: Vector, tail, scale=1) -> None:
     pairs of `tail`, `value` being of weight one: each generator is bisected
     into t's sorted indices, an odd one changes sign per odd factor it passes
     and gives zero if t holds it already.  Refuses a product past the cap.
-    A scale that is not an `int` goes through `exact` first."""
+    A scale that is not an `int` goes through `exact` first.  The sums go
+    straight into `out.terms` (inlined `add_term`: a product `a * c` is
+    never 0, as `value` and `tail` hold no zero terms and a zero scaled `c`
+    is skipped)."""
     if type(scale) is not int:
         scale = exact(scale)
-    degrees, cap, add = out.basis.degrees, out.cap, out.add_term
-    heads = [(i, degrees[i], a) for i, a in value.terms.items()]
+    degrees, cap, terms = out.basis.degrees, out.cap, out.terms
+    get = terms.get
+    heads = [(i, degrees[i], degrees[i] % 2, a) for i, a in value.terms.items()]
+    scaled = scale != 1
     for (indices, degs), c in tail:
         if len(indices) >= cap:
             raise ValidationError(f"wedge product exceeds weight cap {cap}")
-        c = scale * c
-        for i, d, a in heads:
+        if scaled:
+            c = scale * c
+            if not c:
+                continue
+        for i, d, odd, a in heads:
             p = bisect_left(indices, i)
-            if d % 2:
+            if odd:
                 if p < len(indices) and indices[p] == i:
                     continue
-                if sum(e % 2 for e in degs[:p]) % 2:
+                if sum(map(parity, degs[:p])) % 2:
                     a = -a
-            mono = WedgeMonomial(indices[:p] + (i,) + indices[p:], degs[:p] + (d,) + degs[p:])
-            add(mono, a * c)
+            mono = as_monomial((indices[:p] + (i,) + indices[p:], degs[:p] + (d,) + degs[p:]))
+            old = get(mono)
+            if old is None:
+                terms[mono] = a * c
+            else:
+                old += a * c
+                if old:
+                    terms[mono] = old
+                else:
+                    del terms[mono]
 
 
 def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:

@@ -249,6 +249,14 @@ def subset_coproduct(mono):
     return out
 
 
+def split_rows(table, weight):
+    """A split table's rows with its getters applied to the positions of a
+    word of that weight, so that two tables compare by what they pick."""
+    positions = tuple(range(weight))
+    return [(coeff, first, take(positions), leave(positions))
+            for coeff, first, take, leave in table]
+
+
 def _apply_left(op, pairs):
     """(op⊗1) on a tensor-pair sum."""
     out = LinearCombination()

@@ -140,6 +140,15 @@ def test_scales_enter_as_exact_scalars(e2, scale):
     assert stored == scale and type(stored) is want
 
 
+def test_rational_equality_with_other_types_is_fractions():
+    """Past ints, Fractions and Rationals, `==` is Fraction's own: a float or
+    a Decimal compares by value, and a string never equals."""
+    for value in (0.5, 2.0, Decimal("0.5"), "1/2", None):
+        for q in (Rational(1, 2), Rational(4, 2)):
+            assert (q == value) is (Fraction(q) == value)
+            assert (value == q) is (value == Fraction(q))
+
+
 def test_exact_gives_the_int_of_an_integral_rational():
     for value in (Rational(4, 2), Rational(-3), Rational(0), Fraction(6, 3)):
         assert exact(value) == value and type(exact(value)) is int

@@ -19,7 +19,7 @@ from cumalg.coalgebra import (
 )
 from cumalg.oracles import _rearrangement_sign
 
-from conftest import random_selement
+from conftest import random_selement, split_rows
 
 
 def bubble_sign(degrees, perm):
@@ -349,6 +349,18 @@ def test_split_signs_equal_the_sort_sign():
             counts = [sum(s <= p < s + m for p in block) for s, m in zip(starts, pattern)]
             multiplicity = math.prod(math.comb(m, c) for m, c in zip(pattern, counts))
             assert coeff == _sort_sign(order, [parities[p] for p in order]) * multiplicity
+
+
+def test_split_memo_keeps_every_word_shape_apart(monkeypatch):
+    """Every word shape up to weight 6 goes through one memo, and each gets
+    the table of its own repetition pattern and parities: no two shapes
+    share a memo key."""
+    monkeypatch.setattr(cm.coalgebra, "_coproduct_memo", {})
+    for pattern, parities in word_shapes(6):
+        indices = tuple(k for k, m in enumerate(pattern) for _ in range(m))
+        got = splits(cm.WedgeMonomial(indices, parities))
+        assert split_rows(got, len(indices)) == split_rows(
+            _split_table(pattern, parities), len(indices)), (pattern, parities)
 
 
 def test_split_getters_pick_the_block_and_the_rest():

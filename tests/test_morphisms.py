@@ -44,6 +44,28 @@ def test_weight_one_insertion_refuses_a_tail_at_the_cap(e2):
     assert out.to_doc() == [{"monomial": ["a", "g"], "coeff": "1"}]
 
 
+@pytest.mark.parametrize("zero", [0, Fraction(0)], ids=["int", "fraction"])
+def test_weight_one_insertion_at_scale_zero_adds_nothing(e2, zero):
+    """`_wedge_in` writes into the element's terms directly: at scale 0 it
+    stores no term, even one a later product would cancel, and it still
+    refuses a tail at the cap's weight."""
+    out = cm.SElement(e2, 2)
+    _wedge_in(out, e2.generator(2), [(cm.monomial(e2, (0,)), 1)], zero)
+    assert out.terms == {}
+    with pytest.raises(cm.ValidationError, match="exceeds weight cap 2"):
+        _wedge_in(out, e2.generator(2), [(cm.monomial(e2, (0, 1)), 1)], zero)
+
+
+def test_weight_one_insertion_drops_a_cancelled_term(e2):
+    """A product that cancels a term `_wedge_in` stored leaves no key."""
+    out = cm.SElement(e2, 2)
+    tail = [(cm.monomial(e2, (0,)), Fraction(1, 2))]
+    _wedge_in(out, e2.generator(2), tail, 3)
+    assert out.to_doc() == [{"monomial": ["a", "g"], "coeff": "3/2"}]
+    _wedge_in(out, e2.generator(2), tail, -3)
+    assert out.terms == {}
+
+
 def test_coderivation_eats_one_block_per_term(p8):
     x5 = p8.generator(4)
     T = cm.TaylorFamily(p8, p8, 0, {2: {cm.monomial(p8, (0, 1)): x5}})

@@ -17,9 +17,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cumalg as cm
-from cumalg import cli, tables
+from cumalg import cli, coalgebra, tables
 from cumalg.algebra import Rational, exact
-from cumalg.coalgebra import WedgeMonomial, _sort_sign
+from cumalg.coalgebra import (
+    WedgeMonomial,
+    _sort_sign,
+    _split_table,
+    repetition_pattern,
+    splits,
+)
 from cumalg.morphisms import _wedge_in
 
 from conftest import (
@@ -28,6 +34,7 @@ from conftest import (
     random_selement,
     random_vector,
     reference_inverse,
+    split_rows,
     subset_coproduct,
     tensor_law_report,
 )
@@ -216,6 +223,37 @@ def test_coproduct_equals_the_plain_subset_split(runs):
     w = cm.WedgeMonomial(indices, tuple(runs[k][0] for k in indices))
     got, want = cm.coproduct(w), subset_coproduct(w)
     assert got == want
+
+
+# a word of runs of equal factors, as in the test above, whose indices may
+# skip between runs; up to weight 5, so that words of one weight and
+# different shapes often meet in one list
+run_words = st.lists(
+    st.tuples(factor, st.integers(1, 2)), min_size=1, max_size=4,
+).filter(lambda runs: sum(m for (_, m), _ in runs) <= 5)
+
+
+def run_word(runs):
+    indices, degrees, k = [], [], 0
+    for (degree, m), step in runs:
+        k += step
+        indices += [k] * m
+        degrees += [degree] * m
+    return WedgeMonomial(tuple(indices), tuple(degrees))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(run_words.map(run_word), min_size=1, max_size=16))
+def test_split_memo_gives_each_word_shape_its_own_table(words):
+    """`splits` keys its memo by which neighbouring indices are equal and
+    by the parities; whichever words entered it first, each word gets the
+    table of its own repetition pattern and parities."""
+    coalgebra._coproduct_memo.clear()
+    for _ in range(2):  # the first round fills the memo, the second reads it
+        for w in words:
+            parities = tuple(d % 2 for d in w[1])
+            want = _split_table(repetition_pattern(w[0]), parities)
+            assert split_rows(splits(w), w.weight) == split_rows(want, w.weight), w
 
 
 @settings(max_examples=40, deadline=None)
@@ -620,6 +658,28 @@ def test_rational_arithmetic_is_fraction_arithmetic(q, other, op, rational_left)
     assert_same_scalar(-q, -Fraction(q))
 
 
+# Rationals made with the constructor, which may be integral
+constructed = st.fractions().map(Rational)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(rationals, constructed), st.one_of(operands, constructed))
+@example(Rational(4, 2), 2)
+@example(Rational(4, 2), Fraction(2))
+@example(Rational(-3, 1), -3)
+@example(Rational(0), 0)
+def test_rational_equality_and_hash_are_fraction_equality_and_hash(q, other):
+    """`==` and `!=` of a Rational with an int, a Fraction or a Rational, in
+    either order, and its hash, agree with Fraction's, so dict and set
+    lookups find the same entries."""
+    want = Fraction(q) == Fraction(other)
+    assert (q == other) is want and (other == q) is want
+    assert (q != other) is (not want) and (other != q) is (not want)
+    assert hash(q) == hash(Fraction(q))
+    assert ({other: "x"}.get(q) == "x") is want and ({q: "x"}.get(other) == "x") is want
+    assert (q in {other}) is want and (other in {q}) is want
+
+
 @settings(max_examples=25, deadline=None)
 @given(algebras, st.integers(0, 2**32))
 def test_rational_coefficients_never_fall_back_to_plain_fractions(A, seed):
@@ -775,7 +835,7 @@ def test_arity3_comparison_rows_equal_the_seven_term_variant(degree, A, seed):
     B = rational_change_of_basis(A, seed)
     d = random_map(seed, B, degree)
     family = cm.defect_family(d, "der", 3)
-    comparison = tables._arity3_comparison(d, family)
+    comparison = tables._arity3_comparison(d, family, {})
     table = comparison["rows"]
     monomials = cm.canonical_monomials(B, 3)
     assert [row[0] for row in table.rows] == monomials

@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Compare this tree with a parent tree on the benchmark, in alternating pairs.
+
+    python3 tools/bench.py --parent TREE --pairs 10 --seconds 30 --output BENCH_<PR>.json
+
+TREE is a copy of the parent revision's files (`git archive` of it, say).
+For each workload of `BENCHMARK.json` the tool runs
+`python3 perfbench/run.py --workload W --seed S --seconds N` in the parent
+tree and in this one, one after the other, `--pairs` times.
+Pair k runs seed `--seed` + k in both trees and starts with the parent when
+k is even and with this tree when k is odd, so that a drift in the host's
+speed weighs on both sides alike.  Runs go one at a time.
+
+Writes one JSON file, again after each workload: metadata (Python version,
+`nproc`, this tree's git revision and whether `src/` differs from it
+(`src_edited`), `src_lines` of both trees as `wc -l src/cumalg/*.py` counts
+them, and the arguments); and per workload, for each end-to-end metric of
+`BENCHMARK.json`, the parent's and this tree's medians, the parent's
+quartiles, each pair's ratio (this tree over the parent) and the number of
+pairs in which this tree did better (`wins`), worse (`losses`) or the same.
+Each run's `correct` and `failed` are kept too.  The tool reads no file
+under `perfbench/`: it only runs `perfbench/run.py`.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one `perfbench/run.py` run in `tree`."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def src_lines(tree: Path) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/cumalg/*.py"))
+
+
+def compare(metric: dict, parent: list, change: list) -> dict:
+    """The summary of one metric over the pairs, `parent` and `change` holding
+    each pair's values."""
+    lower = metric["better"] == "lower"
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    losses = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
+    quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
+    return {
+        "better": metric["better"],
+        "parent_median": statistics.median(parent),
+        "change_median": statistics.median(change),
+        "parent_quartiles": [quartiles[0], quartiles[2]],
+        "ratios": [round(c / p, 4) if p else None for p, c in zip(parent, change)],
+        "wins": wins,
+        "losses": losses,
+        "ties": len(parent) - wins - losses,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--seconds", required=True, type=float)
+    parser.add_argument("--output", required=True, type=Path)
+    parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in bench["workloads"]]
+    metrics = bench["end_to_end"]
+    try:
+        revision = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                                  text=True).stdout.strip() or None
+        edited = subprocess.run(["git", "status", "--porcelain", "src"], cwd=ROOT,
+                                capture_output=True, text=True).stdout != ""
+    except OSError:
+        revision = edited = None
+    result = {
+        "meta": {"python": platform.python_version(), "nproc": os.cpu_count(),
+                 "git_revision": revision, "src_edited": edited, "src_lines": src_lines(ROOT),
+                 "parent_src_lines": src_lines(parent), "pairs": args.pairs,
+                 "seconds": args.seconds, "first_seed": args.seed},
+        "workloads": {},
+    }
+    for workload in names:
+        runs = {"parent": [], "change": []}
+        for k in range(args.pairs):
+            order = [("parent", parent), ("change", ROOT)]
+            for side, tree in order if k % 2 == 0 else order[::-1]:
+                runs[side].append(run_once(tree, workload, args.seed + k, args.seconds))
+                print(f"{workload} pair {k} {side}", file=sys.stderr, flush=True)
+        values = {side: [{name: m["value"] for name, m in r["metrics"].items()} for r in rs]
+                  for side, rs in runs.items()}
+        result["workloads"][workload] = {
+            "seeds": [args.seed + k for k in range(args.pairs)],
+            "correct": {side: [r["correct"] for r in rs] for side, rs in runs.items()},
+            "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+            "metrics": {
+                m["name"]: compare(m, [v[m["name"]] for v in values["parent"]],
+                                   [v[m["name"]] for v in values["change"]])
+                for m in metrics
+            },
+        }
+        args.output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n",
+                               encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,17 +12,25 @@ products carry few terms) at cap 5; and `defects --kind hom` (on e4) and
 `--kind der` (on e4c) at cap 5.  Each job runs through `cumalg.cli.run` with
 its report written to a temporary file, and then once more as its own
 `python3 -m cumalg.cli` process; then both again with `--format text`.
+It also times the law-check layer on its own, in this process, as the
+benchmark's session runs it: `check_comorphism` of the `extend_coalgebra_map`
+of a seeded degree-zero family, and `check_coderivation` of the
+`extend_coderivation` of a seeded family (of degree 1 on e4c, and 0 on p6c,
+whose generators are all even), each family of arities 1 to 4, on e4c and
+p6c at cap 4.
 The process-wide split tables (`coalgebra._coproduct_memo`) and the parsed
 documents the CLI keeps across jobs (`cli._parsed`, with the tau-tilde memos
 in them) are cleared before each in-process job, so that no job reads
 tables, documents or memos an earlier one built.
-Prints one JSON line: for each job, the seconds spent in-process parsing
+Prints one JSON line: for each CLI job, the seconds spent in-process parsing
 documents (`parse`), emitting the report (`emit`) and in the rest of the job
 (`compute`); the process's seconds from spawn to reap (`process`) and its
 peak resident set (`peak_rss_mib`, `ru_maxrss` from `os.wait4`); and, for
 the text report, the in-process emit seconds (`text_emit`) and the
-process's peak resident set (`text_peak_rss_mib`).  The documents come from
-the benchmark's input generators with a fixed seed.
+process's peak resident set (`text_peak_rss_mib`).  For each law check, the
+seconds parsing its algebra and family (`parse`) and extending and checking
+(`compute`).  The documents come from the benchmark's input generators with
+a fixed seed.
 """
 from __future__ import annotations
 
@@ -39,9 +47,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402
+import cumalg as cm  # noqa: E402
 from cumalg import cli, coalgebra  # noqa: E402
 
 SEED = 1
+LAW_CAP = 4
+# the extension each law check checks, by name in `cumalg`
+LAWS = {"check_comorphism": "extend_coalgebra_map", "check_coderivation": "extend_coderivation"}
 # reading a file, and the readers that `cli._parsed` calls to parse its bytes
 # and build its objects
 PHASED = ("_load_json", "parse_algebra", "_read_map")
@@ -59,11 +71,38 @@ def documents(work: Path) -> dict:
         "der_e4c": inputs.degree_zero_map(rng, e4c),
     }
     docs["p6c"] = inputs.change_basis(rng, p6, "y")
+    for name in ("e4c", "p6c"):
+        odd = any(g["degree"] % 2 for g in docs[name]["generators"])
+        for law in LAWS:
+            degree = 1 if law == "check_coderivation" and odd else 0
+            docs[f"{law}_{name}"] = inputs.random_family(rng, docs[name], degree, LAW_CAP)
     paths = {}
     for name, doc in docs.items():
         paths[name] = work / f"{name}.json"
         paths[name].write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
     return paths
+
+
+def law_checks(paths: dict) -> dict:
+    """Each law-check row: the check, the extension, and the paths of its
+    algebra and family documents."""
+    return {f"{law} {name} cap {LAW_CAP}": (getattr(cm, law), getattr(cm, extension),
+                                            paths[name], paths[f"{law}_{name}"])
+            for name in ("e4c", "p6c") for law, extension in LAWS.items()}
+
+
+def law_check(label, check, extend, algebra_path, family_path):
+    """(parse, compute) seconds of one cold law check."""
+    coalgebra._coproduct_memo.clear()
+    start = time.perf_counter()
+    algebra = cm.parse_algebra(json.loads(algebra_path.read_text(encoding="utf-8")))
+    family = cm.TaylorFamily.from_doc(
+        json.loads(family_path.read_text(encoding="utf-8")), algebra, algebra)
+    parsed = time.perf_counter()
+    report = check(extend(family, LAW_CAP))
+    if not report.ok:
+        raise SystemExit(f"{label}: law fails")
+    return parsed - start, time.perf_counter() - parsed
 
 
 def jobs(paths: dict) -> dict:
@@ -149,7 +188,8 @@ def main() -> int:
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        base = jobs(documents(work))
+        paths = documents(work)
+        base = jobs(paths)
         argvs = {label: argv + ["--output", str(work / "report.json")]
                  for label, argv in base.items()}
         texts = {label: argv + ["--format", "text", "--output", str(work / "report.txt")]
@@ -164,6 +204,9 @@ def main() -> int:
             result[label]["text_emit"] = round(in_process(label, argv)[2], 3)
         for label, _, mib in each_process(texts):
             result[label]["text_peak_rss_mib"] = mib
+        for label, spec in law_checks(paths).items():
+            parse, compute = law_check(label, *spec)
+            result[label] = {"parse": round(parse, 3), "compute": round(compute, 3)}
     print(json.dumps(result))
     return 0
 
