@@ -13,11 +13,11 @@ algebra, map, retract and transfer documents from one job to the next (see
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .algebra import (
     DEFAULT_WEIGHT_CAP, WEIGHT_CAP_CEILING, AlgebraError, field, format_scalar,
@@ -72,43 +72,76 @@ def _say(message: str) -> None:
         pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self):
-        """argparse's help printer, which `--help` calls, ignores a failed
-        write; this one writes through `_write`, so a help text that cannot
-        be written is the usage error of an unwritable report."""
-        _write(self.format_help())
+HELP = f"""\
+usage: cumalg COMMAND [--weight-cap N] [--input ROLE=PATH]... [--output PATH]
+              [--format json|text] [--kind hom|der]
+
+Exact cumulant bijections on graded commutative algebras.
+
+commands:
+  validate            check algebra and retract laws
+  lift                tabulate the cumulant bijection
+  invert              tabulate its inverse
+  defects             defect coefficient tables (needs --kind)
+  transfer            run the retract pipeline
+  cumulants           moments to cumulants
+
+options, each given as --option VALUE or --option=VALUE:
+  --weight-cap N      truncation weight (default {DEFAULT_WEIGHT_CAP}, ceiling {WEIGHT_CAP_CEILING})
+  --input ROLE=PATH   role-tagged input document, once per role;
+                      roles: {", ".join(ROLES)}
+  --output PATH       report destination (default stdout)
+  --format json|text  report format (default json)
+  --kind hom|der      defect kind, for defects only
+  -h, --help          show this help and exit
+"""
+# the options every command takes (`defects` also takes `--kind`), and the
+# values an option takes where not any
+_OPTIONS = ("--weight-cap", "--input", "--output", "--format")
+_CHOICES = {"--format": ("json", "text"), "--kind": ("hom", "der")}
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The command-line parser, built once per process: parsing keeps no
-    state in it, and `--input` appends to a fresh copy of its default."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--weight-cap", type=int, default=DEFAULT_WEIGHT_CAP, metavar="N",
-        help=f"truncation weight (default {DEFAULT_WEIGHT_CAP}, ceiling {WEIGHT_CAP_CEILING})",
-    )
-    common.add_argument(
-        "--input", action="append", default=[], metavar="ROLE=PATH",
-        help="role-tagged input document; roles: " + ", ".join(ROLES),
-    )
-    common.add_argument("--output", metavar="PATH", help="report destination (default stdout)")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-
-    parser = _Parser(
-        prog="cumalg",
-        description="Exact cumulant bijections on graded commutative algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common], help="check algebra and retract laws")
-    sub.add_parser("lift", parents=[common], help="tabulate the cumulant bijection")
-    sub.add_parser("invert", parents=[common], help="tabulate its inverse")
-    defects = sub.add_parser("defects", parents=[common], help="defect coefficient tables")
-    defects.add_argument("--kind", choices=("hom", "der"), required=True)
-    sub.add_parser("transfer", parents=[common], help="run the retract pipeline")
-    sub.add_parser("cumulants", parents=[common], help="moments to cumulants")
-    return parser
+def parse_args(argv):
+    """The command line `argv` read by the grammar of `HELP`, as the
+    attributes `command`, `weight_cap`, `input` (the `--input` values in
+    order), `output`, `format` and `kind`; None for `-h` or `--help`.  Option
+    names are exact; a repeated option keeps its last value; a value given
+    apart that starts with `--` is a missing one (`--option=--x` passes it)."""
+    if not argv:
+        raise UsageError("no command; commands: " + ", ".join(READS))
+    command = argv[0]
+    if command in ("-h", "--help"):
+        return None
+    if command not in READS:
+        raise UsageError(f"unknown command {command!r}; commands: " + ", ".join(READS))
+    options = _OPTIONS + ("--kind",) if command == "defects" else _OPTIONS
+    args = SimpleNamespace(command=command, weight_cap=DEFAULT_WEIGHT_CAP, input=[],
+                           output=None, format="json", kind=None)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        name, given, value = token.partition("=")
+        if name not in options:
+            raise UsageError(f"{token!r} is not an option of {command}")
+        if not given:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{name} needs a value")
+        if name == "--input":
+            args.input.append(value)
+        elif name == "--weight-cap":
+            try:
+                args.weight_cap = int(value)
+            except ValueError:
+                raise UsageError(f"--weight-cap takes an integer, not {value!r}") from None
+        elif name in _CHOICES and value not in _CHOICES[name]:
+            raise UsageError(f"{name} takes " + " or ".join(_CHOICES[name]) + f", not {value!r}")
+        else:
+            setattr(args, name[2:], value)
+    if command == "defects" and args.kind is None:
+        raise UsageError("defects needs --kind " + " or ".join(_CHOICES["--kind"]))
+    return args
 
 
 def _parse_inputs(command: str, pairs) -> dict:
@@ -318,10 +351,10 @@ HANDLERS = {
 
 def run(argv) -> int:
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exit_:
-            return int(exit_.code or 0)
+        args = parse_args(argv)
+        if args is None:
+            _write(HELP)
+            return 0
         if args.weight_cap < 1:
             raise UsageError("--weight-cap must be at least 1")
         if args.weight_cap > WEIGHT_CAP_CEILING:

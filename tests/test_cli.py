@@ -433,7 +433,66 @@ def test_unknown_command_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_consecutive_runs_share_one_parser_and_match_fresh_processes(tmp_path, capfd):
+# malformed command lines; "ALGEBRA" stands for a valid algebra document's path
+MALFORMED = {
+    "no command": [],
+    "unknown command": ["frobnicate", "--input", "algebra=ALGEBRA"],
+    "unknown option": ["lift", "--depth", "3", "--input", "algebra=ALGEBRA"],
+    "option prefix": ["lift", "--weight", "3", "--input", "algebra=ALGEBRA"],
+    "stray argument": ["lift", "--input", "algebra=ALGEBRA", "extra"],
+    "no value": ["lift", "--input", "algebra=ALGEBRA", "--weight-cap"],
+    "option as value": ["lift", "--output", "--format", "text", "--input", "algebra=ALGEBRA"],
+    "non-integer cap": ["lift", "--weight-cap", "3.0", "--input", "algebra=ALGEBRA"],
+    "bad format": ["lift", "--format=yaml", "--input", "algebra=ALGEBRA"],
+    "defects without kind": ["defects", "--input", "map=ALGEBRA"],
+    "bad kind": ["defects", "--kind", "ad", "--input", "map=ALGEBRA"],
+    **{f"kind on {command}": [command, "--kind", "hom", "--input", "algebra=ALGEBRA"]
+       for command in ("validate", "lift", "invert", "transfer", "cumulants")},
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_malformed_command_line_is_one_usage_error(tmp_path, capfd, argv):
+    """Every malformed command line exits 2 with no report and one
+    `usage error: …` line, in process and in a fresh process alike."""
+    algebra = write(tmp_path, "e2.json", E2_DOC)
+    argv = [arg.replace("ALGEBRA", algebra) for arg in argv]
+    code = cli.run(argv)
+    got = capfd.readouterr()
+    assert (code, got.out) == (2, "")
+    assert got.err.startswith("usage error: ") and got.err.count("\n") == 1, got.err
+    fresh = _fresh_process(argv)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, got.out, got.err)
+
+
+def test_an_option_reads_the_same_with_or_without_an_equals_sign(tmp_path, capsys):
+    algebra = write(tmp_path, "e2.json", E2_DOC)
+    apart = ["lift", "--weight-cap", "3", "--format", "text", "--input", f"algebra={algebra}"]
+    joined = ["lift", "--weight-cap=3", "--format=text", f"--input=algebra={algebra}"]
+    assert cli.run(apart) == 0
+    expected = capsys.readouterr().out
+    assert cli.run(joined) == 0
+    assert capsys.readouterr().out == expected and "weight_cap: 3" in expected
+
+
+def test_a_repeated_option_keeps_its_last_value(tmp_path, capsys):
+    algebra = write(tmp_path, "e2.json", E2_DOC)
+    code, report = run_json(capsys, ["lift", "--weight-cap", "5", "--input", f"algebra={algebra}",
+                                     "--weight-cap=2", "--format", "text", "--format", "json"])
+    assert (code, report["weight_cap"]) == (0, 2)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["lift", "--help"],
+                                  ["defects", "--input", "map=m.json", "-h"]],
+                         ids=["main", "short", "command", "after an option"])
+def test_help_exits_0_with_the_usage(capsys, argv):
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cumalg ") and captured.err == ""
+    assert captured.out == cli.HELP
+
+
+def test_consecutive_runs_in_one_process_match_fresh_processes(tmp_path, capfd):
     """Runs in one process, after a usage error and across roles, write the
     same bytes as the same runs in fresh processes."""
     algebra = write(tmp_path, "e2.json", E2_DOC)
@@ -453,7 +512,6 @@ def test_consecutive_runs_share_one_parser_and_match_fresh_processes(tmp_path, c
         got = capfd.readouterr()
         fresh = _fresh_process(argv)
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.fixture

@@ -58,12 +58,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, role, doc, 
     assert loaded == [f"cumalg.{name}" for name in modules]
 
 
-@pytest.mark.parametrize("command", ["cumulants", "lift"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_a_cli_process_compiles_no_module_twice(tmp_path, command):
     """`python -m cumalg.cli` runs cli.py as `__main__`, so an import of
     `cumalg.cli` (from `cumalg.tables`, say) would compile it a second time.
     The import log of `-X importtime` lists each module a process imports;
-    it holds neither `cumalg.cli` nor `cumalg.oracles`."""
+    it holds neither `cumalg.cli` nor `cumalg.oracles`, nor the command-line
+    parser `argparse` and the `gettext` and `locale` it brings."""
     argv, role, doc, modules = COMMANDS[command]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -76,7 +77,7 @@ def test_a_cli_process_compiles_no_module_twice(tmp_path, command):
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert {f"cumalg.{name}" for name in modules if name != "cli"} <= imported
-    assert not {"cumalg.cli", "cumalg.oracles"} & imported
+    assert not {"cumalg.cli", "cumalg.oracles", "argparse", "gettext", "locale"} & imported
 
 
 def test_importing_the_package_loads_no_layer_module():

@@ -18,8 +18,11 @@ them, and the arguments); and per workload, for each end-to-end metric of
 `BENCHMARK.json`, the parent's and this tree's medians, the parent's
 quartiles, each pair's ratio (this tree over the parent) and the number of
 pairs in which this tree did better (`wins`), worse (`losses`) or the same.
-Each run's `correct` and `failed` are kept too.  The tool reads no file
-under `perfbench/`: it only runs `perfbench/run.py`.
+Each run's `correct` and `failed` are kept too.  Before the workloads it
+runs each tree's `tools/startup.py` once, parent first, and writes, per
+command, both trees' `median_ref` (the process time in reference units) and
+`compile_ms`, each with its ratio (this tree over the parent).  The tool
+reads no file under `perfbench/`: it only runs `perfbench/run.py`.
 """
 from __future__ import annotations
 
@@ -42,6 +45,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds)],
         cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def startup(parent: Path) -> dict:
+    """Per job of `tools/startup.py`, run once in each tree, the parent's
+    and this tree's `median_ref` and `compile_ms` with their ratio."""
+    jobs = {}
+    for side, tree in (("parent", parent), ("change", ROOT)):
+        proc = subprocess.run([sys.executable, "tools/startup.py"], cwd=tree,
+                              stdout=subprocess.PIPE, text=True, check=True)
+        jobs[side] = json.loads(proc.stdout.splitlines()[-1])["jobs"]
+    out = {}
+    for label, job in jobs["change"].items():
+        before = jobs["parent"].get(label, {})
+        out[label] = {
+            key: {"parent": before[key], "change": job[key],
+                  "ratio": round(job[key] / before[key], 4) if before[key] else None}
+            for key in ("median_ref", "compile_ms") if key in job and key in before
+        }
+    return out
 
 
 def src_lines(tree: Path) -> int:
@@ -93,6 +115,8 @@ def main(argv=None) -> int:
                  "seconds": args.seconds, "first_seed": args.seed},
         "workloads": {},
     }
+    result["startup"] = startup(parent)
+    args.output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for workload in names:
         runs = {"parent": [], "change": []}
         for k in range(args.pairs):
