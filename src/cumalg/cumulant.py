@@ -1,17 +1,20 @@
 """The cumulant bijection, its inverse, conjugation, and defect coefficients.
 
 tau multiplies the factors of a wedge monomial; its coalgebra-map extension
-tau_tilde rewrites moments into cumulant coordinates.  Conjugating a bare
-operator extension by tau_tilde and corestricting yields, arity by arity,
-exactly how far a linear map is from being a homomorphism (g tables) or a
-derivation (h tables), which `defect_family` computes in the target by the
-moment–cumulant recursion, without building that conjugate.  The products,
-the moments and the defects are `TaylorFamily`s given by a coefficient
-function: each word is computed on first lookup and memoized.
+tau_tilde rewrites moments into cumulant coordinates, and its inverse extends
+(-1)^(n-1) (n-1)! times the n-fold products (the partition lattice's Moebius
+function).  Conjugating a bare operator extension by tau_tilde and
+corestricting yields, arity by arity, exactly how far a linear map is from
+being a homomorphism (g tables) or a derivation (h tables), which
+`defect_family` computes in the target by the moment–cumulant recursion,
+without building that conjugate.  The products, the moments and the defects
+are `TaylorFamily`s given by a coefficient function: each word is computed on
+first lookup and memoized.
 """
 from __future__ import annotations
 
 import weakref
+from math import factorial
 
 from .algebra import (
     DEFAULT_WEIGHT_CAP,
@@ -49,7 +52,7 @@ class CumulantContext:
             raise ValidationError("cumulant machinery needs a product table")
         self.algebra = algebra
         self.cap = int(cap)
-        # tau's Taylor family, one memo for tau_tilde and the defect tables
+        # tau's Taylor family: one memo for tau_tilde, its inverse and the defects
         self.products = TaylorFamily(algebra, algebra, 0, cap=self.cap, fn=self._product)
         self._tau_tilde: SMap | None = None
         self._inverse: SMap | None = None
@@ -67,6 +70,12 @@ class CumulantContext:
         last = coefficient(as_monomial((indices[-1:], degrees[-1:])))
         return self.algebra.multiply(head, last)
 
+    def _mobius(self, w: WedgeMonomial) -> Vector:
+        """The inverse's Taylor coefficient at w: (-1)^(n-1) (n-1)! tau(w)
+        for a word of n factors, tau(w) read from the memo."""
+        n = len(w[0])
+        return (-1) ** (n - 1) * factorial(n - 1) * self.products.coefficient(w)
+
     @property
     def tau_tilde(self) -> SMap:
         if self._tau_tilde is None:
@@ -78,9 +87,10 @@ class CumulantContext:
     @property
     def tau_tilde_inverse(self) -> SMap:
         if self._inverse is None:
-            from .morphisms import triangular_inverse
+            from .morphisms import extend_coalgebra_map
 
-            self._inverse = triangular_inverse(self.tau_tilde, "cumulant bijection")
+            mobius = TaylorFamily(self.algebra, self.algebra, 0, cap=self.cap, fn=self._mobius)
+            self._inverse = extend_coalgebra_map(mobius, self.cap)
         return self._inverse
 
 

@@ -376,7 +376,7 @@ def check_filtration_one_identity(op: SMap) -> CheckReport:
     return compare("weight-one identity", op, SMap.identity(op.source, op.cap), top=1)
 
 
-def triangular_inverse(op: SMap, law: str = "triangular inverse") -> SMap:
+def triangular_inverse(op: SMap) -> SMap:
     """Invert an operator of the form identity plus weight-lowering remainder.
 
     The recursion inv(w) = w - inv(op(w) - w) terminates because the
@@ -396,8 +396,7 @@ def triangular_inverse(op: SMap, law: str = "triangular inverse") -> SMap:
         weight = len(w[0])
         if image.get(w) != 1 or any(len(u[0]) >= weight for u in image if u != w):
             raise ValidationError(
-                f"{law}: operator is not triangular at {w.names(basis)}"
-            )
+                f"triangular inverse: operator is not triangular at {w.names(basis)}")
         out = SElement(basis, cap)
         out.terms[w] = 1
         for u, c in image.items():

@@ -332,7 +332,7 @@ def induced_cumulant_bijection(t: TransferInput, cap: int) -> TransferResult:
 
 def _triangular_and_invertible(op: SMap):
     law = "triangular and invertible"
-    inverse = triangular_inverse(op, "induced cumulant bijection")
+    inverse = triangular_inverse(op)
     checked = 0
     for w in monomials_up_to(op.source, op.cap):
         checked += 1

@@ -335,7 +335,7 @@ def defect_operator(m, kind, cap):
     return cm.conjugate(extend(family, cap), "pull")
 
 
-def reference_inverse(op, law="triangular inverse"):
+def reference_inverse(op):
     """`triangular_inverse`'s reference route: inv(w) = w - inv(op(w) - w)
     on whole elements, each word's remainder checked before its inverse is
     taken."""
@@ -345,7 +345,8 @@ def reference_inverse(op, law="triangular inverse"):
         word = cm.SElement(basis, cap, {w: 1})
         remainder = op.on_monomial(w) - word
         if remainder.max_weight() >= w.weight and not remainder.is_zero():
-            raise cm.ValidationError(f"{law}: operator is not triangular at {w.names(basis)}")
+            raise cm.ValidationError(
+                f"triangular inverse: operator is not triangular at {w.names(basis)}")
         return word - inverse(remainder)
 
     inverse = cm.SMap(basis, basis, cap, 0, fn, "inv")
@@ -369,3 +370,31 @@ def associativity_reference(names, table):
         if {t: c for t, c in left.items() if c} != {t: c for t, c in right.items() if c}:
             return [names[i], names[j], names[k]]
     return None
+
+
+def change_of_basis(A, seed):
+    """(B, M): A in the basis f_i = sum_r M[r][i] e_r, for a random upper
+    triangular rational M with nonzero diagonal that mixes only equal
+    degrees, and that M."""
+    rng = random.Random(seed)
+    n = len(A)
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        for r in range(i):
+            if A.degrees[r] == A.degrees[i]:
+                M[r][i] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    products = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        value = cm.Vector(A)
+        for r, s in itertools.product(range(n), repeat=2):
+            if M[r][i] and M[s][j]:
+                value.accumulate(A.products[r][s], M[r][i] * M[s][j])
+        coords = cm.solve(M, [value.get(k) for k in range(n)])
+        products[(i, j)] = {k: c for k, c in enumerate(coords) if c}
+    B = cm.AlgebraPresentation([(f"f{i}", d) for i, d in enumerate(A.degrees)], products)
+    return B, M
+
+
+def rational_change_of_basis(A, seed):
+    return change_of_basis(A, seed)[0]

@@ -19,7 +19,14 @@ import cumalg.cli as cli
 import cumalg.tables as tables
 from cumalg.oracles import g2_closed_form
 
-from conftest import E2_DOC, E2_MAP_DOC, SQUARE_ZERO_EX_DOC, k2_doc, odd_retract_doc
+from conftest import (
+    E2_DOC,
+    E2_MAP_DOC,
+    SQUARE_ZERO_EX_DOC,
+    k2_doc,
+    odd_retract_doc,
+    rational_change_of_basis,
+)
 
 
 def p_doc(n):
@@ -204,6 +211,32 @@ def test_invert_tabulates_the_inverse(tmp_path, capsys):
         {"monomial": ["g"], "coeff": "-1"},
         {"monomial": ["a", "b"], "coeff": "1"},
     ]
+
+
+def presentation_doc(A):
+    """An algebra document stating every entry of a presentation's table."""
+    return {
+        "generators": [{"name": n, "degree": d} for n, d in zip(A.names, A.degrees)],
+        "products": [
+            {"left": A.names[i], "right": A.names[j], "value": value.to_doc()}
+            for i, row in enumerate(A.products) for j, value in enumerate(row)
+        ],
+    }
+
+
+def test_invert_on_dense_rationals_equals_back_substitution(tmp_path):
+    """A fresh `invert` process on p4 after a rational change of basis writes,
+    row by row, the triangular inverse of tau-tilde: back-substitution, a
+    route that shares no extension with the command's."""
+    doc = presentation_doc(rational_change_of_basis(cm.parse_algebra(p_doc(4)), 7))
+    path = write(tmp_path, "p4c.json", doc)
+    proc = _fresh_process(["invert", "--weight-cap", "4", "--format", "json",
+                           "--input", f"algebra={path}"])
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["table"]
+    tau_tilde = cm.extend_coalgebra_map(cm.tau_family(cm.parse_algebra(doc), 4), 4)
+    assert rows == cm.triangular_inverse(tau_tilde).to_doc()
+    assert any("/" in term["coeff"] for row in rows for term in row["value"])
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
@@ -531,11 +564,13 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_invert_after_lift_reads_the_kept_presentation_and_its_tau_tilde(
+def test_invert_after_lift_reads_the_kept_presentation_and_its_products(
         tmp_path, capfd, monkeypatch, kept):
     """`invert` after `lift` on one file parses nothing: it gets the same
-    presentation, whose context already holds the tau-tilde `lift` built, and
-    both write what fresh processes write."""
+    presentation, whose context holds the product memo `lift` filled, reads
+    its inverse's coefficients from that memo without adding a word to it,
+    leaves the tau-tilde `lift` built as it was, and both write what fresh
+    processes write."""
     path = write(tmp_path, "p4.json", p_doc(4))
     parses = _counting(monkeypatch, "parse_algebra")
     lift = ["lift", "--weight-cap", "4", "--input", f"algebra={path}"]
@@ -543,13 +578,16 @@ def test_invert_after_lift_reads_the_kept_presentation_and_its_tau_tilde(
     lifted = capfd.readouterr().out
     algebra = kept("algebra", (tmp_path / "p4.json").read_bytes())
     context = cm.cumulant_context(algebra, 4)
-    tau_tilde = context._tau_tilde
+    products, tau_tilde = context.products, context._tau_tilde
+    filled = dict(products._memo)
     assert tau_tilde is not None and context._inverse is None
     assert cli.run(["invert", *lift[1:]]) == 0
     inverted = capfd.readouterr().out
     assert len(parses) == 1
-    assert cm.cumulant_context(algebra, 4) is context and context.tau_tilde is tau_tilde
-    assert context._inverse is not None
+    assert cm.cumulant_context(algebra, 4) is context and context.products is products
+    assert products._memo.keys() == filled.keys()
+    assert all(products._memo[w] is value for w, value in filled.items())
+    assert context._tau_tilde is tau_tilde and context._inverse is not None
     for argv, out in ((lift, lifted), (["invert", *lift[1:]], inverted)):
         assert _fresh_process(argv).stdout == out
 

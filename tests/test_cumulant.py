@@ -111,10 +111,13 @@ def test_series_route_agrees_with_the_partition_route(e2, p8, random_algebras):
 
 
 def test_factorial_coefficient_route_agrees_with_the_inverse(e2, p8, random_algebras):
+    # the context's inverse extends the closed form too, over its own product
+    # memo; back-substitution through tau_tilde is the independent route
     for alg in [e2, p8, *random_algebras]:
         ctx = cm.cumulant_context(alg, CAP)
         closed = cm.extend_coalgebra_map(cm.mobius_inverse_family(alg, CAP), CAP)
         assert closed.equal_up_to(ctx.tau_tilde_inverse)
+        assert cm.triangular_inverse(ctx.tau_tilde).equal_up_to(ctx.tau_tilde_inverse)
 
 
 def test_one_context_per_algebra_and_cap(p8):
@@ -396,8 +399,9 @@ def test_accumulation_never_writes_into_shared_values(monkeypatch):
     ctx.tau_tilde_inverse.to_doc()
     cm.defect_family(f, "hom", cap=3).to_doc()
     cm.defect_family(f, "der", cap=3).to_doc()
-    # tau's products at caps 4 and 3, the moments of "hom" and both recursions
-    assert len({id(family) for family in lazy}) == 5
+    # tau's products at caps 4 and 3, the inverse's Moebius family, the
+    # moments of "hom" and both recursions
+    assert len({id(family) for family in lazy}) == 6
     assert cm.induced_cumulant_bijection(t, 5).ok
 
     assert len(handed_out) > 100

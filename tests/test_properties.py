@@ -30,9 +30,11 @@ from cumalg.morphisms import _wedge_in
 
 from conftest import (
     associativity_reference,
+    change_of_basis,
     defect_operator,
     random_selement,
     random_vector,
+    rational_change_of_basis,
     reference_inverse,
     split_rows,
     subset_coproduct,
@@ -163,34 +165,6 @@ def integer_map(seed, basis):
     return cm.LinearMap(basis, basis, 0, columns)
 
 
-def change_of_basis(A, seed):
-    """(B, M): A in the basis f_i = sum_r M[r][i] e_r, for a random upper
-    triangular rational M with nonzero diagonal that mixes only equal
-    degrees, and that M."""
-    rng = random.Random(seed)
-    n = len(A)
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        M[i][i] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-        for r in range(i):
-            if A.degrees[r] == A.degrees[i]:
-                M[r][i] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-    products = {}
-    for i, j in itertools.product(range(n), repeat=2):
-        value = cm.Vector(A)
-        for r, s in itertools.product(range(n), repeat=2):
-            if M[r][i] and M[s][j]:
-                value.accumulate(A.products[r][s], M[r][i] * M[s][j])
-        coords = cm.solve(M, [value.get(k) for k in range(n)])
-        products[(i, j)] = {k: c for k, c in enumerate(coords) if c}
-    B = cm.AlgebraPresentation([(f"f{i}", d) for i, d in enumerate(A.degrees)], products)
-    return B, M
-
-
-def rational_change_of_basis(A, seed):
-    return change_of_basis(A, seed)[0]
-
-
 def coefficients(op, cap):
     """Every coefficient of an operator's images up to the cap."""
     for w in cm.monomials_up_to(op.source, cap):
@@ -298,11 +272,14 @@ def test_lazy_tau_tilde_equals_the_tabulated_extension(A, cap):
 @settings(max_examples=25, deadline=None)
 @given(algebras, st.integers(0, 2**32))
 def test_integer_structure_constants_never_leave_int(A, seed):
-    # tau_tilde, its inverse, the Moebius closed form and the defects of an
-    # integer map never divide, so every coefficient stays an exact int
+    # tau_tilde, its inverse, the Moebius closed form, back-substitution
+    # through tau_tilde and the defects of an integer map never divide, so
+    # every coefficient stays an exact int
     ctx = cm.cumulant_context(A, CAP)
     mobius = cm.extend_coalgebra_map(cm.mobius_inverse_family(A, CAP), CAP)
-    for op in (ctx.tau_tilde, ctx.tau_tilde_inverse, mobius):
+    triangular = cm.triangular_inverse(ctx.tau_tilde)
+    assert triangular.equal_up_to(ctx.tau_tilde_inverse)
+    for op in (ctx.tau_tilde, ctx.tau_tilde_inverse, mobius, triangular):
         for c in coefficients(op, CAP):
             assert type(c) is int, c
     defects = cm.defect_family(integer_map(seed, A), "hom", CAP)
@@ -359,6 +336,18 @@ def test_tau_tilde_after_a_rational_change_of_basis_equals_the_series(A, seed, c
     B = rational_change_of_basis(A, seed)
     lazy = cm.cumulant_context(B, cap).tau_tilde
     assert lazy.equal_up_to(cm.tau_tilde_series(B, cap))
+
+
+@settings(max_examples=25, deadline=None)
+@given(algebras, st.integers(0, 2**32), st.integers(1, CAP))
+def test_inverse_after_a_rational_change_of_basis_equals_back_substitution(A, seed, cap):
+    # the Moebius extension over the context's product memo, which builds no
+    # tau_tilde, against the triangular inverse of tau_tilde, on dense
+    # rational structure constants
+    ctx = cm.cumulant_context(rational_change_of_basis(A, seed), cap)
+    ctx.tau_tilde_inverse.to_doc()
+    assert ctx._tau_tilde is None
+    assert ctx.tau_tilde_inverse.equal_up_to(cm.triangular_inverse(ctx.tau_tilde))
 
 
 @settings(max_examples=25, deadline=None)
@@ -819,10 +808,10 @@ def test_triangular_inverse_refuses_with_the_reference_witness(density, A, seed,
     bad = frozenset(w for w in words if rng.random() < density)
     for w in reversed(words):
         op = near_identity(A, cap, seed, bad)
-        got = inverse_at(cm.triangular_inverse(op, "law"), w)
-        assert got == inverse_at(reference_inverse(op, "law"), w)
+        got = inverse_at(cm.triangular_inverse(op), w)
+        assert got == inverse_at(reference_inverse(op), w)
         if w in bad:
-            assert got == f"law: operator is not triangular at {w.names(A)}"
+            assert got == f"triangular inverse: operator is not triangular at {w.names(A)}"
 
 
 @pytest.mark.parametrize("degree", [-1, 0, 1])

@@ -19,10 +19,13 @@ them, and the arguments); and per workload, for each end-to-end metric of
 quartiles, each pair's ratio (this tree over the parent) and the number of
 pairs in which this tree did better (`wins`), worse (`losses`) or the same.
 Each run's `correct` and `failed` are kept too.  Before the workloads it
-runs each tree's `tools/startup.py` once, parent first, and writes, per
-command, both trees' `median_ref` (the process time in reference units) and
-`compile_ms`, each with its ratio (this tree over the parent).  The tool
-reads no file under `perfbench/`: it only runs `perfbench/run.py`.
+runs each tree's `tools/startup.py` and then each tree's `tools/ceiling.py`
+twice, in the order parent, change, change, parent, and writes both trees'
+medians over their two runs with the ratio (this tree over the parent) and
+the runs' values: per command, `median_ref` (the process time in reference
+units) and `compile_ms` under `startup`; per job, `compute`, `process` and
+`peak_rss_mib` under `ceiling` (a law-check row has `compute` only).  The
+tool reads no file under `perfbench/`: it only runs `perfbench/run.py`.
 """
 from __future__ import annotations
 
@@ -47,23 +50,53 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def startup(parent: Path) -> dict:
-    """Per job of `tools/startup.py`, run once in each tree, the parent's
-    and this tree's `median_ref` and `compile_ms` with their ratio."""
-    jobs = {}
-    for side, tree in (("parent", parent), ("change", ROOT)):
-        proc = subprocess.run([sys.executable, "tools/startup.py"], cwd=tree,
+# the order in which each tree runs the tools: two runs per tree, balanced
+# around the middle, so that a steady drift of the host's speed weighs on both
+# trees' medians alike
+TOOL_ORDER = ("parent", "change", "change", "parent")
+
+
+def tool_runs(parent: Path, script: str) -> dict:
+    """The last stdout line, as JSON, of each run of `script` in each tree,
+    the trees taking turns in `TOOL_ORDER`."""
+    trees = {"parent": parent, "change": ROOT}
+    runs = {"parent": [], "change": []}
+    for side in TOOL_ORDER:
+        proc = subprocess.run([sys.executable, script], cwd=trees[side],
                               stdout=subprocess.PIPE, text=True, check=True)
-        jobs[side] = json.loads(proc.stdout.splitlines()[-1])["jobs"]
+        runs[side].append(json.loads(proc.stdout.splitlines()[-1]))
+    return runs
+
+
+def per_job(runs: dict, keys: tuple) -> dict:
+    """Per job of this tree and each of `keys` that both trees report for it,
+    the parent's and this tree's median over their runs with the ratio (this
+    tree over the parent), and each tree's values in the order it ran
+    (`runs`); `runs` holds each tree's job dicts in that order."""
     out = {}
-    for label, job in jobs["change"].items():
-        before = jobs["parent"].get(label, {})
-        out[label] = {
-            key: {"parent": before[key], "change": job[key],
-                  "ratio": round(job[key] / before[key], 4) if before[key] else None}
-            for key in ("median_ref", "compile_ms") if key in job and key in before
-        }
+    for label in runs["change"][0]:
+        row = {}
+        for key in keys:
+            values = {side: [r.get(label, {}).get(key) for r in rs] for side, rs in runs.items()}
+            if None in values["parent"] + values["change"]:
+                continue
+            before, after = (statistics.median(values[side]) for side in ("parent", "change"))
+            row[key] = {"parent": before, "change": after,
+                        "ratio": round(after / before, 4) if before else None, "runs": values}
+        out[label] = row
     return out
+
+
+def startup(parent: Path) -> dict:
+    """Per job of `tools/startup.py`: `median_ref` and `compile_ms`."""
+    runs = tool_runs(parent, "tools/startup.py")
+    return per_job({side: [r["jobs"] for r in rs] for side, rs in runs.items()},
+                   ("median_ref", "compile_ms"))
+
+
+def ceiling(parent: Path) -> dict:
+    """Per job of `tools/ceiling.py`: `compute`, `process` and `peak_rss_mib`."""
+    return per_job(tool_runs(parent, "tools/ceiling.py"), ("compute", "process", "peak_rss_mib"))
 
 
 def src_lines(tree: Path) -> int:
@@ -115,8 +148,10 @@ def main(argv=None) -> int:
                  "seconds": args.seconds, "first_seed": args.seed},
         "workloads": {},
     }
-    result["startup"] = startup(parent)
-    args.output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for name, tool in (("startup", startup), ("ceiling", ceiling)):
+        result[name] = tool(parent)
+        args.output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n",
+                               encoding="utf-8")
     for workload in names:
         runs = {"parent": [], "change": []}
         for k in range(args.pairs):
