@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import re
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
@@ -305,6 +306,8 @@ class GradedBasis:
         # degree is 0, so no value of such a degree needs computing
         self.degree_set = frozenset(degrees)
         self._index = {name: i for i, name in enumerate(names)}
+        # word -> {generator: (word with it, sign flips) or () if 0}, for `_wedge_in`
+        self.insertions = defaultdict(dict)
         # used to key per-basis caches; bases compare by identity
         self.uid = next(_basis_counter)
 
@@ -606,16 +609,22 @@ class AlgebraPresentation(GradedBasis):
         """Bilinear extension of the structure-constant table."""
         if u.basis is not self or v.basis is not self:
             raise ValidationError("operands do not belong to this presentation")
+        return self.expand({(i, j): cu * cv for i, cu in u.terms.items()
+                            for j, cv in v.terms.items()})
+
+    def expand(self, pairs: dict) -> Vector:
+        """The sum of c · x_i x_j over the generator pairs (i, j) -> c of
+        `pairs`, read through the structure-constant table."""
         acc = {}
         get = acc.get
-        for i, cu in u.terms.items():
-            row = self.products[i]
-            for j, cv in v.terms.items():
-                c = cu * cv
-                for k, x in row[j].terms.items():
-                    old = get(k)
-                    acc[k] = c * x if old is None else old + c * x
-        return u._new(dict(filter(_coefficient, acc.items())))
+        products = self.products
+        for (i, j), c in pairs.items():
+            for k, x in products[i][j].terms.items():
+                old = get(k)
+                acc[k] = c * x if old is None else old + c * x
+        out = Vector(self)
+        out.terms = dict(filter(_coefficient, acc.items()))
+        return out
 
 
 @reader(dict)

@@ -218,7 +218,7 @@ class SElement(LinearCombination):
     def weight_one_vector(self) -> Vector:
         """The weight-1 component as an algebra element."""
         out = Vector(self.basis)
-        out.terms = {w.indices[0]: c for w, c in self.terms.items() if w.weight == 1}
+        out.terms = {w[0][0]: c for w, c in self.terms.items() if len(w[0]) == 1}
         return out
 
 

@@ -151,23 +151,29 @@ def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> Tay
     if not hom and m.source is not m.target:
         raise ValidationError("a coderivation needs source and target to agree")
     products = cumulant_context(m.source, cap).products
-    multiply = cumulant_context(m.target, cap).algebra.multiply
+    expand = cumulant_context(m.target, cap).algebra.expand
 
     def moment(w: WedgeMonomial) -> Vector:
         return m.apply(products.coefficient(w))
 
     def fn(w: WedgeMonomial) -> Vector:
-        out = moment(w)
+        pairs = {}  # the sum by generator pair (i, j), expanded once at the end
+        get = pairs.get
         indices, degrees = w
         for coeff, first, take, leave in splits(w):
             n = first if hom else coeff
             if n:
                 value = family.coefficient(as_monomial((take(indices), take(degrees))))
                 if value.terms:
-                    tail = rests.coefficient(as_monomial((leave(indices), leave(degrees))))
-                    if tail.terms:
-                        out.accumulate(multiply(value, tail), -n)
-        return out
+                    tail = rests.coefficient(as_monomial((leave(indices), leave(degrees)))).terms
+                    if tail:
+                        for i, a in value.terms.items():
+                            a = -n * a
+                            for j, b in tail.items():
+                                key = (i, j)
+                                old = get(key)
+                                pairs[key] = a * b if old is None else old + a * b
+        return moment(w).accumulate(expand(pairs))
 
     rests = TaylorFamily(m.source, m.target, 0, cap=cap, fn=moment) if hom else products
     family = TaylorFamily(m.source, m.target, m.degree, cap=cap, fn=fn)

@@ -139,43 +139,57 @@ def _walk(lhs: SMap, rhs: SMap, top: int | None = None):
 
 def _wedge_in(out: SElement, value: Vector, tail, scale=1) -> None:
     """Add scale * (value ∧ t) into `out` for the (monomial t, coefficient)
-    pairs of `tail`, `value` being of weight one: each generator is bisected
-    into t's sorted indices, an odd one changes sign per odd factor it passes
-    and gives zero if t holds it already.  Refuses a product past the cap.
-    A scale that is not an `int` goes through `exact` first.  The sums go
-    straight into `out.terms` (inlined `add_term`: a product `a * c` is
+    pairs of `tail`, `value` being of weight one.  Wedging generator i onto t
+    is read from the target basis's `insertions` memo, a row per t filled on
+    first use by `_insertion`.  Refuses a product past the cap, memo hit or
+    not.  A scale that is not an `int` goes through `exact` first.  The sums
+    go straight into `out.terms` (inlined `add_term`: a product `a * c` is
     never 0, as `value` and `tail` hold no zero terms and a zero scaled `c`
     is skipped)."""
     if type(scale) is not int:
         scale = exact(scale)
-    degrees, cap, terms = out.basis.degrees, out.cap, out.terms
+    degrees, cap, terms, memo = out.basis.degrees, out.cap, out.terms, out.basis.insertions
     get = terms.get
-    heads = [(i, degrees[i], degrees[i] % 2, a) for i, a in value.terms.items()]
+    heads = [(i, a, -a) for i, a in value.terms.items()]
     scaled = scale != 1
-    for (indices, degs), c in tail:
-        if len(indices) >= cap:
+    for t, c in tail:
+        if len(t[0]) >= cap:
             raise ValidationError(f"wedge product exceeds weight cap {cap}")
         if scaled:
             c = scale * c
             if not c:
                 continue
-        for i, d, odd, a in heads:
-            p = bisect_left(indices, i)
-            if odd:
-                if p < len(indices) and indices[p] == i:
-                    continue
-                if sum(map(parity, degs[:p])) % 2:
-                    a = -a
-            mono = as_monomial((indices[:p] + (i,) + indices[p:], degs[:p] + (d,) + degs[p:]))
-            old = get(mono)
-            if old is None:
-                terms[mono] = a * c
-            else:
-                old += a * c
-                if old:
-                    terms[mono] = old
+        row = memo[t]
+        for i, a, minus in heads:
+            hit = row.get(i)
+            if hit is None:
+                hit = row[i] = _insertion(t, i, degrees[i])
+            if hit:
+                mono, flip = hit
+                old = get(mono)
+                if old is None:
+                    terms[mono] = (minus if flip else a) * c
                 else:
-                    del terms[mono]
+                    old += (minus if flip else a) * c
+                    if old:
+                        terms[mono] = old
+                    else:
+                        del terms[mono]
+
+
+def _insertion(t: WedgeMonomial, i: int, d: int):
+    """Generator i, of degree d, wedged onto the canonical word t: the
+    canonical monomial and whether the Koszul sign flips, or () for zero.
+    i is bisected into t's sorted indices; an odd i changes sign per odd
+    factor it passes and gives zero if t holds it already."""
+    indices, degs = t
+    p = bisect_left(indices, i)
+    flip = False
+    if d % 2:
+        if p < len(indices) and indices[p] == i:
+            return ()
+        flip = sum(map(parity, degs[:p])) % 2 == 1
+    return as_monomial((indices[:p] + (i,) + indices[p:], degs[:p] + (d,) + degs[p:])), flip
 
 
 def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
@@ -252,8 +266,12 @@ def taylor_extract(op: SMap, arity: int) -> dict:
 
 def extract_family(op: SMap, max_arity: int) -> TaylorFamily:
     """The Taylor coefficients of an operator up to `max_arity`, every one
-    computed and checked on return."""
-    tables = {n: taylor_extract(op, n) for n in range(1, max_arity + 1)}
+    computed, in one walk of the canonical monomials, and checked on return."""
+    tables: dict = {}
+    for mono in monomials_up_to(op.source, max_arity):
+        value = op.on_monomial(mono).weight_one_vector()
+        if value.terms:
+            tables.setdefault(len(mono[0]), {})[mono] = value
     return TaylorFamily(op.source, op.target, op.degree, tables)
 
 
@@ -281,15 +299,17 @@ def _tensor_doc(pairs: LinearCombination, basis_l: GradedBasis, basis_r: GradedB
 
 
 class CheckReport:
-    """Outcome of a coalgebra-law check, with the first counterexample."""
+    """Outcome of a coalgebra-law check, with the first counterexample and,
+    for a coproduct law, the corestriction it extracted (`family`)."""
 
-    __slots__ = ("law", "ok", "checked", "witness")
+    __slots__ = ("law", "ok", "checked", "witness", "family")
 
     def __init__(self, law: str, ok: bool, checked: int, witness: dict | None = None):
         self.law = law
         self.ok = ok
         self.checked = checked
         self.witness = witness
+        self.family = None
 
     def to_doc(self):
         doc = {"law": self.law, "ok": self.ok, "checked": self.checked}
@@ -348,9 +368,11 @@ def _coproduct_law(law: str, op: SMap, extend) -> CheckReport:
         }
 
     try:
-        return compare(law, op, again, sides=tensor_sides)
+        report = compare(law, op, again, sides=tensor_sides)
     finally:
         again._cache.clear()  # a coalgebra-map extension's memo refers to itself
+    report.family = family
+    return report
 
 
 def check_coderivation(op: SMap) -> CheckReport:

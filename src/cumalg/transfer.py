@@ -36,7 +36,6 @@ from .morphisms import (
     compare,
     extend_coalgebra_map,
     extend_coderivation,
-    extract_family,
     triangular_inverse,
 )
 from .cumulant import cumulant_context, defect_family
@@ -300,10 +299,9 @@ def induced_cumulant_bijection(t: TransferInput, cap: int) -> TransferResult:
     tau_tilde_a = cumulant_context(A, cap).tau_tilde
     tau_tilde_c = proj_hat.compose(tau_tilde_a).compose(iota_hat)
 
-    certifications = [
-        check_filtration_one_identity(tau_tilde_c),
-        check_comorphism(tau_tilde_c),
-    ]
+    identity = check_filtration_one_identity(tau_tilde_c)
+    comorphism = check_comorphism(tau_tilde_c)  # its extraction is the reported family
+    certifications = [identity, comorphism]
 
     d_c_hat = extend_coderivation(
         TaylorFamily.from_linear_map(C.differential), cap
@@ -320,14 +318,8 @@ def induced_cumulant_bijection(t: TransferInput, cap: int) -> TransferResult:
     certifications.append(triangular)
 
     # certifications are reported, not re-raised: only bad hypotheses refuse
-    return TransferResult(
-        cap,
-        tau_tilde_c,
-        inverse,
-        extract_family(tau_tilde_c, cap),
-        hypotheses,
-        certifications,
-    )
+    return TransferResult(cap, tau_tilde_c, inverse, comorphism.family, hypotheses,
+                          certifications)
 
 
 def _triangular_and_invertible(op: SMap):

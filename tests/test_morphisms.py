@@ -66,6 +66,45 @@ def test_weight_one_insertion_drops_a_cancelled_term(e2):
     assert out.terms == {}
 
 
+def test_weight_one_insertion_skips_a_repeated_odd_generator_on_a_memo_hit():
+    """Wedging an odd generator onto a word that holds it gives 0 when the
+    basis's insertion memo answers too, not only when it is filled."""
+    basis = cm.GradedBasis([("x", 0), ("y", 1)])
+    word = cm.monomial(basis, (0, 1))
+    for _ in range(2):
+        out = cm.SElement(basis, 3)
+        _wedge_in(out, basis.generator(1), [(word, 1)])
+        assert out.terms == {}
+        assert 1 in basis.insertions[word]
+
+
+def test_weight_one_insertion_refuses_the_cap_on_a_memo_hit():
+    """The memo is per basis and not per cap: a word it knows from a larger
+    cap is still refused at the cap's weight."""
+    basis = cm.GradedBasis([("x", 0), ("y", 1)])
+    word = cm.monomial(basis, (0, 0))
+    out = cm.SElement(basis, 3)
+    _wedge_in(out, basis.generator(1), [(word, 1)])
+    assert out == se(basis, 3, (0, 0, 1))
+    with pytest.raises(cm.ValidationError, match="exceeds weight cap 2"):
+        _wedge_in(cm.SElement(basis, 2), basis.generator(1), [(word, 1)])
+
+
+def test_weight_one_insertion_memo_rows_belong_to_one_basis():
+    """Two bases whose words (0,) are equal monomials, but whose generator 1
+    differs in degree, each get their own memo row and their own products."""
+    odd = cm.GradedBasis([("x", 0), ("y", 1)])
+    even = cm.GradedBasis([("x", 0), ("y", 0)])
+    word = cm.monomial(odd, (0,))
+    assert word == cm.monomial(even, (0,))
+    for basis in (odd, even, odd):
+        out = cm.SElement(basis, 2)
+        _wedge_in(out, basis.generator(1), [(word, 1)])
+        assert out == cm.wedge(cm.SElement.from_vector(basis.generator(1), 2),
+                               se(basis, 2, (0,)))
+    assert odd.insertions[word] is not even.insertions[word]
+
+
 def test_coderivation_eats_one_block_per_term(p8):
     x5 = p8.generator(4)
     T = cm.TaylorFamily(p8, p8, 0, {2: {cm.monomial(p8, (0, 1)): x5}})

@@ -246,6 +246,28 @@ def test_weight_one_insertion_equals_wedge(A, seed):
     assert got == scale * cm.wedge(cm.SElement.from_vector(value, CAP), tail)
 
 
+@settings(max_examples=30, deadline=None)
+@given(odd_algebras, st.integers(0, 2**32))
+def test_weight_one_insertion_read_from_the_memo_equals_wedge(A, seed):
+    """A second `_wedge_in` of the same terms reads every insertion from the
+    memo the first one filled on the basis, signs and zeros included, and
+    still equals `wedge`, after a rational change of basis."""
+    B = rational_change_of_basis(A, seed)
+    rng = random.Random(seed)
+    odd = [i for i, d in enumerate(B.degrees) if d % 2]
+    # the last odd generator passes the first one in the tail (a sign) and
+    # meets itself there (a zero)
+    value = cm.Vector(B, {**random_vector(rng, B).terms, odd[-1]: Fraction(-3, 2)})
+    lone = cm.SElement(B, CAP, {cm.monomial(B, (i,)): 1 for i in (odd[0], odd[-1])})
+    tail = cm.SElement(B, CAP, random_selement(rng, B, CAP - 1, density=0.5).terms) + lone
+    want = cm.wedge(cm.SElement.from_vector(value, CAP), tail)
+    for _ in range(2):
+        got = cm.SElement(B, CAP)
+        _wedge_in(got, value, tail.terms.items())
+        assert got == want
+    assert all(set(value.terms) <= set(B.insertions[t]) for t in tail.terms)
+
+
 @pytest.mark.parametrize("degree", [-1, 0, 1])
 @settings(max_examples=25, deadline=None)
 @given(
@@ -420,6 +442,28 @@ def test_law_checks_refuse_weight_one_values_off_the_stated_degree(law):
     odd = A.degrees.index(1)
     off = cm.SElement.from_vector(A.generator(odd), 3)
     op = cm.SMap(A, A, 3, 0, lambda w: off if w.weight == 1 else cm.SElement(A, 3))
+    with pytest.raises(cm.ValidationError, match=f"{law} check of an operator of degree 0"):
+        LAWS[law][1](op)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_law_checks_refuse_an_off_degree_value_ahead_of_a_broken_law(law):
+    # the weight-two values break the law, and the weight-one part at a
+    # weight-three word is off the stated degree: the whole corestriction is
+    # checked before any law, so the refusal wins over the earlier failure
+    A = tensor_algebra([(1, 1), (0, 2)])
+    odd, even = A.degrees.index(1), A.degrees.index(0)
+    off = cm.monomial(A, (even,) * 3)  # of degree 0
+
+    def fn(w):
+        out = cm.SElement(A, 3, {w: 3 if w.weight == 2 else 1})
+        if w == off:
+            out.terms[cm.monomial(A, (odd,))] = 1
+        return out
+
+    op = cm.SMap(A, A, 3, 0, fn)
+    broken = tensor_law_report(op, law)
+    assert not broken.ok and len(broken.witness["monomial"]) == 2
     with pytest.raises(cm.ValidationError, match=f"{law} check of an operator of degree 0"):
         LAWS[law][1](op)
 

@@ -21,7 +21,10 @@ p6c at cap 4.
 The process-wide split tables (`coalgebra._coproduct_memo`) and the parsed
 documents the CLI keeps across jobs (`cli._parsed`, with the tau-tilde memos
 in them) are cleared before each in-process job, so that no job reads
-tables, documents or memos an earlier one built.
+tables, documents or memos an earlier one built; then, before each in-process
+job and each law check and outside its timing, `gc.collect()` frees the
+cycles earlier jobs left, so that no job's time pays for their collection
+and a row does not depend on which jobs ran before it.
 Prints one JSON line: for each CLI job, the seconds spent in-process parsing
 documents (`parse`), emitting the report (`emit`) and in the rest of the job
 (`compute`); the process's seconds from spawn to reap (`process`) and its
@@ -34,6 +37,7 @@ a fixed seed.
 """
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -94,6 +98,7 @@ def law_checks(paths: dict) -> dict:
 def law_check(label, check, extend, algebra_path, family_path):
     """(parse, compute) seconds of one cold law check."""
     coalgebra._coproduct_memo.clear()
+    gc.collect()
     start = time.perf_counter()
     algebra = cm.parse_algebra(json.loads(algebra_path.read_text(encoding="utf-8")))
     family = cm.TaylorFamily.from_doc(
@@ -172,6 +177,7 @@ def main() -> int:
         spent.update(parse=0.0, emit=0.0)
         coalgebra._coproduct_memo.clear()
         cli._parsed.cache_clear()
+        gc.collect()
         start = time.perf_counter()
         code = cli.run(argv)
         total = time.perf_counter() - start
