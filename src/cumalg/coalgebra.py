@@ -35,7 +35,7 @@ def _sort_sign(indices, degrees):
     """Koszul sign of stably sorting `indices` ascending; None if an odd
     degree repeats (the monomial is zero).  The general loop that counts odd
     inversions; `_split_table` counts those of its block-before-rest orders
-    in one pass."""
+    in its fold over the runs."""
     sign = 1
     n = len(indices)
     for i in range(n):
@@ -446,29 +446,26 @@ def splits(w: WedgeMonomial) -> tuple:
 
 
 def _split_table(pattern, parities) -> tuple:
-    starts = tuple(itertools.accumulate(pattern, initial=0))
-    table = []
-    for counts in itertools.product(*(range(m + 1) for m in pattern)):
-        if not any(counts) or counts == pattern:
-            continue
-        runs = tuple(zip(starts, pattern, counts))
-        block = tuple(p for s, _, c in runs for p in range(s, s + c))
-        rest = tuple(p for s, m, c in runs for p in range(s + c, s + m))
-        # listing block before rest moves each odd block factor past the odd
-        # rest factors before it; equal factors are even, so no pair repeats
-        taken = set(block)
-        odd_rest = crossings = 0
-        for p, odd in enumerate(parities):
-            if odd:
-                if p in taken:
-                    crossings += odd_rest
-                else:
-                    odd_rest += 1
-        coeff = (-1) ** crossings * math.prod(
-            math.comb(m, c) for m, c in zip(pattern, counts)
-        )
-        table.append((coeff, coeff * counts[0] // pattern[0], _getter(block), _getter(rest)))
-    return tuple(table)
+    """One fold over the runs: each run of length m extends every partial
+    row (coeff, c_0, block, rest, odd) by its m + 1 counts c, the block
+    taking the run's first c positions.  Listing block before rest moves an
+    odd block factor past the odd rest factors before it; `odd` is whether
+    their number is odd, and equal factors are even, so an odd run is one
+    factor."""
+    rows = [(1, 0, (), (), False)]
+    start = 0
+    for m in pattern:
+        run, odd_run = tuple(range(start, start + m)), parities[start]
+        counts = [(c, math.comb(m, c)) for c in range(m + 1)]
+        rows = [
+            (-coeff * comb if odd_run and c and odd else coeff * comb, c0 if start else c,
+             block + run[:c], rest + run[c:], odd ^ (odd_run and not c))
+            for coeff, c0, block, rest, odd in rows
+            for c, comb in counts
+        ]
+        start += m
+    return tuple((coeff, coeff * c0 // pattern[0], _getter(block), _getter(rest))
+                 for coeff, c0, block, rest, _ in rows if block and rest)
 
 
 def _getter(positions):

@@ -26,28 +26,26 @@ class _Table:
     with the monomial's name list under "monomial" and each value, as its
     `to_doc()` or as itself, under its field: for ("value",) that is
     `SMap.to_doc` of an operator's rows, or an arity of
-    `TaylorFamily.to_doc()["arities"]`.  The nodes of one report may share
-    `quoted`, a dict of each basis's quoted names, so that a basis is quoted
-    once per report."""
+    `TaylorFamily.to_doc()["arities"]`."""
 
-    __slots__ = ("source", "target", "rows", "fields", "quoted")
+    __slots__ = ("source", "target", "rows", "fields")
 
-    def __init__(self, source, target, rows, fields=("value",), quoted=None):
+    def __init__(self, source, target, rows, fields=("value",)):
         self.source = source
         self.target = target
         self.rows = rows
         self.fields = fields
-        self.quoted = {} if quoted is None else quoted
 
     def json_text(self, pad: str) -> str:
         """The rows' `json.dumps(..., sort_keys=True, indent=2)` nested after
         `pad`, the newline and indentation before the closing bracket,
-        written from the rows: each basis name is quoted once per `quoted`,
+        written from the rows: each basis name is quoted once per call,
         each value term's monomial name list is built once, each row fills a
         layout built once per table, and no row dict is built."""
         if not self.rows:
             return "[]"
-        source, target = self._quoted(self.source), self._quoted(self.target)
+        source = [_quote(name) for name in self.source.names]
+        target = [_quote(name) for name in self.target.names]
         names: dict = {}  # monomial of `target` -> its name list as a value term's
         row = pad + "  "       # each row's braces
         field = row + "  "     # "monomial" and each value's field
@@ -95,12 +93,6 @@ class _Table:
                      for w, *values in self.rows]
         return "[" + row + ("," + row).join(texts) + pad + "]"
 
-    def _quoted(self, basis) -> list:
-        names = self.quoted.get(basis)
-        if names is None:
-            names = self.quoted[basis] = [_quote(name) for name in basis.names]
-        return names
-
 
 def lift(algebra, cap: int, inverse: bool = False):
     """The `lift` (or, inverse, the `invert`) payload: `τ̃` (or `τ̃⁻¹`) at
@@ -115,11 +107,10 @@ def defects(m, kind: str, cap: int):
     """The `defects` payload of a map: its defect tables of `kind` up to the
     cap and, for "der" from cap 3, the arity-3 comparison; and true."""
     family = defect_family(m, kind, cap=cap)
-    quoted: dict = {}  # every node's quoted basis names
     arities = {
         str(arity): _Table(m.source, m.target, [
             (mono, table[mono]) for mono in sorted(table, key=WedgeMonomial.sort_key)
-        ], quoted=quoted)
+        ])
         for arity, table in family.tables.items()
     }
     payload = {
@@ -128,11 +119,11 @@ def defects(m, kind: str, cap: int):
         "vanishes_above_1": vanishes_above_one(family),
     }
     if kind == "der" and cap >= 3:
-        payload["arity3_comparison"] = _arity3_comparison(m, family, quoted)
+        payload["arity3_comparison"] = _arity3_comparison(m, family)
     return payload, True
 
 
-def _arity3_comparison(d, family, quoted):
+def _arity3_comparison(d, family):
     """Computed arity-3 table next to the seven-term variant expression
     (`oracles.h3_seven_term_variant`) at each word x·y·z of generators.  The
     pair products x·y are the product table's entries; each generator's
@@ -143,7 +134,7 @@ def _arity3_comparison(d, family, quoted):
     Every term but the garbled y·x·d(x) is of degree |x·y·z| + |d|.  When A
     has no generator of that degree (the word is outside the family's
     window), the computed value and those terms are 0, and the row takes
-    that one product alone.  The rows' node shares `quoted` (`_Table`)."""
+    that one product alone."""
     A = d.source
     multiply, table, present = A.multiply, A.products, A.degree_set
     generators = A.generators()
@@ -175,5 +166,5 @@ def _arity3_comparison(d, family, quoted):
         rows.append((mono, computed, match, variant))
     return {
         "variant_matches_everywhere": all_match,
-        "rows": _Table(A, d.target, rows, ("computed", "match", "variant"), quoted),
+        "rows": _Table(A, d.target, rows, ("computed", "match", "variant")),
     }

@@ -337,7 +337,7 @@ def word_shapes(max_weight):
 
 
 def test_split_signs_equal_the_sort_sign():
-    """The one-pass block-before-rest sign of `_split_table` equals the
+    """The block-before-rest sign of `_split_table` equals the
     Koszul sign of sorting the listed positions, for every shape up to
     weight 7."""
     for pattern, parities in word_shapes(7):
@@ -349,6 +349,42 @@ def test_split_signs_equal_the_sort_sign():
             counts = [sum(s <= p < s + m for p in block) for s, m in zip(starts, pattern)]
             multiplicity = math.prod(math.comb(m, c) for m, c in zip(pattern, counts))
             assert coeff == _sort_sign(order, [parities[p] for p in order]) * multiplicity
+
+
+def test_split_rows_are_the_position_subsets_grouped_by_run_counts():
+    """For every shape up to weight 8, the proper nonempty position subsets,
+    grouped by how many factors they take from each run, are the rows of
+    `_split_table`: each (block, rest) pair once, with `coeff` the sort sign
+    of block-then-rest times the group's size and `first` the signed count
+    of the group's subsets that hold position 0."""
+    for pattern, parities in word_shapes(8):
+        n = len(parities)
+        positions = tuple(range(n))
+        run_of = [k for k, m in enumerate(pattern) for _ in range(m)]
+        groups = {}
+        for size in range(1, n):
+            for subset in itertools.combinations(positions, size):
+                counts = [0] * len(pattern)
+                for p in subset:
+                    counts[run_of[p]] += 1
+                groups.setdefault(tuple(counts), []).append(subset)
+        want = {}
+        for subsets in groups.values():
+            block = subsets[0]  # the first subset in lexicographic order takes prefixes
+            rest = tuple(p for p in positions if p not in block)
+            sign = _sort_sign(block + rest, [parities[p] for p in block + rest])
+            first = 0
+            for subset in subsets:
+                if 0 in subset:
+                    order = subset + tuple(p for p in positions if p not in subset)
+                    first += _sort_sign(order, [parities[p] for p in order])
+            want[block, rest] = (sign * len(subsets), first)
+        got = {}
+        for coeff, first, take, leave in _split_table(pattern, parities):
+            key = (take(positions), leave(positions))
+            assert key not in got, (pattern, parities, key)
+            got[key] = (coeff, first)
+        assert got == want, (pattern, parities)
 
 
 def test_split_memo_keeps_every_word_shape_apart(monkeypatch):

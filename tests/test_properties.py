@@ -868,7 +868,7 @@ def test_arity3_comparison_rows_equal_the_seven_term_variant(degree, A, seed):
     B = rational_change_of_basis(A, seed)
     d = random_map(seed, B, degree)
     family = cm.defect_family(d, "der", 3)
-    comparison = tables._arity3_comparison(d, family, {})
+    comparison = tables._arity3_comparison(d, family)
     table = comparison["rows"]
     monomials = cm.canonical_monomials(B, 3)
     assert [row[0] for row in table.rows] == monomials
