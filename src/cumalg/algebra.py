@@ -87,7 +87,8 @@ class Rational(Fraction):
     skipping `Fraction`'s `numbers.Rational` check and properties; the hash
     stays `Fraction`'s.  Every other operand type and every other operation
     (division, powers, ordering, `str`, copy and pickle) is `Fraction`'s
-    own.  Make one with `exact`, never with the constructor: so made, no
+    own.  + and * commute, so the reflected methods are the forward ones.
+    Make one with `exact`, never with the constructor: so made, no
     `Rational` is integral."""
 
     __slots__ = ()
@@ -99,12 +100,7 @@ class Rational(Fraction):
             return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
         return Fraction.__add__(a, b)
 
-    def __radd__(a, b):
-        if type(b) is int:
-            return _rational(a._numerator + b * a._denominator, a._denominator)
-        if type(b) is Rational or type(b) is Fraction:
-            return _sum(b._numerator, b._denominator, a._numerator, a._denominator)
-        return Fraction.__radd__(a, b)
+    __radd__ = __add__
 
     def __sub__(a, b):
         if type(b) is int:
@@ -127,12 +123,7 @@ class Rational(Fraction):
             return _product(a._numerator, a._denominator, b._numerator, b._denominator)
         return Fraction.__mul__(a, b)
 
-    def __rmul__(a, b):
-        if type(b) is int:
-            return _product(b, 1, a._numerator, a._denominator)
-        if type(b) is Rational or type(b) is Fraction:
-            return _product(b._numerator, b._denominator, a._numerator, a._denominator)
-        return Fraction.__rmul__(a, b)
+    __rmul__ = __mul__
 
     def __neg__(a):
         return _rational(-a._numerator, a._denominator)
@@ -501,11 +492,6 @@ class Vector(LinearCombination):
         if degree is None:
             return len(degs) <= 1
         return degs <= {degree}
-
-    def degree(self):
-        """Degree of a homogeneous vector; None for 0 or mixed terms."""
-        degs = {self.basis.degrees[i] for i in self.terms}
-        return degs.pop() if len(degs) == 1 else None
 
 
 @reader(list, dict)

@@ -230,10 +230,9 @@ class TaylorFamily:
     the values live in one memo keyed by monomial, and each is checked once,
     as it enters: over the target basis and homogeneous of the monomial
     degree shifted by the family degree.  Every zero value is the family's
-    `_zero`.  What needs every value (`tables`, `arities`, `==`, `to_doc`)
-    computes the rest up to the cap, after which the family is tabulated.
-    Evaluation at an arbitrary factor tuple normalizes first and applies the
-    Koszul sign.
+    `_zero`.  What needs every value (`tables`, `==`, `to_doc`) computes the
+    rest up to the cap, after which the family is tabulated.  Evaluation at
+    an arbitrary factor tuple normalizes first and applies the Koszul sign.
 
     The window: a value at w is of degree |w| + degree, so it is 0 unless
     the target has a generator of that degree.  `fn` must return values of
@@ -313,9 +312,6 @@ class TaylorFamily:
             if value.terms:
                 tables.setdefault(len(mono[0]), {})[mono] = value
         return dict(sorted(tables.items()))
-
-    def arities(self):
-        return list(self.tables)
 
     def evaluate(self, factors) -> Vector:
         """Value at an arbitrary (possibly unsorted) factor index tuple."""

@@ -93,19 +93,6 @@ class SMap:
         ):
             raise ValidationError("operator shape mismatch")
 
-    def __add__(self, other: "SMap") -> "SMap":
-        self._check_peer(other)
-        if self.degree != other.degree:
-            raise ValidationError("cannot add operators of different degrees")
-
-        def fn(w):
-            return self.on_monomial(w) + other.on_monomial(w)
-
-        return SMap(self.source, self.target, self.cap, self.degree, fn)
-
-    def __sub__(self, other: "SMap") -> "SMap":
-        return self + (-1) * other
-
     def __rmul__(self, scale) -> "SMap":
         def fn(w):
             return scale * self.on_monomial(w)

@@ -127,10 +127,11 @@ def mobius_inverse_family(algebra: AlgebraPresentation, max_arity: int) -> Taylo
 
 
 def _deg(v: Vector) -> int:
-    d = v.degree()
-    if d is None and not v.is_zero():
+    """The degree of a homogeneous vector, 0 for the zero vector."""
+    degs = {v.basis.degrees[i] for i in v.terms}
+    if len(degs) > 1:
         raise ValidationError("closed forms need homogeneous arguments")
-    return 0 if d is None else d
+    return degs.pop() if degs else 0
 
 
 def g2_closed_form(f: LinearMap, A: AlgebraPresentation, x: Vector, y: Vector) -> Vector:
@@ -215,7 +216,14 @@ def h3_seven_term_variant(d: LinearMap, A: AlgebraPresentation,
 
 def bracket(d1: SMap, d2: SMap) -> SMap:
     """Graded commutator d1∘d2 - (-1)^(|d1||d2|) d2∘d1."""
-    return d1.compose(d2) - parity_sign(d1.degree, d2.degree) * d2.compose(d1)
+    first, second = d1.compose(d2), d2.compose(d1)
+    first._check_peer(second)
+    sign = parity_sign(d1.degree, d2.degree)
+
+    def fn(w):
+        return first.on_monomial(w) - sign * second.on_monomial(w)
+
+    return SMap(first.source, first.target, first.cap, first.degree, fn)
 
 
 def linear_bracket(m1: LinearMap, m2: LinearMap) -> LinearMap:

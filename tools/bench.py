@@ -9,14 +9,12 @@ For each workload of `BENCHMARK.json` the tool runs
 tree and in this one, one after the other, `--pairs` times.
 Pair k runs seed `--seed` + k in both trees and starts with the parent when
 k is even and with this tree when k is odd, so that a drift in the host's
-speed weighs on both sides alike.  Runs go one at a time.  Every child
-process runs with `PYTHONPYCACHEPREFIX` set to one new temporary directory
-and without `PYTHONDONTWRITEBYTECODE`, so each tree's first process compiles
-its modules from the current sources into that cache and later processes of
-both trees load them from there: no tree reads a `__pycache__` older than
-its sources (`bytecode` in the metadata says so).  With no cache written,
-every process would compile the standard library too: `python3 -c pass`
-then takes about 4.6 times as long (Python 3.11.7, 2 vCPUs).
+speed weighs on both sides alike.  Runs go one at a time.  The tool first
+removes `src/cumalg/__pycache__` from both trees, and every child process
+runs with `PYTHONDONTWRITEBYTECODE=1` and without `PYTHONPYCACHEPREFIX`, as
+a fresh checkout runs: every process compiles `src/` from its sources,
+while the standard library loads its installed cache (`bytecode` in the
+metadata says so).
 
 Writes one JSON file, again after each workload: metadata (Python version,
 `nproc`, this tree's git revision and whether `src/` differs from it
@@ -26,13 +24,16 @@ them, and the arguments); and per workload, for each end-to-end metric of
 quartiles, each pair's ratio (this tree over the parent) and the number of
 pairs in which this tree did better (`wins`), worse (`losses`) or the same.
 Each run's `correct` and `failed` are kept too.  Before the workloads it
-runs each tree's `tools/startup.py` and then each tree's `tools/ceiling.py`
-twice, in the order parent, change, change, parent, and writes both trees'
-medians over their two runs with the ratio (this tree over the parent) and
-the runs' values: per command, `median_ref` (the process time in reference
-units) and `compile_ms` under `startup`; per job, `compute`, `process` and
-`peak_rss_mib` under `ceiling` (a law-check row has `compute` only).  The
-tool reads no file under `perfbench/`: it only runs `perfbench/run.py`.
+runs this tree's `tools/startup.py` on each tree, once per tree untimed and
+discarded and then twice per tree in the order parent, change, change,
+parent; then each tree's own `tools/ceiling.py` twice in that order.  It
+writes both trees' medians over their two runs with the ratio (this tree
+over the parent) and the runs' values: per command, `median_ref` (the
+process time in reference units) and `compile_ref` (the `compile()` time of
+the modules it loads, in reference units) under `startup`; per job,
+`compute`, `process` and `peak_rss_mib` under `ceiling` (a law-check row has
+`compute` only).  The tool reads no file under `perfbench/`: it only runs
+`perfbench/run.py`.
 """
 from __future__ import annotations
 
@@ -40,10 +41,10 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,13 +65,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 TOOL_ORDER = ("parent", "change", "change", "parent")
 
 
-def tool_runs(parent: Path, script: str) -> dict:
-    """The last stdout line, as JSON, of each run of `script` in each tree,
-    the trees taking turns in `TOOL_ORDER`."""
+def tool_runs(parent: Path, command, order=TOOL_ORDER) -> dict:
+    """The last stdout line, as JSON, of each run of `command(tree)` in each
+    tree, the trees taking turns in `order`."""
     trees = {"parent": parent, "change": ROOT}
     runs = {"parent": [], "change": []}
-    for side in TOOL_ORDER:
-        proc = subprocess.run([sys.executable, script], cwd=trees[side],
+    for side in order:
+        proc = subprocess.run(command(trees[side]), cwd=trees[side],
                               stdout=subprocess.PIPE, text=True, check=True)
         runs[side].append(json.loads(proc.stdout.splitlines()[-1]))
     return runs
@@ -96,15 +97,21 @@ def per_job(runs: dict, keys: tuple) -> dict:
 
 
 def startup(parent: Path) -> dict:
-    """Per job of `tools/startup.py`: `median_ref` and `compile_ms`."""
-    runs = tool_runs(parent, "tools/startup.py")
+    """Per job of this tree's `tools/startup.py` on each tree: `median_ref`
+    and `compile_ref`, after one discarded run per tree."""
+    def command(tree):
+        return [sys.executable, str(ROOT / "tools" / "startup.py"), str(tree)]
+
+    tool_runs(parent, command, ("parent", "change"))
+    runs = tool_runs(parent, command)
     return per_job({side: [r["jobs"] for r in rs] for side, rs in runs.items()},
-                   ("median_ref", "compile_ms"))
+                   ("median_ref", "compile_ref"))
 
 
 def ceiling(parent: Path) -> dict:
     """Per job of `tools/ceiling.py`: `compute`, `process` and `peak_rss_mib`."""
-    return per_job(tool_runs(parent, "tools/ceiling.py"), ("compute", "process", "peak_rss_mib"))
+    return per_job(tool_runs(parent, lambda tree: [sys.executable, "tools/ceiling.py"]),
+                   ("compute", "process", "peak_rss_mib"))
 
 
 def src_lines(tree: Path) -> int:
@@ -139,9 +146,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
-    cache = tempfile.TemporaryDirectory()
-    os.environ["PYTHONPYCACHEPREFIX"] = cache.name
-    os.environ.pop("PYTHONDONTWRITEBYTECODE", None)
+    for tree in (parent, ROOT):
+        shutil.rmtree(tree / "src" / "cumalg" / "__pycache__", ignore_errors=True)
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+    os.environ.pop("PYTHONPYCACHEPREFIX", None)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in bench["workloads"]]
     metrics = bench["end_to_end"]
@@ -157,8 +165,10 @@ def main(argv=None) -> int:
                  "git_revision": revision, "src_edited": edited, "src_lines": src_lines(ROOT),
                  "parent_src_lines": src_lines(parent), "pairs": args.pairs,
                  "seconds": args.seconds, "first_seed": args.seed,
-                 "bytecode": "PYTHONPYCACHEPREFIX a new temporary directory, written: "
-                             "each tree's first process compiles from source"},
+                 "bytecode": "PYTHONDONTWRITEBYTECODE=1, no PYTHONPYCACHEPREFIX, "
+                             "src/cumalg/__pycache__ removed from both trees: every "
+                             "process compiles src/, the standard library loads its "
+                             "installed cache"},
         "workloads": {},
     }
     for name, tool in (("startup", startup), ("ceiling", ceiling)):
@@ -186,7 +196,6 @@ def main(argv=None) -> int:
         }
         args.output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n",
                                encoding="utf-8")
-    cache.cleanup()
     return 0
 
 

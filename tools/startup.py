@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Time one CLI process per command next to the interpreter's own start-up.
 
-    python3 tools/startup.py
+    python3 tools/startup.py [TREE]
 
-Runs each command once per round as `python3 -m cumalg.cli`, on the
+TREE is the checkout whose `src/` and documents are timed (default: this
+one).  Runs each command once per round as `python3 -m cumalg.cli`, on the
 benchmark's input documents (`perfbench/inputs.py`, fixed seed, the
 benchmark's caps), together with `python3 -c pass`, for nine rounds.  Each
 process time is divided by the mean of the reference computation
 (`perfbench/reference.py`) run just before and just after it.  A separate
 run of each command through `tools/loaded.py` lists the `cumalg` modules it
 loaded, and each of those files is compiled in this process, as a process
-without a bytecode cache compiles it, for nine rounds.  Prints one JSON
-line: for each job, the median process time in reference units
-(`median_ref`) and, for the commands, the modules loaded, their summed line
-count (`lines`) and the sum of their median `compile()` times in
-milliseconds (`compile_ms`); and `src_lines`, the line count of all of
+without a bytecode cache compiles it, for nine rounds, the reference
+computation running once in each round.  Prints one JSON line: for each job,
+the median process time in reference units (`median_ref`) and, for the
+commands, the modules loaded, their summed line count (`lines`) and the sum
+of their median `compile()` times over the median reference time
+(`compile_ref`); and `src_lines`, the line count of all of
 `src/cumalg/*.py`, as `wc -l` gives it.
 """
 from __future__ import annotations
@@ -29,7 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parents[1]).resolve()
 SRC = ROOT / "src"
 sys.path[:0] = [str(ROOT / "perfbench")]
 
@@ -89,19 +91,22 @@ def in_ref(command: list, env: dict) -> float:
 
 
 def compile_costs(modules) -> dict:
-    """Each module's line count and median milliseconds of `compile()` of
-    its source file, the files taken in turn in every round."""
+    """Each module's line count and median time of `compile()` of its source
+    file in reference units, the files taken in turn in every round."""
     sources = {}
     for module in modules:
         path = SRC.joinpath(*module.split(".")).with_suffix(".py")
         sources[module] = (path.read_text(encoding="utf-8"), str(path))
     samples = {module: [] for module in sources}
+    refs = []
     for _ in range(RUNS):
+        refs.append(reference())
         for module, (text, path) in sources.items():
             start = time.perf_counter()
             compile(text, path, "exec", dont_inherit=True)
-            samples[module].append((time.perf_counter() - start) * 1000)
-    return {module: (len(sources[module][0].splitlines()), statistics.median(values))
+            samples[module].append(time.perf_counter() - start)
+    ref = statistics.median(refs)
+    return {module: (len(sources[module][0].splitlines()), statistics.median(values) / ref)
             for module, values in samples.items()}
 
 
@@ -128,7 +133,7 @@ def main() -> int:
         for label in argvs:
             modules = result[label]["modules"]
             result[label]["lines"] = sum(costs[m][0] for m in modules)
-            result[label]["compile_ms"] = round(sum(costs[m][1] for m in modules), 2)
+            result[label]["compile_ref"] = round(sum(costs[m][1] for m in modules), 4)
     src_lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("cumalg/*.py"))
     print(json.dumps({"runs": RUNS, "src_lines": src_lines, "jobs": result}))
     return 0
