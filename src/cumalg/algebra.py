@@ -296,6 +296,8 @@ class GradedBasis:
         # the degrees some generator has: a homogeneous element of any other
         # degree is 0, so no value of such a degree needs computing
         self.degree_set = frozenset(degrees)
+        # each generator's degree mod 2, which Koszul signs and split-table keys read
+        self.parities = tuple(d % 2 for d in degrees)
         self._index = {name: i for i, name in enumerate(names)}
         # word -> {generator: (word with it, sign flips) or () if 0}, for `_wedge_in`
         self.insertions = defaultdict(dict)

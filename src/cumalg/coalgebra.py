@@ -49,66 +49,48 @@ def _sort_sign(indices, degrees):
 
 
 class WedgeMonomial(tuple):
-    """A canonical wedge monomial: sorted generator indices plus their degrees.
+    """A canonical wedge monomial: the sorted tuple of its generator indices.
 
-    A plain `(indices, factor_degrees)` tuple underneath, so hashing and
-    equality run in C; monomials key every sparse element and cache.
+    A plain tuple underneath, so hashing and equality run in C; monomials
+    key every sparse element and cache.  A factor's degree is its
+    generator's, read from the basis.
     """
 
     __slots__ = ()
 
-    def __new__(cls, indices: tuple, factor_degrees: tuple):
-        return tuple.__new__(cls, (indices, factor_degrees))
+    indices = property(tuple)
+    weight = property(len)
 
-    def __getnewargs__(self):
-        # copy and pickle rebuild a monomial through __new__
-        return tuple(self)
-
-    indices = property(itemgetter(0))
-    factor_degrees = property(itemgetter(1))
-
-    @property
-    def weight(self) -> int:
-        return len(self[0])
-
-    @property
-    def degree(self) -> int:
-        return sum(self[1])
+    def degree(self, basis: GradedBasis) -> int:
+        return sum(map(basis.degrees.__getitem__, self))
 
     def sort_key(self):
-        return (len(self[0]), self[0])
+        return (len(self), self)
 
     def names(self, basis: GradedBasis):
-        return [basis.names[i] for i in self[0]]
+        return [basis.names[i] for i in self]
 
     def part(self, positions) -> "WedgeMonomial":
         """The factors at the given sorted positions, as a monomial."""
-        indices, degrees = self
-        return WedgeMonomial(
-            tuple(indices[p] for p in positions),
-            tuple(degrees[p] for p in positions),
-        )
+        return WedgeMonomial(self[p] for p in positions)
 
     def __repr__(self):
-        return "w(" + ",".join(map(str, self[0])) + ")"
+        return "w(" + ",".join(map(str, self)) + ")"
 
 
-# an (indices, degrees) pair as a monomial, with no Python-level call: how the
-# split loops build blocks and rests from the getters of `splits`
+# an index tuple as a monomial, with no Python-level call: how the split
+# loops build blocks and rests from the getters of `splits`
 as_monomial = partial(tuple.__new__, WedgeMonomial)
-# a degree's parity, d % 2, as a C-level call for `map`
-parity = (2).__rmod__
 
 
 def monomial(basis: GradedBasis, indices) -> WedgeMonomial:
     """Construct a canonical monomial; indices must already be sorted."""
     indices = tuple(indices)
-    degrees = tuple(basis.degrees[i] for i in indices)
     if list(indices) != sorted(indices):
         raise ValidationError(f"monomial indices not sorted: {indices}")
-    if _sort_sign(indices, degrees) is None:
+    if _normalize(basis.degrees, indices) is None:
         raise ValidationError("repeated odd-degree factor gives the zero monomial")
-    return WedgeMonomial(indices, degrees)
+    return WedgeMonomial(indices)
 
 
 def normalize_monomial(basis: GradedBasis, factors):
@@ -117,21 +99,19 @@ def normalize_monomial(basis: GradedBasis, factors):
     Returns (monomial, sign) or None when the result is zero (an odd-degree
     factor repeats).
     """
-    factors = list(factors)
+    factors = tuple(factors)
     if not factors:
         raise ValidationError("empty factor list")
-    degrees = [basis.degrees[i] for i in factors]
-    return _normalize(tuple(factors), tuple(degrees))
+    return _normalize(basis.degrees, factors)
 
 
-def _normalize(indices, degrees):
-    sign = _sort_sign(indices, degrees)
+def _normalize(degrees, indices):
+    """The sorted monomial of a factor tuple and its Koszul sign, or None;
+    `degrees` are the generators' degrees."""
+    sign = _sort_sign(indices, [degrees[i] for i in indices])
     if sign is None:
         return None
-    order = sorted(range(len(indices)), key=lambda k: (indices[k], k))
-    sorted_idx = tuple(indices[k] for k in order)
-    sorted_deg = tuple(degrees[k] for k in order)
-    return WedgeMonomial(sorted_idx, sorted_deg), sign
+    return WedgeMonomial(sorted(indices)), sign
 
 
 def _monomial_levels(basis: GradedBasis, top: int, window=None):
@@ -144,9 +124,9 @@ def _monomial_levels(basis: GradedBasis, top: int, window=None):
     (at least) its words of those degrees, in the same order.  t more
     factors add between t·lo and t·hi to a word's degree, where lo and hi
     are the least and greatest generator degrees, and 1 <= t <= top - weight."""
-    degrees = basis.degrees
+    degrees, parities = basis.degrees, basis.parities
     n = len(degrees)
-    level = [WedgeMonomial((), ())]
+    level = [WedgeMonomial()]
     yield level
     if window is not None:
         lo, hi = min(degrees, default=0), max(degrees, default=0)
@@ -155,11 +135,11 @@ def _monomial_levels(basis: GradedBasis, top: int, window=None):
         if window is not None:
             more = top - weight
             low, high = min(lo, more * lo), max(hi, more * hi)
-            level = [w for w in level if least - high <= sum(w[1]) <= most - low]
+            level = [w for w in level if least - high <= w.degree(basis) <= most - low]
         level = [
-            as_monomial((indices + (j,), degs + (degrees[j],)))
-            for indices, degs in level
-            for j in range(indices[-1] + degs[-1] % 2 if indices else 0, n)
+            as_monomial(w + (j,))
+            for w in level
+            for j in range(w[-1] + parities[w[-1]] if w else 0, n)
         ]
         yield level
 
@@ -208,17 +188,16 @@ class SElement(LinearCombination):
     @classmethod
     def from_vector(cls, v: Vector, cap):
         out = cls(v.basis, cap)
-        degrees = v.basis.degrees
-        out.terms = {as_monomial(((i,), (degrees[i],))): c for i, c in v.terms.items()}
+        out.terms = {as_monomial((i,)): c for i, c in v.terms.items()}
         return out
 
     def max_weight(self) -> int:
-        return max(map(len, map(itemgetter(0), self.terms)), default=0)
+        return max(map(len, self.terms), default=0)
 
     def weight_one_vector(self) -> Vector:
         """The weight-1 component as an algebra element."""
         out = Vector(self.basis)
-        out.terms = {w[0][0]: c for w, c in self.terms.items() if len(w[0]) == 1}
+        out.terms = {w[0]: c for w, c in self.terms.items() if len(w) == 1}
         return out
 
 
@@ -258,11 +237,10 @@ class TaylorFamily:
             for mono, value in table.items():
                 # a computed family's words are canonical already; a table's
                 # keys are checked here
-                indices = mono[0]
-                if len(indices) != arity:
+                if len(mono) != arity:
                     raise ValidationError(f"monomial {mono} filed under arity {arity}")
-                if not all(0 <= i < len(source) for i in indices) or (
-                    monomial(source, indices) != mono
+                if not all(0 <= i < len(source) for i in mono) or (
+                    normalize_monomial(source, mono) != (mono, 1)
                 ):
                     raise ValidationError(f"monomial {mono} is not canonical over the source")
                 self._enter(mono, value)
@@ -272,24 +250,23 @@ class TaylorFamily:
             raise ValidationError("coefficient value over the wrong basis")
         if not value.terms:
             value = self._zero
-        elif not value.is_homogeneous(mono.degree + self.degree):
-            raise ValidationError(
-                f"coefficient at {mono} not homogeneous of degree {mono.degree + self.degree}"
-            )
+        elif not value.is_homogeneous(mono.degree(self.source) + self.degree):
+            raise ValidationError(f"coefficient at {mono} not homogeneous of degree "
+                                  f"{mono.degree(self.source) + self.degree}")
         self._memo[mono] = value
         return value
 
     @classmethod
     def from_linear_map(cls, m: LinearMap) -> "TaylorFamily":
-        table = {WedgeMonomial((i,), (m.source.degrees[i],)): v for i, v in m.columns.items()}
+        table = {WedgeMonomial((i,)): v for i, v in m.columns.items()}
         return cls(m.source, m.target, m.degree, {1: table})
 
     def coefficient(self, mono: WedgeMonomial) -> Vector:
         value = self._memo.get(mono)
         if value is None:
-            if self._fn is None or len(mono[0]) > self._cap:
+            if self._fn is None or len(mono) > self._cap:
                 return self._zero
-            if sum(mono[1]) in self._window:
+            if sum(map(self.source.degrees.__getitem__, mono)) in self._window:
                 value = self._enter(mono, self._fn(mono))
             else:
                 value = self._memo[mono] = self._zero
@@ -304,13 +281,13 @@ class TaylorFamily:
             next(levels)  # weight 0
             for level in levels:
                 for mono in level:
-                    if sum(mono[1]) in window:
+                    if mono.degree(self.source) in window:
                         self.coefficient(mono)
             self._fn = None
         tables: dict = {}
         for mono, value in self._memo.items():
             if value.terms:
-                tables.setdefault(len(mono[0]), {})[mono] = value
+                tables.setdefault(len(mono), {})[mono] = value
         return dict(sorted(tables.items()))
 
     def evaluate(self, factors) -> Vector:
@@ -322,7 +299,7 @@ class TaylorFamily:
         return sign * self.coefficient(mono)
 
     def arity_one_map(self) -> LinearMap:
-        columns = {w[0][0]: self.coefficient(w) for w in canonical_monomials(self.source, 1)}
+        columns = {w[0]: self.coefficient(w) for w in canonical_monomials(self.source, 1)}
         return LinearMap(self.source, self.target, self.degree, columns)
 
     def __eq__(self, other):
@@ -393,9 +370,7 @@ def wedge(u: SElement, v: SElement) -> SElement:
     out = SElement(u.basis, u.cap)
     for wu, cu in u.terms.items():
         for wv, cv in v.terms.items():
-            norm = _normalize(
-                wu.indices + wv.indices, wu.factor_degrees + wv.factor_degrees
-            )
+            norm = _normalize(u.basis.degrees, wu + wv)
             if norm is None:
                 continue
             w, sign = norm
@@ -409,13 +384,12 @@ COPRODUCT_MEMO_ENTRIES = 2048
 _coproduct_memo: dict = {}
 
 
-def splits(w: WedgeMonomial) -> tuple:
-    """The one place that splits a word: its signed splits into a nonempty
-    block and a nonempty rest, up to permuting equal factors, as
+def splits(w: WedgeMonomial, basis: GradedBasis) -> tuple:
+    """The one place that splits a word over `basis`: its signed splits into
+    a nonempty block and a nonempty rest, up to permuting equal factors, as
     (coeff, first, take_block, take_rest) rows, the two getters picking the
-    sorted positions of the block and of the rest out of the word's index or
-    degree tuple, as tuples
-    (`w_B = WedgeMonomial(take_block(w[0]), take_block(w[1]))`).
+    sorted positions of the block and of the rest out of the word, as tuples
+    (`w_B = WedgeMonomial(take_block(w))`).
 
     With repetition pattern (m_0, m_1, ...), a block takes the first c_k
     positions of run k.  Equal factors are even, so which ones it takes
@@ -427,17 +401,16 @@ def splits(w: WedgeMonomial) -> tuple:
     C(n-1, k-1) of the moment recursion).  The table depends only on the
     pattern and the factor parities.  It is keyed in `_coproduct_memo` by
     which neighbouring indices are equal, which gives the pattern, and by
-    the parities, both built by C-level maps; the pattern itself is counted
-    only on a miss.
+    the factor parities read from the basis, both built by C-level maps; the
+    pattern itself is counted only on a miss.
     """
-    indices, degrees = w
-    parities = tuple(map(parity, degrees))
-    key = (tuple(map(eq, indices, indices[1:])), parities)
+    parities = tuple(map(basis.parities.__getitem__, w))
+    key = (tuple(map(eq, w, w[1:])), parities)
     table = _coproduct_memo.get(key)
     if table is None:
         if len(_coproduct_memo) >= COPRODUCT_MEMO_ENTRIES:
             del _coproduct_memo[next(iter(_coproduct_memo))]
-        table = _coproduct_memo[key] = _split_table(repetition_pattern(indices), parities)
+        table = _coproduct_memo[key] = _split_table(repetition_pattern(w), parities)
     return table
 
 
@@ -473,19 +446,16 @@ def _getter(positions):
     return itemgetter(*positions)
 
 
-def coproduct(w: WedgeMonomial) -> LinearCombination:
-    """Reduced coproduct: the ordered complementary position splits of w,
-    signed, each pair of parts once with its count (`splits`), as a sum keyed
-    by (left, right) monomial pairs.
+def coproduct(w: WedgeMonomial, basis: GradedBasis) -> LinearCombination:
+    """Reduced coproduct of a word over `basis`: the ordered complementary
+    position splits of w, signed, each pair of parts once with its count
+    (`splits`), as a sum keyed by (left, right) monomial pairs.
 
     Weight-1 monomials map to the empty sum.
     """
-    indices, degrees = w
     out = LinearCombination()
     out.terms = {
-        (as_monomial((take(indices), take(degrees))),
-         as_monomial((leave(indices), leave(degrees)))): c
-        for c, _, take, leave in splits(w)
+        (as_monomial(take(w)), as_monomial(leave(w))): c for c, _, take, leave in splits(w, basis)
     }
     return out
 

@@ -31,8 +31,8 @@ from .coalgebra import TaylorFamily, WedgeMonomial, as_monomial, splits
 
 def tau(algebra: AlgebraPresentation, w: WedgeMonomial) -> Vector:
     """Left-to-right product of the factors of a wedge monomial."""
-    out = algebra.generator(w.indices[0])
-    for i in w.indices[1:]:
+    out = algebra.generator(w[0])
+    for i in w[1:]:
         if out.is_zero():
             break
         out = algebra.multiply(out, algebra.generator(i))
@@ -60,20 +60,19 @@ class CumulantContext:
     def _product(self, w: WedgeMonomial) -> Vector:
         """tau(w) as tau(w without its last factor) times that factor, both
         read from the memo: the same left-to-right products as `tau`."""
-        indices, degrees = w
-        if len(indices) == 1:
-            return self.algebra.generator(indices[0])
+        if len(w) == 1:
+            return self.algebra.generator(w[0])
         coefficient = self.products.coefficient
-        head = coefficient(as_monomial((indices[:-1], degrees[:-1])))
+        head = coefficient(as_monomial(w[:-1]))
         if not head.terms:
             return head
-        last = coefficient(as_monomial((indices[-1:], degrees[-1:])))
+        last = coefficient(as_monomial(w[-1:]))
         return self.algebra.multiply(head, last)
 
     def _mobius(self, w: WedgeMonomial) -> Vector:
         """The inverse's Taylor coefficient at w: (-1)^(n-1) (n-1)! tau(w)
         for a word of n factors, tau(w) read from the memo."""
-        n = len(w[0])
+        n = len(w)
         return (-1) ** (n - 1) * factorial(n - 1) * self.products.coefficient(w)
 
     @property
@@ -159,13 +158,12 @@ def defect_family(m: LinearMap, kind: str, cap: int = DEFAULT_WEIGHT_CAP) -> Tay
     def fn(w: WedgeMonomial) -> Vector:
         pairs = {}  # the sum by generator pair (i, j), expanded once at the end
         get = pairs.get
-        indices, degrees = w
-        for coeff, first, take, leave in splits(w):
+        for coeff, first, take, leave in splits(w, m.source):
             n = first if hom else coeff
             if n:
-                value = family.coefficient(as_monomial((take(indices), take(degrees))))
+                value = family.coefficient(as_monomial(take(w)))
                 if value.terms:
-                    tail = rests.coefficient(as_monomial((leave(indices), leave(degrees)))).terms
+                    tail = rests.coefficient(as_monomial(leave(w))).terms
                     if tail:
                         for i, a in value.terms.items():
                             a = -n * a

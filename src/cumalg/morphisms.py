@@ -27,7 +27,6 @@ from .coalgebra import (
     canonical_monomials,
     coproduct,
     monomials_up_to,
-    parity,
     splits,
 )
 
@@ -135,12 +134,12 @@ def _wedge_in(out: SElement, value: Vector, tail, scale=1) -> None:
     is skipped)."""
     if type(scale) is not int:
         scale = exact(scale)
-    degrees, cap, terms, memo = out.basis.degrees, out.cap, out.terms, out.basis.insertions
+    parities, cap, terms, memo = out.basis.parities, out.cap, out.terms, out.basis.insertions
     get = terms.get
     heads = [(i, a, -a) for i, a in value.terms.items()]
     scaled = scale != 1
     for t, c in tail:
-        if len(t[0]) >= cap:
+        if len(t) >= cap:
             raise ValidationError(f"wedge product exceeds weight cap {cap}")
         if scaled:
             c = scale * c
@@ -150,7 +149,7 @@ def _wedge_in(out: SElement, value: Vector, tail, scale=1) -> None:
         for i, a, minus in heads:
             hit = row.get(i)
             if hit is None:
-                hit = row[i] = _insertion(t, i, degrees[i])
+                hit = row[i] = _insertion(t, i, parities)
             if hit:
                 mono, flip = hit
                 old = get(mono)
@@ -164,19 +163,18 @@ def _wedge_in(out: SElement, value: Vector, tail, scale=1) -> None:
                         del terms[mono]
 
 
-def _insertion(t: WedgeMonomial, i: int, d: int):
-    """Generator i, of degree d, wedged onto the canonical word t: the
-    canonical monomial and whether the Koszul sign flips, or () for zero.
-    i is bisected into t's sorted indices; an odd i changes sign per odd
-    factor it passes and gives zero if t holds it already."""
-    indices, degs = t
-    p = bisect_left(indices, i)
+def _insertion(t: WedgeMonomial, i: int, parities):
+    """Generator i wedged onto the canonical word t, `parities` being the
+    generators' parities: the canonical monomial and whether the Koszul sign
+    flips, or () for zero.  i is bisected into t; an odd i changes sign per
+    odd factor it passes and gives zero if t holds it already."""
+    p = bisect_left(t, i)
     flip = False
-    if d % 2:
-        if p < len(indices) and indices[p] == i:
+    if parities[i]:
+        if p < len(t) and t[p] == i:
             return ()
-        flip = sum(map(parity, degs[:p])) % 2 == 1
-    return as_monomial((indices[:p] + (i,) + indices[p:], degs[:p] + (d,) + degs[p:])), flip
+        flip = sum(map(parities.__getitem__, t[:p])) % 2 == 1
+    return as_monomial(t[:p] + (i,) + t[p:]), flip
 
 
 def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
@@ -194,12 +192,10 @@ def extend_coderivation(family: TaylorFamily, cap: int) -> SMap:
 
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.from_vector(family.coefficient(w), cap)
-        indices, degrees = w
-        for coeff, _, take, leave in splits(w):
-            value = family.coefficient(as_monomial((take(indices), take(degrees))))
+        for coeff, _, take, leave in splits(w, basis):
+            value = family.coefficient(as_monomial(take(w)))
             if value.terms:
-                rest = as_monomial((leave(indices), leave(degrees)))
-                _wedge_in(out, value, ((rest, coeff),))
+                _wedge_in(out, value, ((as_monomial(leave(w)), coeff),))
         return out
 
     return SMap(basis, basis, cap, family.degree, fn)
@@ -227,12 +223,11 @@ def extend_coalgebra_map(family: TaylorFamily, cap: int) -> SMap:
 
     def fn(w: WedgeMonomial) -> SElement:
         out = SElement.from_vector(family.coefficient(w), cap)
-        indices, degrees = w
-        for _, first, take, leave in splits(w):
+        for _, first, take, leave in splits(w, source):
             if first:
-                value = family.coefficient(as_monomial((take(indices), take(degrees))))
+                value = family.coefficient(as_monomial(take(w)))
                 if value.terms:
-                    tail = extension.on_monomial(as_monomial((leave(indices), leave(degrees))))
+                    tail = extension.on_monomial(as_monomial(leave(w)))
                     _wedge_in(out, value, tail.terms.items(), first)
         return out
 
@@ -258,7 +253,7 @@ def extract_family(op: SMap, max_arity: int) -> TaylorFamily:
     for mono in monomials_up_to(op.source, max_arity):
         value = op.on_monomial(mono).weight_one_vector()
         if value.terms:
-            tables.setdefault(len(mono[0]), {})[mono] = value
+            tables.setdefault(len(mono), {})[mono] = value
     return TaylorFamily(op.source, op.target, op.degree, tables)
 
 
@@ -266,7 +261,7 @@ def coproduct_element(v: SElement) -> LinearCombination:
     """The reduced coproduct of an element, term by term."""
     out = LinearCombination()
     for w, c in v.terms.items():
-        out.accumulate(coproduct(w), c)
+        out.accumulate(coproduct(w, v.basis), c)
     return out
 
 
@@ -402,8 +397,8 @@ def triangular_inverse(op: SMap) -> SMap:
 
     def fn(w: WedgeMonomial) -> SElement:
         image = op.on_monomial(w).terms
-        weight = len(w[0])
-        if image.get(w) != 1 or any(len(u[0]) >= weight for u in image if u != w):
+        weight = len(w)
+        if image.get(w) != 1 or any(len(u) >= weight for u in image if u != w):
             raise ValidationError(
                 f"triangular inverse: operator is not triangular at {w.names(basis)}")
         out = SElement(basis, cap)

@@ -57,15 +57,16 @@ def _ordered_splits(positions, k):
                 yield (block,) + tail
 
 
-def _rearrangement_sign(mono: WedgeMonomial, blocks) -> int:
-    """Koszul sign of listing the factors block by block: the sign of sorting
-    the listed positions back into order."""
+def _rearrangement_sign(mono: WedgeMonomial, degrees, blocks) -> int:
+    """Koszul sign of listing the factors block by block, `degrees` being
+    the generators' degrees: the sign of sorting the listed positions back
+    into order."""
     order = [p for block in blocks for p in block]
-    return _sort_sign(order, [mono.factor_degrees[p] for p in order])
+    return _sort_sign(order, [degrees[mono[p]] for p in order])
 
 
-def iterated_coproduct(w: WedgeMonomial, k: int):
-    """Sweedler iterate: signed k-tuples of monomials splitting w.
+def iterated_coproduct(w: WedgeMonomial, basis, k: int):
+    """Sweedler iterate: signed k-tuples of monomials splitting w over `basis`.
 
     k = 1 is the identity; k = weight(w) lists all factor orderings.  The
     result is normalized (duplicate tuples accumulate) and independent of
@@ -76,7 +77,7 @@ def iterated_coproduct(w: WedgeMonomial, k: int):
     acc = LinearCombination()
     for blocks in _ordered_splits(tuple(range(w.weight)), k):
         parts = tuple(w.part(block) for block in blocks)
-        acc.add_term(parts, _rearrangement_sign(w, blocks))
+        acc.add_term(parts, _rearrangement_sign(w, basis.degrees, blocks))
     return sorted(
         ((c, parts) for parts, c in acc.terms.items()),
         key=lambda item: tuple(p.sort_key() for p in item[1]),
@@ -96,7 +97,7 @@ def tau_tilde_series(algebra: AlgebraPresentation, cap: int) -> SMap:
         out = SElement(algebra, cap)
         for k in range(1, w.weight + 1):
             scale = exact(Fraction(1, math.factorial(k)))
-            for coeff, parts in iterated_coproduct(w, k):
+            for coeff, parts in iterated_coproduct(w, algebra, k):
                 piece = None
                 for part in parts:
                     value = tau(algebra, part)

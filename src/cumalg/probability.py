@@ -76,7 +76,7 @@ def cumulants_from_moments(moments) -> list:
     moments = list(moments)
     n = len(moments)
     family = defect_family(expectation_map(moments), "hom", cap=n)
-    return [family.coefficient(WedgeMonomial((0,) * j, (0,) * j)).get(0) for j in range(1, n + 1)]
+    return [family.coefficient(WedgeMonomial((0,) * j)).get(0) for j in range(1, n + 1)]
 
 
 def oracle_cumulants(moments) -> list:

@@ -56,7 +56,7 @@ class _Table:
 
         def name_list(w, quoted, at):
             inner = at + "  "
-            return "[" + inner + ("," + inner).join([quoted[i] for i in w[0]]) + at + "]"
+            return "[" + inner + ("," + inner).join([quoted[i] for i in w]) + at + "]"
 
         def term_names(w):
             text = names.get(w)
@@ -144,9 +144,9 @@ def _arity3_comparison(d, family):
     all_match = True
     for mono in canonical_monomials(A, 3):
         computed = family.coefficient(mono)
-        i, j, k = mono[0]
+        i, j, k = mono
         yx = table[j][i]
-        if sum(mono[1]) + d.degree in present:
+        if mono.degree(A) + d.degree in present:
             x, y, z = generators[i], generators[j], generators[k]
             xy = table[i][j]
             variant = d.apply(multiply(xy, z))

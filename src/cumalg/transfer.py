@@ -25,7 +25,6 @@ from .algebra import (
     reader,
 )
 from .coalgebra import monomials_up_to
-from .linalg import rank
 from .morphisms import (
     CheckReport,
     SMap,
@@ -38,7 +37,9 @@ from .morphisms import (
     extend_coderivation,
     triangular_inverse,
 )
-from .cumulant import cumulant_context, defect_family
+
+# `cumalg.cumulant` and `cumalg.linalg` are imported where they run, so that
+# `validate` of a retract runs without loading them
 
 
 class ChainComplex(GradedBasis):
@@ -206,6 +207,8 @@ def _difference_check(law: str, lhs: SMap, rhs: SMap) -> CheckReport:
 def _injectivity_check(op: SMap) -> CheckReport:
     """Exact rank test: the operator's matrix on the capped carrier has full
     column rank."""
+    from .linalg import rank
+
     columns = list(monomials_up_to(op.source, op.cap))
     images = [op.on_monomial(w) for w in columns]
     row_keys = sorted({m for img in images for m in img.terms}, key=lambda m: m.sort_key())
@@ -221,6 +224,8 @@ def _injectivity_check(op: SMap) -> CheckReport:
 def transferred_differential(r: RetractData, cap: int) -> SMap:
     """Pull-conjugate of the bare coderivation of the algebra differential:
     the coderivation extending the differential's derivation-defect tables."""
+    from .cumulant import defect_family
+
     return extend_coderivation(defect_family(r.d, "der", cap), cap)
 
 
@@ -296,6 +301,8 @@ def induced_cumulant_bijection(t: TransferInput, cap: int) -> TransferResult:
     proj_hat = extend_coalgebra_map(
         TaylorFamily.from_linear_map(t.retract.projection), cap
     )
+    from .cumulant import cumulant_context
+
     tau_tilde_a = cumulant_context(A, cap).tau_tilde
     tau_tilde_c = proj_hat.compose(tau_tilde_a).compose(iota_hat)
 

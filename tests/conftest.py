@@ -227,7 +227,7 @@ def random_family(rng, basis, degree, max_arity):
     for arity in range(1, max_arity + 1):
         table = {}
         for mono in cm.canonical_monomials(basis, arity):
-            v = random_vector(rng, basis, mono.degree + degree)
+            v = random_vector(rng, basis, mono.degree(basis) + degree)
             if not v.is_zero():
                 table[mono] = v
         if table:
@@ -235,16 +235,16 @@ def random_family(rng, basis, degree, max_arity):
     return cm.TaylorFamily(basis, basis, degree, tables)
 
 
-def subset_coproduct(mono):
-    """The reduced coproduct the plain way, as `coproduct`'s oracle: one
-    signed term per nonempty proper subset of positions, merged on equal
-    pairs of parts."""
+def subset_coproduct(mono, basis):
+    """The reduced coproduct over `basis` the plain way, as `coproduct`'s
+    oracle: one signed term per nonempty proper subset of positions, merged
+    on equal pairs of parts."""
     out = LinearCombination()
     n = mono.weight
     for size in range(1, n):
         for subset in itertools.combinations(range(n), size):
             complement = tuple(p for p in range(n) if p not in subset)
-            sign = _rearrangement_sign(mono, (subset, complement))
+            sign = _rearrangement_sign(mono, basis.degrees, (subset, complement))
             out.add_term((mono.part(subset), mono.part(complement)), sign)
     return out
 
@@ -270,7 +270,7 @@ def _apply_right(op, pairs):
     """(1⊗op) on a tensor-pair sum, with the sign of moving op past l."""
     out = LinearCombination()
     for (l, r), c in pairs.terms.items():
-        sign = cm.parity_sign(op.degree, l.degree)
+        sign = cm.parity_sign(op.degree, l.degree(op.source))
         for wr, cr in op.on_monomial(r).terms.items():
             out.add_term((l, wr), sign * c * cr)
     return out
@@ -301,11 +301,11 @@ def tensor_law_report(op, kind):
     rhs = {"comorphism": _apply_both, "co-Leibniz": _apply_either}[kind]
     memo = {}
 
-    def split(u):
+    def split(u, basis):
         # each word's Δ̄ is built once; sums only read it
-        pairs = memo.get(u)
+        pairs = memo.get((u, basis))
         if pairs is None:
-            pairs = memo[u] = coproduct(u)
+            pairs = memo[u, basis] = coproduct(u, basis)
         return pairs
 
     checked = 0
@@ -313,8 +313,8 @@ def tensor_law_report(op, kind):
         checked += 1
         lhs = LinearCombination()
         for u, c in op.on_monomial(w).terms.items():
-            lhs.accumulate(split(u), c)
-        expected = rhs(op, split(w))
+            lhs.accumulate(split(u, op.target), c)
+        expected = rhs(op, split(w, op.source))
         if lhs != expected:
             witness = {
                 "monomial": w.names(op.source),

@@ -451,23 +451,24 @@ def test_coproduct_memo_stays_within_its_bound(monkeypatch):
     the memo keeps at most its bound, here lowered to 8 so that 30 shapes
     exceed it, and the latest shape still hits."""
     monkeypatch.setattr(coalgebra, "_coproduct_memo", {})
+    evens = cm.GradedBasis([(f"x{k}", 0) for k in range(100)])
     words = [
-        cm.WedgeMonomial(pair, (0, 0))
+        cm.WedgeMonomial(pair)
         for pair in itertools.combinations_with_replacement(range(100), 2)
     ]
     assert len(words) == 5050
     for w in words:
-        cm.coproduct(w)
+        cm.coproduct(w, evens)
     assert len(coalgebra._coproduct_memo) <= 2
 
     monkeypatch.setattr(coalgebra, "COPRODUCT_MEMO_ENTRIES", 8)
     shapes = [
-        cm.WedgeMonomial(tuple(range(n)), degrees)
+        (cm.WedgeMonomial(range(n)), cm.GradedBasis([(f"x{k}", d) for k, d in enumerate(degrees)]))
         for n in range(1, 5)
         for degrees in itertools.product((0, 1), repeat=n)
     ]
     assert len(shapes) == 30
-    for w in shapes:
-        cm.coproduct(w)
+    for w, basis in shapes:
+        cm.coproduct(w, basis)
         assert len(coalgebra._coproduct_memo) <= 8
-    assert coalgebra.splits(shapes[-1]) is coalgebra.splits(shapes[-1])
+    assert coalgebra.splits(*shapes[-1]) is coalgebra.splits(*shapes[-1])

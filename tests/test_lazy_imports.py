@@ -22,7 +22,8 @@ LOADED = str(Path(__file__).resolve().parents[1] / "tools" / "loaded.py")
 CUMULANTS = ["algebra", "cli", "coalgebra", "cumulant", "probability"]
 LIFTS = ["algebra", "cli", "coalgebra", "cumulant", "morphisms", "tables"]
 DEFECTS = ["algebra", "cli", "coalgebra", "cumulant", "tables"]
-RETRACTS = ["algebra", "cli", "coalgebra", "cumulant", "linalg", "morphisms", "transfer"]
+TRANSFERS = ["algebra", "cli", "coalgebra", "cumulant", "linalg", "morphisms", "transfer"]
+RETRACTS = ["algebra", "cli", "coalgebra", "morphisms", "transfer"]
 
 COMMANDS = {
     "cumulants": (["cumulants"], "moments", {"moments": ["1/2", "1/3", "1/5"]}, CUMULANTS),
@@ -31,7 +32,7 @@ COMMANDS = {
     "defects-hom": (["defects", "--kind", "hom"], "map", E2_MAP_DOC, DEFECTS),
     "defects-der": (["defects", "--kind", "der", "--weight-cap", "3"], "map", E2_MAP_DOC,
                     DEFECTS),
-    "transfer": (["transfer"], "transfer", k2_doc(), RETRACTS),
+    "transfer": (["transfer"], "transfer", k2_doc(), TRANSFERS),
     "validate-retract": (["validate"], "retract", k2_doc()["retract"], RETRACTS),
     "validate-algebra": (["validate"], "algebra", E2_DOC, ["algebra", "cli"]),
 }

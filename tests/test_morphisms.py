@@ -201,10 +201,19 @@ def test_taylor_family_rejects_inhomogeneous_values(e2):
     with pytest.raises(cm.ValidationError):
         cm.TaylorFamily(e2, e2, 0, {2: {cm.monomial(e2, (0, 1)): e2.generator(0)}})
     # keys that are not canonical monomials over the source: an index past
-    # its last generator, and `a` (degree 1) claimed at degree 2
-    for key in (cm.WedgeMonomial((7,), (1,)), cm.WedgeMonomial((0,), (2,))):
+    # its last generator, factors out of order, and a repeated odd factor
+    for key in (cm.WedgeMonomial((7,)), cm.WedgeMonomial((1, 0)), cm.WedgeMonomial((0, 0))):
         with pytest.raises(cm.ValidationError, match="not canonical"):
-            cm.TaylorFamily(e2, e2, 0, {1: {key: e2.generator(0)}})
+            cm.TaylorFamily(e2, e2, 0, {len(key): {key: e2.generator(2)}})
+    a = cm.monomial(e2, (0,))
+    other = cm.GradedBasis([("a", 1), ("b", 1), ("g", 2)])
+    for tables, message in (
+        ({0: {}}, "arity must be >= 1"),
+        ({2: {a: e2.generator(0)}}, "filed under arity 2"),
+        ({1: {a: other.generator(0)}}, "wrong basis"),
+    ):
+        with pytest.raises(cm.ValidationError, match=message):
+            cm.TaylorFamily(e2, e2, 0, tables)
 
 
 def test_a_computed_family_checks_values_in_its_window_and_computes_none_outside(e2):
@@ -234,7 +243,7 @@ def test_tables_compute_exactly_the_words_of_the_window(e2, degree):
         return cm.Vector(e2)
 
     assert cm.TaylorFamily(e2, e2, degree, cap=3, fn=fn).tables == {}
-    assert asked == [w for w in cm.monomials_up_to(e2, 3) if w.degree + degree in (1, 2)]
+    assert asked == [w for w in cm.monomials_up_to(e2, 3) if w.degree(e2) + degree in (1, 2)]
 
 
 def test_taylor_family_doc_normalizes_monomials(e2):

@@ -24,15 +24,14 @@ them, and the arguments); and per workload, for each end-to-end metric of
 quartiles, each pair's ratio (this tree over the parent) and the number of
 pairs in which this tree did better (`wins`), worse (`losses`) or the same.
 Each run's `correct` and `failed` are kept too.  Before the workloads it
-runs this tree's `tools/startup.py` on each tree, once per tree untimed and
-discarded and then twice per tree in the order parent, change, change,
-parent; then each tree's own `tools/ceiling.py` twice in that order.  It
-writes both trees' medians over their two runs with the ratio (this tree
-over the parent) and the runs' values: per command, `median_ref` (the
+runs this tree's `tools/startup.py` once on both trees, which interleaves
+them round by round; then each tree's own `tools/ceiling.py` twice per tree
+in the order parent, change, change, parent.  It writes both trees' values
+with the ratio (this tree over the parent): per command, `median_ref` (the
 process time in reference units) and `compile_ref` (the `compile()` time of
-the modules it loads, in reference units) under `startup`; per job,
-`compute`, `process` and `peak_rss_mib` under `ceiling` (a law-check row has
-`compute` only).  The tool reads no file under `perfbench/`: it only runs
+the modules it loads, in reference units) under `startup`; per job, the
+medians over the two runs of `compute`, `process` and `peak_rss_mib` under
+`ceiling` (a law-check row has `compute` only), with the runs' values.  The tool reads no file under `perfbench/`: it only runs
 `perfbench/run.py`.
 """
 from __future__ import annotations
@@ -65,12 +64,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 TOOL_ORDER = ("parent", "change", "change", "parent")
 
 
-def tool_runs(parent: Path, command, order=TOOL_ORDER) -> dict:
+def tool_runs(parent: Path, command) -> dict:
     """The last stdout line, as JSON, of each run of `command(tree)` in each
-    tree, the trees taking turns in `order`."""
+    tree, the trees taking turns in `TOOL_ORDER`."""
     trees = {"parent": parent, "change": ROOT}
     runs = {"parent": [], "change": []}
-    for side in order:
+    for side in TOOL_ORDER:
         proc = subprocess.run(command(trees[side]), cwd=trees[side],
                               stdout=subprocess.PIPE, text=True, check=True)
         runs[side].append(json.loads(proc.stdout.splitlines()[-1]))
@@ -97,14 +96,12 @@ def per_job(runs: dict, keys: tuple) -> dict:
 
 
 def startup(parent: Path) -> dict:
-    """Per job of this tree's `tools/startup.py` on each tree: `median_ref`
-    and `compile_ref`, after one discarded run per tree."""
-    def command(tree):
-        return [sys.executable, str(ROOT / "tools" / "startup.py"), str(tree)]
-
-    tool_runs(parent, command, ("parent", "change"))
-    runs = tool_runs(parent, command)
-    return per_job({side: [r["jobs"] for r in rs] for side, rs in runs.items()},
+    """Per job of one run of this tree's `tools/startup.py` on both trees:
+    `median_ref` and `compile_ref`."""
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "startup.py"), str(parent),
+                           str(ROOT)], stdout=subprocess.PIPE, text=True, check=True)
+    trees = json.loads(proc.stdout.splitlines()[-1])["trees"]
+    return per_job({"parent": [trees[0]["jobs"]], "change": [trees[1]["jobs"]]},
                    ("median_ref", "compile_ref"))
 
 

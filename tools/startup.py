@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Time one CLI process per command next to the interpreter's own start-up.
+"""Time one CLI process per command next to the interpreter's own start-up,
+in one or more trees side by side.
 
-    python3 tools/startup.py [TREE]
+    python3 tools/startup.py [TREE ...]
 
-TREE is the checkout whose `src/` and documents are timed (default: this
-one).  Runs each command once per round as `python3 -m cumalg.cli`, on the
-benchmark's input documents (`perfbench/inputs.py`, fixed seed, the
-benchmark's caps), together with `python3 -c pass`, for nine rounds.  Each
-process time is divided by the mean of the reference computation
-(`perfbench/reference.py`) run just before and just after it.  A separate
-run of each command through `tools/loaded.py` lists the `cumalg` modules it
-loaded, and each of those files is compiled in this process, as a process
-without a bytecode cache compiles it, for nine rounds, the reference
-computation running once in each round.  Prints one JSON line: for each job,
-the median process time in reference units (`median_ref`) and, for the
-commands, the modules loaded, their summed line count (`lines`) and the sum
-of their median `compile()` times over the median reference time
+Each TREE is a checkout whose `src/` is timed (default: this one); the
+documents are this tree's benchmark inputs (`perfbench/inputs.py`, fixed
+seed, the benchmark's caps).  In each of RUNS rounds, every command runs
+once in every tree as `python3 -m cumalg.cli`, together with `python3 -c
+pass`, and every tree's loaded modules are compiled in this process, as a
+process without a bytecode cache compiles them; the trees take turns on
+which goes first, round by round, so that a drift in the host's speed
+weighs on all of them alike.  Each process time is divided by the mean of
+the reference computation (`perfbench/reference.py`) run just before and
+just after it; the compile times are divided by the median of the
+reference computation run once at the start of each round.  A separate run
+of each command through each tree's `tools/loaded.py` lists the `cumalg`
+modules it loaded.  Prints one JSON line with, per tree in the order given:
+for each job, the median process time in reference units (`median_ref`)
+and, for the commands, the modules loaded, their summed line count
+(`lines`) and the sum of their median `compile()` times in reference units
 (`compile_ref`); and `src_lines`, the line count of all of
 `src/cumalg/*.py`, as `wc -l` gives it.
 """
@@ -31,15 +35,14 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parents[1]).resolve()
-SRC = ROOT / "src"
+ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402
 from reference import reference  # noqa: E402
 
 SEED = 1
-RUNS = 9
+RUNS = 18
 FLOOR = "python3 -c pass"
 
 
@@ -90,52 +93,67 @@ def in_ref(command: list, env: dict) -> float:
     return spent / ((before + reference()) / 2)
 
 
-def compile_costs(modules) -> dict:
-    """Each module's line count and median time of `compile()` of its source
-    file in reference units, the files taken in turn in every round."""
-    sources = {}
-    for module in modules:
-        path = SRC.joinpath(*module.split(".")).with_suffix(".py")
-        sources[module] = (path.read_text(encoding="utf-8"), str(path))
-    samples = {module: [] for module in sources}
-    refs = []
-    for _ in range(RUNS):
-        refs.append(reference())
-        for module, (text, path) in sources.items():
-            start = time.perf_counter()
-            compile(text, path, "exec", dont_inherit=True)
-            samples[module].append(time.perf_counter() - start)
-    ref = statistics.median(refs)
-    return {module: (len(sources[module][0].splitlines()), statistics.median(values) / ref)
-            for module, values in samples.items()}
+def compile_samples(sources: dict) -> dict:
+    """Seconds of one `compile()` of each module's source file, in turn."""
+    out = {}
+    for module, (text, path) in sources.items():
+        start = time.perf_counter()
+        compile(text, path, "exec", dont_inherit=True)
+        out[module] = time.perf_counter() - start
+    return out
 
 
 def main() -> int:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    trees = [Path(arg).resolve() for arg in sys.argv[1:]] or [ROOT]
+    envs = [{**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))} for tree in trees]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        commands = {FLOOR: [sys.executable, "-c", "pass"]}
         argvs = jobs(documents(work), work)
+        commands = {FLOOR: [sys.executable, "-c", "pass"]}
         for label, argv in argvs.items():
             commands[label] = [sys.executable, "-m", "cumalg.cli", *argv]
-        samples = {label: [] for label in commands}
-        for _ in range(RUNS):
+        results = []
+        for tree in trees:
+            result = {label: {} for label in commands}
+            for label, argv in argvs.items():
+                proc = subprocess.run(
+                    [sys.executable, str(tree / "tools" / "loaded.py"), *argv],
+                    capture_output=True, text=True, check=True)
+                result[label]["modules"] = json.loads(proc.stdout)[1]
+            results.append(result)
+        sources = []
+        for tree, result in zip(trees, results):
+            modules = sorted({m for label in argvs for m in result[label]["modules"]})
+            paths = {m: tree.joinpath("src", *m.split(".")).with_suffix(".py") for m in modules}
+            sources.append({m: (path.read_text(encoding="utf-8"), str(path))
+                            for m, path in paths.items()})
+        times = [{label: [] for label in commands} for _ in trees]
+        compiles = [{m: [] for m in source} for source in sources]
+        refs = []
+        for k in range(RUNS):
+            turn = [(k + t) % len(trees) for t in range(len(trees))]
+            refs.append(reference())
+            for t in turn:
+                for module, seconds in compile_samples(sources[t]).items():
+                    compiles[t][module].append(seconds)
             for label, command in commands.items():
-                samples[label].append(in_ref(command, env))
-        result = {label: {"median_ref": round(statistics.median(values), 3)}
-                  for label, values in samples.items()}
-        for label, argv in argvs.items():
-            proc = subprocess.run([sys.executable, str(ROOT / "tools" / "loaded.py"), *argv],
-                                  capture_output=True, text=True, check=True)
-            result[label]["modules"] = json.loads(proc.stdout)[1]
-        costs = compile_costs(sorted({m for label in argvs for m in result[label]["modules"]}))
-        for label in argvs:
-            modules = result[label]["modules"]
-            result[label]["lines"] = sum(costs[m][0] for m in modules)
-            result[label]["compile_ref"] = round(sum(costs[m][1] for m in modules), 4)
-    src_lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("cumalg/*.py"))
-    print(json.dumps({"runs": RUNS, "src_lines": src_lines, "jobs": result}))
+                for t in turn:
+                    times[t][label].append(in_ref(command, envs[t]))
+        ref = statistics.median(refs)
+        out = []
+        for tree, result, samples, source, spent in zip(trees, results, times, sources, compiles):
+            for label, values in samples.items():
+                result[label]["median_ref"] = round(statistics.median(values), 3)
+            for label in argvs:
+                modules = result[label]["modules"]
+                result[label]["lines"] = sum(len(source[m][0].splitlines()) for m in modules)
+                result[label]["compile_ref"] = round(
+                    sum(statistics.median(spent[m]) for m in modules) / ref, 4)
+            src_lines = sum(path.read_bytes().count(b"\n")
+                            for path in tree.glob("src/cumalg/*.py"))
+            out.append({"tree": str(tree), "src_lines": src_lines, "jobs": result})
+    print(json.dumps({"runs": RUNS, "trees": out}))
     return 0
 
 
