@@ -204,7 +204,7 @@ def test_taylor_family_rejects_inhomogeneous_values(e2):
     # its last generator, factors out of order, and a repeated odd factor
     for key in (cm.WedgeMonomial((7,)), cm.WedgeMonomial((1, 0)), cm.WedgeMonomial((0, 0))):
         with pytest.raises(cm.ValidationError, match="not canonical"):
-            cm.TaylorFamily(e2, e2, 0, {len(key): {key: e2.generator(2)}})
+            cm.TaylorFamily(e2, e2, 0, {len(key): {key: e2.generator(0)}})
     a = cm.monomial(e2, (0,))
     other = cm.GradedBasis([("a", 1), ("b", 1), ("g", 2)])
     for tables, message in (
